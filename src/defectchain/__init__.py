@@ -7,11 +7,10 @@ from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      DuplicateDefectSite, NonSimplePole, NormalizationDrift,
                      NotConverged, NotReached, PoleCountMismatch,
                      SingularResolvent)
-from .homogeneous import (MomentSeries, SiteProfile, default_time_grid,
-                          estimate_tstar, fit_ballistic, fit_tstar_scaling,
-                          green_profile, green_time, moment_series,
-                          moment_time, occupation, steady_moment,
-                          steady_profile)
+from .homogeneous import (SiteProfile, default_time_grid, estimate_tstar,
+                          fit_ballistic, fit_tstar_scaling, green_profile,
+                          green_time, moment_series, moment_time, occupation,
+                          steady_moment, steady_profile)
 from .lattice import (LatticeSpec, cosine_weighted_sum, distance_power_sum,
                       periodic_distance, periodic_distances, site_index)
 from .multi_defect import (TwoDefectRational, TwoDefectSystem,

@@ -21,7 +21,7 @@ import numpy as np
 from . import homogeneous, single_defect, strong_defect
 from .errors import ConfigError, DefectChainError
 from .lattice import LatticeSpec, site_index
-from .multi_defect import build_two_defect_system, two_defect_occupation
+from .multi_defect import build_two_defect_system, two_defect_occupation_series
 from .oracle import (BarrierWalkSpec, SpectralDecomposition, barrier_walk_steady,
                      build_hamiltonian, occupation_exact, time_average_exact)
 from .single_defect import DefectSpec, build_defect_system
@@ -337,8 +337,7 @@ def run_two(args) -> ResultTable:
             build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
     table = ResultTable(meta={"mode": "two", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": list(args.nd), "q": qs})
-    for t in times:
-        P = two_defect_occupation(system, float(t))
+    for t, P in zip(times, two_defect_occupation_series(system, times)):
         for n, v in enumerate(P):
             table.add("occupation", v, N=spec.N, gamma=spec.gamma, n0=spec.n0,
                       n=n, t=float(t))
@@ -370,8 +369,7 @@ def run_oracle_check(args) -> ResultTable:
             table.add("steady_max_abs_diff", float(np.max(np.abs(prof - oprof))),
                       provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,
                       nd=nd, n0=spec.n0)
-            for t in times:
-                P = single_defect.occupation_defect(sysq, float(t))
+            for t, P in zip(times, single_defect.occupation_defect_series(sysq, times)):
                 Po = occupation_exact(dec, spec.n0, float(t))
                 table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
                           provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,
@@ -383,8 +381,7 @@ def run_oracle_check(args) -> ResultTable:
             system = build_two_defect_system(defects, spec)
             dec = SpectralDecomposition.from_hamiltonian(
                 build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
-            for t in times:
-                P = two_defect_occupation(system, float(t))
+            for t, P in zip(times, two_defect_occupation_series(system, times)):
                 Po = occupation_exact(dec, spec.n0, float(t))
                 table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
                           provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,

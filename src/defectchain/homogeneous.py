@@ -1,9 +1,11 @@
 """Defect-free dynamics on the periodic chain.
 
-The free propagator is a plain mode sum; occupation moments use an exact
-resummation that collapses the site sum into closed form, leaving an
-O(N^2) frequency comb per observable.  Steady-state quantities are closed
-forms, never numeric time averages (those live in the tests).
+The free propagator G(n, n0, t) is a plain mode sum, evaluated for all
+sites at once by one FFT per time.  Occupation moments are site sums over
+it, Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2, taken over blocks of
+times whose temporaries stay below BLOCK_ELEMENTS array elements.
+Steady-state quantities are closed forms, never numeric time averages
+(those live in the tests).
 """
 
 from __future__ import annotations
@@ -13,8 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReached
-from .lattice import (LatticeSpec, cosine_weighted_sum, distance_power_sum,
-                      periodic_distances, site_index)
+from .lattice import LatticeSpec, periodic_distances, site_index
+
+# Largest array (in elements) one block of times may build; bounds the
+# temporaries of every batched time evaluation in this package.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def time_blocks(count: int, per_time: int) -> list[slice]:
+    """Slices over `count` times, each covering at most BLOCK_ELEMENTS
+    elements when one time takes `per_time` (at least one time per slice)."""
+    step = max(1, BLOCK_ELEMENTS // max(per_time, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -27,31 +39,18 @@ class SiteProfile:
     mirror_collision: bool = False
 
 
-@dataclass(frozen=True)
-class MomentSeries:
-    """Sampled displacement moment with its steady value."""
-
-    p: int
-    times: np.ndarray
-    values: np.ndarray
-    steady: float
+def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
+    """Free amplitudes G(n, n0, t), shape (len(times), N)."""
+    N, gamma = spec.N, spec.gamma
+    k = np.arange(N)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    phases = np.exp(2j * gamma * times[:, None] * np.cos(2.0 * np.pi * k / N))
+    return np.roll(np.fft.ifft(phases, axis=1), spec.n0, axis=1)
 
 
 def green_profile(spec: LatticeSpec, t: float) -> np.ndarray:
     """Free amplitudes G(n, n0, t) for all sites n at one time."""
-    N, gamma = spec.N, spec.gamma
-    k = np.arange(N)
-    phases = np.exp(2j * gamma * t * np.cos(2.0 * np.pi * k / N))
-    return np.roll(np.fft.ifft(phases), spec.n0)
-
-
-def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
-    """Free amplitudes, shape (len(times), N)."""
-    N, gamma = spec.N, spec.gamma
-    k = np.arange(N)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases = np.exp(2j * gamma * np.outer(times, np.cos(2.0 * np.pi * k / N)))
-    return np.roll(np.fft.ifft(phases, axis=1), spec.n0, axis=1)
+    return green_profiles(spec, [t])[0]
 
 
 def green_time(n: int, n0: int, t: float, spec: LatticeSpec) -> complex:
@@ -82,34 +81,14 @@ def steady_profile(spec: LatticeSpec) -> SiteProfile:
     return SiteProfile(values, "steady")
 
 
-def _moment_comb(p: int, spec: LatticeSpec):
-    """Frequency comb for Delta_p(t): constant term plus (weight, frequency) pairs.
-
-    From the mode-pair resummation with x = k1 + k2, y = k1 - k2: for each
-    y != 0 the site sum has a closed form and x runs over y, y+2, ...,
-    2N-2-y, giving frequencies 4 gamma sin(pi x / N) sin(pi y / N).
-    """
-    N, gamma = spec.N, spec.gamma
-    base = distance_power_sum(p, N) / N
-    weights, freqs = [], []
-    for y in range(1, N):
-        w = 2.0 / N ** 2 * cosine_weighted_sum(p, y, N)
-        x = np.arange(y, 2 * N - 1 - y, 2)
-        om = 4.0 * gamma * np.sin(np.pi * x / N) * np.sin(np.pi * y / N)
-        weights.append(np.full(x.size, w))
-        freqs.append(om)
-    return base, np.concatenate(weights), np.concatenate(freqs)
-
-
-def moment_series(p: int, times: np.ndarray, spec: LatticeSpec,
-                  chunk: int = 256) -> np.ndarray:
-    """Delta_p at the requested times via the resummed closed form."""
+def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    base, w, om = _moment_comb(p, spec)
+    dpow = distance_powers(spec, p)
     out = np.empty(times.size)
-    for i in range(0, times.size, chunk):
-        tt = times[i:i + chunk]
-        out[i:i + chunk] = base + w @ np.cos(np.outer(om, tt))
+    for block in time_blocks(times.size, spec.N):
+        G = green_profiles(spec, times[block])
+        out[block] = (G.real ** 2 + G.imag ** 2) @ dpow
     return out
 
 
@@ -132,11 +111,6 @@ def steady_moment(p: int, spec: LatticeSpec) -> float:
         if p == 2:
             return (N - 1) ** 2 * (N + 1) / (12.0 * N)
     raise ValueError(f"p must be 1 or 2, got {p}")
-
-
-def ballistic_coefficient(spec: LatticeSpec) -> float:
-    """Short-time growth rate D in Delta_2 = D t^2; D = 2 gamma^2 for all N."""
-    return 2.0 * spec.gamma ** 2
 
 
 def fit_ballistic(spec: LatticeSpec, tmax: float | None = None, n: int = 64) -> float:
@@ -210,11 +184,6 @@ def fit_tstar_scaling(Ns, gamma: float = 1.0, threshold: float = 0.01):
     ss_tot = float(np.sum((tstars - np.mean(tstars)) ** 2))
     r2 = 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2, tstars
-
-
-def moment_series_with_steady(p: int, times: np.ndarray, spec: LatticeSpec) -> MomentSeries:
-    return MomentSeries(p, np.asarray(times, dtype=float),
-                        moment_series(p, times, spec), steady_moment(p, spec))
 
 
 def distance_powers(spec: LatticeSpec, p: int) -> np.ndarray:

@@ -30,13 +30,11 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import DuplicateDefectSite, NormalizationDrift, PoleCountMismatch, SingularResolvent
-from .homogeneous import green_profile
+from .errors import DuplicateDefectSite, PoleCountMismatch, SingularResolvent
+from .homogeneous import green_profile, green_profiles, time_blocks
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import DefectSpec
+from .single_defect import DefectSpec, _check_normalized, _sinc_mode_sums
 from .spectral import green_laplace
-
-NORM_TOL = 1e-8
 
 
 def _as_defects(defects) -> tuple[DefectSpec, ...]:
@@ -392,46 +390,40 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _amplitude_two(system: TwoDefectSystem, k: int, t: float) -> np.ndarray:
-    """A_k(n, t) = int_0^t G(n, n_dk, t-tau) psi(n_dk, n0, tau) dtau for all n."""
+def two_defect_occupation_series(system: TwoDefectSystem, times) -> np.ndarray:
+    """P_n(t) rows with two defects, shape (len(times), N); raises
+    NormalizationDrift when the pole set is bad.
+
+    psi = G + sum_k i q_k A_k with A_k(n, t) = int_0^t G(n, n_dk, t-tau)
+    psi(n_dk, n0, tau) dtau: the simple poles go through the shared sinc
+    kernel, the t-linear terms of order-2 poles add a phi2 ramp kernel.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     rat = system.rational
     spec = rat.spec
     N, gamma = spec.N, spec.gamma
-    c = np.cos(2.0 * np.pi * np.arange(N) / N)[:, None]
-    x = system.x[None, :]
-    e0 = np.exp(1j * gamma * (c + x) * t) * t * np.sinc(gamma * (x - c) * t / np.pi)
-    s = e0 @ system.weights[k]
+    c = np.cos(2.0 * np.pi * np.arange(N) / N)
+    s = _sinc_mode_sums(gamma, c, system.x, system.weights, times)      # (2, T, N)
     if np.any(system.order == 2):
-        delta = 2.0 * gamma * (x - c)
-        e1 = np.exp(2j * gamma * c * t) * t * t * _phi2(1j * delta * t)
-        s = s + e1 @ system.ramp_weights[k]
-    nd = rat.d1 if k == 0 else rat.d2
-    return np.roll(np.fft.ifft(s), nd)
-
-
-def two_defect_wave(system: TwoDefectSystem, t: float) -> np.ndarray:
-    """psi(n, n0, t) over all sites."""
-    spec = system.rational.spec
-    psi = green_profile(spec, t).astype(complex)
-    for k, q in enumerate((system.rational.q1, system.rational.q2)):
+        c3 = c[None, :, None]
+        delta = 2.0 * gamma * (system.x[None, None, :] - c3)
+        for block in time_blocks(times.size, N * system.x.size):
+            tt = times[block, None, None]
+            e1 = np.exp(2j * gamma * c3 * tt) * tt * tt * _phi2(1j * delta * tt)
+            for k in range(2):
+                s[k, block] += e1 @ system.ramp_weights[k]
+    psi = green_profiles(spec, times)
+    for k, (nd, q) in enumerate(((rat.d1, rat.q1), (rat.d2, rat.q2))):
         if q != 0.0:
-            psi += 1j * q * _amplitude_two(system, k, t)
-    return psi
-
-
-def two_defect_occupation(system: TwoDefectSystem, t: float) -> np.ndarray:
-    """P_n(t) with two defects; raises NormalizationDrift when the pole set is bad."""
-    psi = two_defect_wave(system, t)
+            psi += 1j * q * np.roll(np.fft.ifft(s[k], axis=1), nd, axis=1)
     P = psi.real ** 2 + psi.imag ** 2
-    total = float(P.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise NormalizationDrift(f"two-defect probability sums to {total} at t={t}")
+    _check_normalized(P.sum(axis=1), "two-defect probability", times)
     return P
 
 
-def two_defect_occupation_series(system: TwoDefectSystem, times) -> np.ndarray:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.array([two_defect_occupation(system, float(t)) for t in times])
+def two_defect_occupation(system: TwoDefectSystem, t: float) -> np.ndarray:
+    """P_n(t) with two defects at one time."""
+    return two_defect_occupation_series(system, [t])[0]
 
 
 def bromwich_occupation(defects: Sequence[DefectSpec], spec: LatticeSpec, t: float, *,

@@ -45,7 +45,9 @@ class SpectralDecomposition:
     classes partitions the eigenvalue indices into groups closer than
     deg_tol; the long-time average is discontinuous in this structure, so
     gaps inside (deg_tol, 10 deg_tol) raise DegeneracyAmbiguity instead of
-    being classified silently.
+    being classified silently.  deg_tol scales with the largest off-diagonal
+    |H| (the hopping, which sets the level spacing) and not with max|E|,
+    which a strong defect inflates; a diagonal H falls back to max|E|.
     """
 
     eigenvalues: np.ndarray
@@ -56,8 +58,9 @@ class SpectralDecomposition:
     @classmethod
     def from_hamiltonian(cls, H: np.ndarray, deg_tol_factor: float = 1e-9) -> "SpectralDecomposition":
         E, V = np.linalg.eigh(H)
-        norm = np.max(np.abs(E)) if E.size else 1.0
-        deg_tol = deg_tol_factor * max(norm, 1e-300)
+        off = np.abs(H - np.diag(np.diag(H)))
+        scale = off.max() if off.any() else (np.max(np.abs(E)) if E.size else 1.0)
+        deg_tol = deg_tol_factor * max(float(scale), 1e-300)
         gaps = np.diff(E)
         ambiguous = (gaps > deg_tol) & (gaps < 10.0 * deg_tol)
         if np.any(ambiguous):

@@ -10,6 +10,11 @@ the kernel for one (mode, pole) pair is
 
 which is exact for every separation of mode frequency c and pole x -- the
 resonant limit c -> x is just sinc(0) = 1, so no branch switch is needed.
+`_sinc_mode_sums` is the one place that evaluates it (the two-defect
+solver uses it too); it runs over blocks of times whose (T, N, J) kernel
+stays below homogeneous.BLOCK_ELEMENTS elements.  Every time-resolved
+observable -- A, P_n(t), Delta_p(t) -- is batched over times; the
+single-time functions are views of one-row batches.
 
 Steady-state corrections follow from time-averaging: a frequency survives
 only when the mode pair (k1, k2) satisfies k1 = k2 or k1 + k2 = N.  For
@@ -26,12 +31,22 @@ import numpy as np
 
 from .errors import NormalizationDrift
 from .homogeneous import (SiteProfile, distance_powers, green_profile,
-                          green_profiles, moment_series, occupation,
-                          steady_moment, steady_profile)
+                          green_profiles, steady_moment, steady_profile,
+                          time_blocks)
 from .lattice import LatticeSpec, periodic_distance, site_index
 from .spectral import DefectDenominator, PoleSet, find_poles
 
 NORM_TOL = 1e-8
+
+
+def _check_normalized(totals, what: str, times=None) -> None:
+    """Raise NormalizationDrift unless every total is finite and within
+    NORM_TOL of 1; `times` labels the offending row of a series."""
+    totals = np.atleast_1d(totals)
+    bad = np.nonzero(~(np.abs(totals - 1.0) <= NORM_TOL))[0]
+    if bad.size:
+        where = "" if times is None else f" at t={times[bad[0]]}"
+        raise NormalizationDrift(f"{what} sums to {totals[bad[0]]}{where}")
 
 
 @dataclass(frozen=True)
@@ -111,41 +126,36 @@ def phi_series(system: DefectSystem) -> PhiSeries:
     return PhiSeries(system.x, 1j * system.defect.q * system.f, system.spec.gamma)
 
 
-def _conv_kernel(system: DefectSystem, t: float) -> np.ndarray:
-    """E(c_k, x_j, t) for all modes and poles, shape (N, J)."""
-    gamma = system.spec.gamma
-    c = system.modes[:, None]
-    x = system.x[None, :]
-    return (np.exp(1j * gamma * (c + x) * t) * t
-            * np.sinc(gamma * (x - c) * t / np.pi))
+def _sinc_mode_sums(gamma: float, modes: np.ndarray, x: np.ndarray, weights,
+                    times: np.ndarray) -> np.ndarray:
+    """sum_j E(c_k, x_j, t) w_j for every row w of `weights`, shape
+    (len(weights), len(times), N): the per-mode convolution amplitudes."""
+    c = modes[None, :, None]
+    xx = x[None, None, :]
+    out = np.empty((len(weights), times.size, modes.size), dtype=complex)
+    for block in time_blocks(times.size, modes.size * x.size):
+        tt = times[block, None, None]
+        E = np.exp(1j * gamma * (c + xx) * tt) * tt * np.sinc(gamma * (xx - c) * tt / np.pi)
+        for i, w in enumerate(weights):
+            out[i, block] = E @ w
+    return out
 
 
-def amplitude_profile(system: DefectSystem, t: float) -> np.ndarray:
-    """A(n, nd, t) for all sites n: the defect-scattered part of the wave function."""
-    N = system.spec.N
-    if system.x.size == 0:
-        return np.zeros(N, dtype=complex)
-    w = 1j * system.defect.q * system.f
-    s = _conv_kernel(system, t) @ w              # per-mode amplitudes, (N,)
-    return np.roll(np.fft.ifft(s), system.defect.nd)
-
-
-def amplitude_profiles(system: DefectSystem, times, chunk: int = 4096) -> np.ndarray:
-    """A(n, nd, t) rows for a time grid, shape (len(times), N)."""
+def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
+    """A(n, nd, t) rows for a time grid, shape (len(times), N): the
+    defect-scattered part of the wave function."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     N = system.spec.N
     if system.x.size == 0:
         return np.zeros((times.size, N), dtype=complex)
-    gamma = system.spec.gamma
     w = 1j * system.defect.q * system.f
-    c = system.modes[None, :, None]
-    x = system.x[None, None, :]
-    out = np.empty((times.size, N), dtype=complex)
-    for i in range(0, times.size, chunk):
-        tt = times[i:i + chunk, None, None]
-        E = np.exp(1j * gamma * (c + x) * tt) * tt * np.sinc(gamma * (x - c) * tt / np.pi)
-        out[i:i + chunk] = np.roll(np.fft.ifft(E @ w, axis=1), system.defect.nd, axis=1)
-    return out
+    s = _sinc_mode_sums(system.spec.gamma, system.modes, system.x, [w], times)[0]
+    return np.roll(np.fft.ifft(s, axis=1), system.defect.nd, axis=1)
+
+
+def amplitude_profile(system: DefectSystem, t: float) -> np.ndarray:
+    """A(n, nd, t) for all sites n at one time."""
+    return amplitude_profiles(system, [t])[0]
 
 
 def corrections(system: DefectSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -157,37 +167,53 @@ def corrections(system: DefectSystem, t: float) -> tuple[np.ndarray, np.ndarray]
     return I, K
 
 
-def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
-    """Site probabilities P_n(t) with the defect; must stay normalized."""
-    I, K = corrections(system, t)
-    P = occupation(system.spec, t) + I + K
-    total = float(P.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise NormalizationDrift(f"probability sums to {total} at t={t}")
-    return P
-
-
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
-    """P_n(t) rows for a time grid, shape (len(times), N)."""
+    """P_n(t) rows for a time grid, shape (len(times), N); each row must
+    stay normalized."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     G = green_profiles(system.spec, times)
     A = amplitude_profiles(system, times)
-    P = (np.abs(G) ** 2 + 2.0 * (np.conj(G) * A).real + A.real ** 2 + A.imag ** 2)
-    totals = P.sum(axis=1)
-    bad = np.nonzero(np.abs(totals - 1.0) > NORM_TOL)[0]
-    if bad.size:
-        raise NormalizationDrift(
-            f"probability sums to {totals[bad[0]]} at t={times[bad[0]]}")
+    P = (G.real ** 2 + G.imag ** 2 + 2.0 * (np.conj(G) * A).real
+         + A.real ** 2 + A.imag ** 2)
+    _check_normalized(P.sum(axis=1), "probability", times)
     return P
 
 
-def _halfband_modes(N: int) -> np.ndarray:
-    """Index range of the k2 = N - k1 steady branch: 1..N-1, minus the
-    k = N/2 overlap with the diagonal branch for even N."""
-    k = np.arange(1, N)
+def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
+    """Site probabilities P_n(t) with the defect at one time."""
+    return occupation_defect_series(system, [t])[0]
+
+
+def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
+    """Site sums behind the steady corrections, before their prefactors.
+
+    For mode denominators C (N, J) and pole weights w (J,) returns
+        I_n = sum_k cos(2 pi k (n0-nd)/N) S_k + sum_k' cos(2 pi k (2n-n0-nd)/N) S_k
+        K_n = sum_j w_j^2 |Z_j(n)|^2 + sum_k S_k^2 + sum_k' S_k^2 cos(4 pi k (n-nd)/N)
+    with S_k = sum_j w_j / C_k(x_j), Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j)
+    and k' the k2 = N - k1 branch 1..N-1 without the k = N/2 overlap with
+    the diagonal branch for even N.
+    """
+    N = C.shape[0]
+    Sk = (w[None, :] / C).sum(axis=1)        # (N,)
+    k = np.arange(N)
+    n = np.arange(N)
+    k2 = np.arange(1, N)
     if N % 2 == 0:
-        k = k[k != N // 2]
-    return k
+        k2 = k2[k2 != N // 2]
+
+    const = float(Sk @ np.cos(2.0 * np.pi * k * (n0 - nd) / N))
+    cross = (Sk[k2][None, :]
+             * np.cos(2.0 * np.pi * np.outer(2 * n - n0 - nd, k2) / N)).sum(axis=1)
+
+    T1 = np.zeros(N)
+    for j in range(w.size):
+        Z = np.roll(N * np.fft.ifft(1.0 / C[:, j]), nd)
+        T1 += w[j] ** 2 * (Z.real ** 2 + Z.imag ** 2)
+    T2 = float(Sk @ Sk)
+    T3 = (Sk[k2][None, :] ** 2
+          * np.cos(4.0 * np.pi * np.outer(n - nd, k2) / N)).sum(axis=1)
+    return const + cross, T1 + T2 + T3
 
 
 def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -202,52 +228,25 @@ def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
     range without the even-N overlap mode.
     """
     spec, q = system.spec, system.defect.q
-    N, n0, nd = spec.N, spec.n0, system.defect.nd
+    N = spec.N
     if q == 0.0 or system.x.size == 0:
         return np.zeros(N), np.zeros(N)
-    C = system.cmat                          # (N, J)
-    f = system.f
-    Sk = (f[None, :] / C).sum(axis=1)        # (N,)
-    k = np.arange(N)
-    n = np.arange(N)
-    k2 = _halfband_modes(N)
-
-    const = float(Sk @ np.cos(2.0 * np.pi * k * (n0 - nd) / N))
-    cross = (Sk[k2][None, :]
-             * np.cos(2.0 * np.pi * np.outer(2 * n - n0 - nd, k2) / N)).sum(axis=1)
-    Ibar = (q / N ** 2) * (const + cross)
-
-    T1 = np.zeros(N)
-    for j in range(system.x.size):
-        Z = np.roll(N * np.fft.ifft(1.0 / C[:, j]), nd)
-        T1 += f[j] ** 2 * (Z.real ** 2 + Z.imag ** 2)
-    T2 = float(Sk @ Sk)
-    T3 = (Sk[k2][None, :] ** 2
-          * np.cos(4.0 * np.pi * np.outer(n - nd, k2) / N)).sum(axis=1)
-    Kbar = (q ** 2 / (4.0 * N ** 2)) * (T1 + T2 + T3)
-    return Ibar, Kbar
+    I, K = _steady_pole_sums(system.cmat, system.f, spec.n0, system.defect.nd)
+    return (q / N ** 2) * I, (q ** 2 / (4.0 * N ** 2)) * K
 
 
 def steady_occupation(system: DefectSystem) -> SiteProfile:
     """Steady profile Pbar + Ibar + Kbar, normalization-checked."""
     Ibar, Kbar = steady_corrections(system)
     values = steady_profile(system.spec).values + Ibar + Kbar
-    total = float(values.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise NormalizationDrift(f"steady profile sums to {total}")
+    _check_normalized(values.sum(), "steady profile")
     return SiteProfile(values, "steady")
 
 
 def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:
-    """Delta_p^(d)(t) = Delta_p(t) + sum_n [n-n0]^p (I_n + K_n)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    dpow = distance_powers(system.spec, p)
-    base = moment_series(p, times, system.spec)
-    extra = np.empty(times.size)
-    for i, t in enumerate(times):
-        I, K = corrections(system, t)
-        extra[i] = dpow @ (I + K)
-    return base + extra
+    """Delta_p^(d)(t) = sum_n [n-n0]^p P_n(t), from the normalization-checked
+    occupation series."""
+    return occupation_defect_series(system, times) @ distance_powers(system.spec, p)
 
 
 def moment_defect_time(system: DefectSystem, p: int, t: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import _halfband_modes
+from .single_defect import _steady_pole_sums
 from .spectral import strong_defect_nodes
 
 
@@ -102,27 +102,10 @@ def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarra
     F = np.sin(d * theta) * np.sin(theta)
     gt = 4.0 * gamma / N
 
-    k = np.arange(N)
-    ck = np.cos(2.0 * np.pi * k / N)
+    ck = np.cos(2.0 * np.pi * np.arange(N) / N)
     C = gamma * (ck[:, None] - xl[None, :])        # (N, L)
-    R = (F[None, :] / C).sum(axis=1)               # (N,)
-    n = np.arange(N)
-    k2 = _halfband_modes(N)
-
-    const = float(R @ np.cos(2.0 * np.pi * k * (spec.n0 - nd) / N))
-    cross = (R[k2][None, :]
-             * np.cos(2.0 * np.pi * np.outer(2 * n - spec.n0 - nd, k2) / N)).sum(axis=1)
-    Ibar = -(gt / N ** 2) * (const + cross)
-
-    T1 = np.zeros(N)
-    for l in range(xl.size):
-        Z = np.roll(N * np.fft.ifft(1.0 / C[:, l]), nd)
-        T1 += F[l] ** 2 * (Z.real ** 2 + Z.imag ** 2)
-    T2 = float(R @ R)
-    T3 = (R[k2][None, :] ** 2
-          * np.cos(4.0 * np.pi * np.outer(n - nd, k2) / N)).sum(axis=1)
-    Kbar = (4.0 * gamma ** 2 / N ** 4) * (T1 + T2 + T3)
-    return Ibar, Kbar
+    I, K = _steady_pole_sums(C, F, spec.n0, nd)
+    return -(gt / N ** 2) * I, (4.0 * gamma ** 2 / N ** 4) * K
 
 
 def interference_closed_form_infinite_q(spec: LatticeSpec, nd: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from defectchain.homogeneous import (default_time_grid, distance_powers,
                                      moment_series, moment_time, occupation,
                                      steady_moment, steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distances
+from defectchain.oracle import build_hamiltonian
 
 
 def test_green_delta_initial_condition():
@@ -80,6 +83,29 @@ def test_moment_matches_naive_triple_sum(N):
             naive = float(np.einsum("ab,abn,n->", osc, chi, d ** p)) / N ** 2
             fast = moment_time(p, t, spec)
             assert abs(naive - fast) <= 1e-10 * max(1.0, abs(naive))
+
+
+def test_moment_series_matches_dense_msd_large_N():
+    spec = LatticeSpec(800, 1.0, 311)
+    times = np.linspace(0.0, 2.0 * spec.N / spec.gamma, 257)
+    E, V = np.linalg.eigh(build_hamiltonian(spec))
+    psi = V @ (np.exp(-1j * np.outer(E, times)) * V[spec.n0, :, None])
+    dense = distance_powers(spec, 2) @ (psi.real ** 2 + psi.imag ** 2)
+    fast = moment_series(2, times, spec)
+    assert abs(fast[0]) < 1e-12
+    assert np.all(np.abs(fast[1:] - dense[1:]) <= 1e-12 * dense[1:])
+
+
+def test_moment_series_memory_stays_small():
+    spec = LatticeSpec(800, 1.0, 5)
+    times = np.linspace(0.0, 2.0 * spec.N / spec.gamma, 257)
+    tracemalloc.start()
+    try:
+        moment_series(2, times, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_moment_zero_at_t0_and_ballistic():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from defectchain.errors import DuplicateDefectSite, SingularResolvent
+from defectchain.errors import (DuplicateDefectSite, NormalizationDrift,
+                                SingularResolvent)
 from defectchain.homogeneous import occupation
 from defectchain.lattice import LatticeSpec
 from defectchain.multi_defect import (TwoDefectRational, bromwich_occupation,
@@ -185,3 +186,13 @@ def test_duplicate_two_defect_sites_rejected():
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(DuplicateDefectSite):
         TwoDefectRational.build([DefectSpec(3, 1.0), DefectSpec(11, 2.0)], spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_bound_state_raises_instead_of_nan():
+    # a bound state far outside the band overflows the Chebyshev series
+    # and leaves NaN weights; the guard must refuse them
+    spec = LatticeSpec(200, 1.0, 9)
+    system = build_two_defect_system([DefectSpec(148, -99.7413), DefectSpec(174, 16.3937)], spec)
+    with pytest.raises(NormalizationDrift):
+        two_defect_occupation_series(system, np.linspace(0.0, 800.0, 5))

@@ -10,6 +10,8 @@ from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_walk_steady, build_hamiltonian,
                                 evolve_exact, occupation_exact,
                                 time_average_exact)
+from defectchain.single_defect import (DefectSpec, build_defect_system,
+                                       steady_occupation)
 
 
 def test_hamiltonian_structure():
@@ -84,6 +86,15 @@ def test_time_average_strong_defect_localizes():
     dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(4, 20.0)]))
     avg = time_average_exact(dec, 4)
     assert avg[4] > 0.99
+
+
+@pytest.mark.parametrize("q", [1e5, 1e6])
+def test_strong_defect_degeneracy_scale_is_the_hopping(q):
+    # max|E| ~ q would put ordinary level gaps into the ambiguity band
+    spec = LatticeSpec(300, 1.0, 2)
+    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(100, q)]))
+    analytic = steady_occupation(build_defect_system(spec, DefectSpec(100, q))).values
+    assert np.max(np.abs(time_average_exact(dec, 2) - analytic)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ def test_occupation_series_matches_pointwise():
         assert np.max(np.abs(rows[i] - occupation_defect(sysq, float(t)))) < 1e-13
 
 
+def test_occupation_series_memory_is_bounded():
+    sysq = _system(800, 1.0, 5, 300, -2.3)
+    times = np.linspace(0.0, 1600.0, 17)
+    tracemalloc.start()
+    try:
+        occupation_defect_series(sysq, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
+
+
 def test_reflection_symmetry_about_defect():
     # P is invariant under reflecting n and n0 through nd
     N, nd, n0, q, t = 12, 7, 3, 2.2, 2.3
@@ -204,6 +217,8 @@ def test_normalization_drift_detection():
     broken = dataclasses.replace(sysq, f=sysq.f * 1.05)
     with pytest.raises(NormalizationDrift):
         occupation_defect(broken, 2.0)
+    with pytest.raises(NormalizationDrift):
+        moment_defect_series(broken, 2, [0.5, 2.0])
 
 
 def test_steady_corrections_match_oracle_time_average():
