@@ -33,7 +33,7 @@ from numpy.polynomial import chebyshev as npcheb
 from .errors import DuplicateDefectSite, PoleCountMismatch, SingularResolvent
 from .homogeneous import green_profile, green_profiles, time_blocks
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import DefectSpec, _check_normalized, _sinc_mode_sums
+from .single_defect import DefectSpec, _check_normalized
 from .spectral import green_laplace
 
 
@@ -373,6 +373,29 @@ def defect_site_wave(system: TwoDefectSystem, k: int, t) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+def _sinc_mode_sums(gamma: float, modes: np.ndarray, x: np.ndarray, weights,
+                    times: np.ndarray) -> np.ndarray:
+    """sum_j E(c_k, x_j, t) w_j for every row w of `weights`, shape
+    (len(weights), len(times), N), with the convolution kernel
+
+        E(c, x, t) = exp(i gamma c t) exp(i gamma x t) t sinc(gamma (x - c) t).
+
+    The sinc form stays exact when a pole sits on a free level (resonant
+    limit sinc(0) = 1).  Two-defect pole sets do put poles there with O(1e-2)
+    weights (order-2 poles within rounding of a level), where the
+    single-defect partial-fraction form loses every digit."""
+    c = modes[None, :, None]
+    xx = x[None, None, :]
+    out = np.empty((len(weights), times.size, modes.size), dtype=complex)
+    for block in time_blocks(times.size, modes.size * x.size):
+        tt = times[block, None, None]
+        E = (np.exp(1j * gamma * c * tt) * np.exp(1j * gamma * xx * tt) * tt
+             * np.sinc(gamma * (xx - c) * tt / np.pi))
+        for i, w in enumerate(weights):
+            out[i, block] = E @ w
+    return out
+
+
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z (z - 1) + 1) / z^2, stable near z = 0 (value 1/2)."""
     z = np.asarray(z, dtype=complex)
@@ -395,8 +418,9 @@ def two_defect_occupation_series(system: TwoDefectSystem, times) -> np.ndarray:
     NormalizationDrift when the pole set is bad.
 
     psi = G + sum_k i q_k A_k with A_k(n, t) = int_0^t G(n, n_dk, t-tau)
-    psi(n_dk, n0, tau) dtau: the simple poles go through the shared sinc
-    kernel, the t-linear terms of order-2 poles add a phi2 ramp kernel.
+    psi(n_dk, n0, tau) dtau: the simple poles go through the sinc kernel
+    `_sinc_mode_sums`, the t-linear terms of order-2 poles add a phi2 ramp
+    kernel.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rat = system.rational

@@ -6,15 +6,23 @@ convolves the free propagator from the defect site with the defect response
 Phi.  Expanding G in lattice modes turns the convolution into closed form:
 the kernel for one (mode, pole) pair is
 
-    E(c, x, t) = exp(i gamma (c + x) t) * t * sinc(gamma (x - c) t),
+    E(c, x, t) = (exp(2 i gamma x t) - exp(2 i gamma c t)) / (2 i gamma (x - c)),
 
-which is exact for every separation of mode frequency c and pole x -- the
-resonant limit c -> x is just sinc(0) = 1, so no branch switch is needed.
-`_sinc_mode_sums` is the one place that evaluates it (the two-defect
-solver uses it too); it runs over blocks of times whose (T, N, J) kernel
-stays below homogeneous.BLOCK_ELEMENTS elements.  Every time-resolved
-observable -- A, P_n(t), Delta_p(t) -- is batched over times; the
-single-time functions are views of one-row batches.
+so with R_kj = 1 / (2 i gamma (x_j - c_k)) = 0.5j / cmat the mode amplitude
+of A is
+
+    s_k(t) = sum_j R_kj w_j exp(2 i gamma x_j t) - exp(2 i gamma c_k t) sum_j R_kj w_j.
+
+For a block of times that is one (T, J) @ (J, N) product plus T (N + J)
+exponentials; the two terms are combined per mode, so one inverse FFT per
+time brings A to the sites.  Where a pole and a level round to the same
+double (cmat == 0, met at |q| ~ 1e-14 to 1e-12) the pair takes its
+resonant limit t exp(2 i gamma c_k t) w_j.  A nearly resonant pair needs
+no switch: its weight w_j shrinks with the gap.
+
+Times run in blocks bounded by homogeneous.BLOCK_ELEMENTS; every
+time-resolved observable -- A, P_n(t), Delta_p(t) -- is batched over times,
+and the single-time functions are views of one-row batches.
 
 Steady-state corrections follow from time-averaging: a frequency survives
 only when the mode pair (k1, k2) satisfies k1 = k2 or k1 + k2 = N.  For
@@ -26,6 +34,7 @@ normalization by 1/N, which the exact-diagonalization cross-check rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +101,14 @@ class DefectSystem:
     def dist(self) -> int:
         return periodic_distance(self.defect.nd, self.spec.n0, self.spec.N)
 
+    @cached_property
+    def _steady(self) -> tuple[np.ndarray, np.ndarray]:
+        """steady_corrections(self), computed once per system and shared
+        (read-only) by the steady profile and moments."""
+        Ibar, Kbar = steady_corrections(self)
+        Ibar.flags.writeable = Kbar.flags.writeable = False
+        return Ibar, Kbar
+
 
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
                         validate: bool = False) -> DefectSystem:
@@ -126,30 +143,24 @@ def phi_series(system: DefectSystem) -> PhiSeries:
     return PhiSeries(system.x, 1j * system.defect.q * system.f, system.spec.gamma)
 
 
-def _sinc_mode_sums(gamma: float, modes: np.ndarray, x: np.ndarray, weights,
-                    times: np.ndarray) -> np.ndarray:
-    """sum_j E(c_k, x_j, t) w_j for every row w of `weights`, shape
-    (len(weights), len(times), N): the per-mode convolution amplitudes."""
-    c = modes[None, :, None]
-    xx = x[None, None, :]
-    out = np.empty((len(weights), times.size, modes.size), dtype=complex)
-    for block in time_blocks(times.size, modes.size * x.size):
-        tt = times[block, None, None]
-        E = np.exp(1j * gamma * (c + xx) * tt) * tt * np.sinc(gamma * (xx - c) * tt / np.pi)
-        for i, w in enumerate(weights):
-            out[i, block] = E @ w
-    return out
-
-
 def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
     """A(n, nd, t) rows for a time grid, shape (len(times), N): the
     defect-scattered part of the wave function."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    N = system.spec.N
+    N, gamma = system.spec.N, system.spec.gamma
     if system.x.size == 0:
         return np.zeros((times.size, N), dtype=complex)
     w = 1j * system.defect.q * system.f
-    s = _sinc_mode_sums(system.spec.gamma, system.modes, system.x, [w], times)[0]
+    resonant = system.cmat == 0.0
+    R = np.divide(0.5j, system.cmat, out=np.zeros(system.cmat.shape, dtype=complex),
+                  where=~resonant)
+    S = R @ w                                   # S_k = sum_j R_kj w_j
+    r = resonant @ w                            # weight of the poles on level k
+    s = np.empty((times.size, N), dtype=complex)
+    for block in time_blocks(times.size, N + system.x.size):
+        tt = times[block, None]
+        ex = np.exp(2j * gamma * tt * system.x) * w
+        s[block] = ex @ R.T - np.exp(2j * gamma * tt * system.modes) * (S - tt * r)
     return np.roll(np.fft.ifft(s, axis=1), system.defect.nd, axis=1)
 
 
@@ -237,7 +248,7 @@ def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def steady_occupation(system: DefectSystem) -> SiteProfile:
     """Steady profile Pbar + Ibar + Kbar, normalization-checked."""
-    Ibar, Kbar = steady_corrections(system)
+    Ibar, Kbar = system._steady
     values = steady_profile(system.spec).values + Ibar + Kbar
     _check_normalized(values.sum(), "steady profile")
     return SiteProfile(values, "steady")
@@ -255,7 +266,7 @@ def moment_defect_time(system: DefectSystem, p: int, t: float) -> float:
 
 def steady_moment_defect(system: DefectSystem, p: int) -> float:
     """Steady Delta_p^(d) from the closed forms plus the steady corrections."""
-    Ibar, Kbar = steady_corrections(system)
+    Ibar, Kbar = system._steady
     dpow = distance_powers(system.spec, p)
     return steady_moment(p, system.spec) + float(dpow @ (Ibar + Kbar))
 

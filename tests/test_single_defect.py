@@ -288,3 +288,104 @@ def test_steady_profile_plus_corrections_is_normalized():
         assert np.all(Kbar >= 0.0)
         assert np.max(np.abs(steady_profile(LatticeSpec(N, 1.0, n0)).values
                              + Ibar + Kbar - prof.values)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The partial-fraction kernel against a test-local dense propagation.  The
+# oracle's SpectralDecomposition is not used here: it rejects the nearly
+# degenerate spectra of small |q| (DegeneracyAmbiguity at N=50, q=1e-7).
+# ---------------------------------------------------------------------------
+
+def _dense_occupation(N, gamma, n0, nd, q, times):
+    n = np.arange(N)
+    H = np.zeros((N, N))
+    H[n, (n + 1) % N] = H[(n + 1) % N, n] = gamma
+    H[nd, nd] += q
+    E, V = np.linalg.eigh(H)
+    psi = (V * V[n0]) @ np.exp(1j * np.outer(E, times))
+    return (psi.real ** 2 + psi.imag ** 2).T
+
+
+@pytest.mark.parametrize("N, n0, nd, q", [
+    (50, 2, 4, 1e-14), (50, 2, 4, -1e-14), (51, 3, 10, 1e-14), (51, 3, 10, -1e-14),
+    (400, 5, 100, 1e-13), (2000, 7, 900, 1e-12),
+])
+def test_series_exact_coincidence_against_dense(N, n0, nd, q):
+    # poles that round onto a free level take the resonant limit t e^{2 i gamma c t} w
+    sysq = _system(N, 1.0, n0, nd, q)
+    assert np.any(sysq.cmat == 0.0)
+    times = np.linspace(0.0, 4.0 * N, 9)
+    P = occupation_defect_series(sysq, times)
+    assert np.max(np.abs(P - _dense_occupation(N, 1.0, n0, nd, q, times))) < 1e-12
+
+
+@pytest.mark.parametrize("N, gamma, n0, nd, q", [
+    (61, 1.0, 4, 40, 6.0), (61, 1.0, 4, 40, -6.0),      # bound state above / below the band
+    (60, 0.7, 9, 9, 2.5), (45, 1.3, 22, 22, -30.0),     # start on the defect
+    (50, 1.0, 2, 4, 1e-9), (80, 1.0, 0, 33, -1e-7),     # poles within ~q of a level
+])
+def test_series_against_dense(N, gamma, n0, nd, q):
+    sysq = _system(N, gamma, n0, nd, q)
+    times = np.linspace(0.0, 4.0 * N / gamma, 17)
+    P = occupation_defect_series(sysq, times)
+    assert np.max(np.abs(P - _dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
+
+
+def test_corrections_expanded_matches_composition_odd_and_bound():
+    for N, n0, nd, q in [(7, 1, 4, -3.0), (9, 2, 2, 5.0), (8, 0, 5, 0.4)]:
+        sysq = _system(N, 1.0, n0, nd, q)
+        for t in (0.3, 2.5, 11.0):
+            I1, K1 = corrections(sysq, t)
+            I2, K2 = corrections_expanded(sysq, t)
+            assert np.max(np.abs(I1 - I2)) < 1e-12
+            assert np.max(np.abs(K1 - K2)) < 1e-12
+
+
+def test_occupation_series_memory_below_kernel_bound():
+    sysq = _system(800, 1.0, 5, 300, -2.3)
+    times = np.linspace(0.0, 1600.0, 17)
+    tracemalloc.start()
+    try:
+        occupation_defect_series(sysq, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_steady_corrections_computed_once_per_system(monkeypatch):
+    import defectchain.single_defect as sd
+    from defectchain.homogeneous import steady_moment
+    calls = []
+    real = sd.steady_corrections
+    monkeypatch.setattr(sd, "steady_corrections",
+                        lambda system: calls.append(system) or real(system))
+    sysq = _system(30, 1.0, 2, 11, 1.7)
+    prof = steady_occupation(sysq).values
+    m1, m2 = steady_moment_defect(sysq, 1), steady_moment_defect(sysq, 2)
+    assert len(calls) == 1
+    Ibar, Kbar = real(sysq)
+    spec = sysq.spec
+    assert np.array_equal(prof, steady_profile(spec).values + Ibar + Kbar)
+    assert m2 == steady_moment(2, spec) + float(distance_powers(spec, 2) @ (Ibar + Kbar))
+    assert m1 == steady_moment(1, spec) + float(distance_powers(spec, 1) @ (Ibar + Kbar))
+
+
+def test_kernel_matches_sinc_form_with_pole_on_a_level():
+    # E(c, x, t) = exp(i gamma (c + x) t) t sinc(gamma (x - c) t) for every
+    # (mode, pole) pair, also for a pole placed exactly on a level, where
+    # the partial-fraction form switches to its resonant limit (k = 0 is a
+    # simple level, so no other mode sits within rounding of the pole)
+    sysq = _system(12, 1.3, 2, 7, 0.9)
+    x = sysq.x.copy()
+    x[1] = sysq.modes[0]
+    cmat = sysq.spec.gamma * (sysq.modes[:, None] - x[None, :])
+    placed = dataclasses.replace(sysq, x=x, cmat=cmat)
+    assert np.count_nonzero(cmat == 0.0) == 1
+    times = np.linspace(0.0, 40.0, 9)
+    g, c, xx = sysq.spec.gamma, sysq.modes[None, :, None], x[None, None, :]
+    t = times[:, None, None]
+    E = np.exp(1j * g * (c + xx) * t) * t * np.sinc(g * (xx - c) * t / np.pi)
+    s = E @ (1j * sysq.defect.q * sysq.f)
+    want = np.roll(np.fft.ifft(s, axis=1), 7, axis=1)
+    assert np.max(np.abs(amplitude_profiles(placed, times) - want)) < 1e-12
