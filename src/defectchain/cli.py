@@ -20,7 +20,7 @@ import numpy as np
 
 from . import homogeneous, single_defect, strong_defect
 from .errors import ConfigError, DefectChainError
-from .lattice import LatticeSpec, periodic_distance, site_index
+from .lattice import LatticeSpec, site_index
 from .multi_defect import build_two_defect_system, two_defect_occupation_series
 from .oracle import (BarrierWalkSpec, SpectralDecomposition, barrier_walk_steady,
                      build_hamiltonian, occupation_exact, time_average_exact)
@@ -311,13 +311,9 @@ def run_infq(args) -> ResultTable:
                   nd=nd, n0=spec.n0, n=n)
     if prof.mirror_collision:
         _notice("mirror site coincides with n0 or nd (collision geometry)")
-    closed_form = 4 * periodic_distance(nd, spec.n0, spec.N) <= spec.N
-    if not closed_form:
-        _notice("|nd - n0| > N/4: moments taken from the profile, not the closed form")
     for p in (1, 2):
         name = "mean_displacement_steady_infq" if p == 1 else "msd_steady_infq"
-        value = (strong_defect.steady_moments_infinite_q(p, spec) if closed_form
-                 else float(homogeneous.distance_powers(spec, p) @ prof.values))
+        value = float(homogeneous.distance_powers(spec, p) @ prof.values)
         table.add(name, value, N=spec.N, gamma=spec.gamma, nd=nd, n0=spec.n0)
     return table
 

@@ -24,7 +24,8 @@ BLOCK_ELEMENTS = 1 << 20
 
 def time_blocks(count: int, per_time: int) -> list[slice]:
     """Slices over `count` times, each covering at most BLOCK_ELEMENTS
-    elements when one time takes `per_time` (at least one time per slice)."""
+    elements when one time takes `per_time` (at least one time per slice).
+    Any other batch axis (poles, say) is blocked the same way."""
     step = max(1, BLOCK_ELEMENTS // max(per_time, 1))
     return [slice(i, i + step) for i in range(0, count, step)]
 

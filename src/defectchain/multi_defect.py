@@ -19,6 +19,8 @@ else is a physical pole.  Root search brackets the trigonometric /
 hyperbolic forms of B, with a Chebyshev colleague-matrix fallback when the
 count comes up short (near-degenerate pairs from symmetric defect
 placements), and an order-2 residue branch for genuine double roots.
+Bisection runs element-wise over all brackets of one form at once, and the
+residues evaluate each Chebyshev series once on the array of roots.
 """
 
 from __future__ import annotations
@@ -213,16 +215,31 @@ class TwoDefectRational:
 
 
 def _bracket_bisect(fn, lo, hi, flo, iters=90):
+    """Roots of fn by bisection, one per bracket [lo, hi] with a sign change,
+    element-wise; an element stops early where fn is exactly zero at its
+    midpoint."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    positive = np.asarray(flo) > 0
+    shape = lo.shape
+    root = (0.5 * (lo + hi)).reshape(-1)
+    idx = np.arange(root.size).reshape(shape)
     for _ in range(iters):
+        if idx.size == 0:
+            break
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hit = fm == 0.0
+        if hit.any():
+            root[idx[hit]] = mid[hit]
+            run = ~hit
+            idx, lo, hi, mid, fm, positive = (idx[run], lo[run], hi[run], mid[run],
+                                              fm[run], positive[run])
+        keep_lo = (fm > 0) == positive
+        lo = np.where(keep_lo, mid, lo)
+        hi = np.where(keep_lo, hi, mid)
+    root[idx] = 0.5 * (lo + hi)
+    return root.reshape(shape)
 
 
 def _b_trig(theta, N, a, s_q, p_q):
@@ -281,26 +298,25 @@ def _find_b_roots(rat: TwoDefectRational, grid_density: int = 16):
     p_q = rat.q1 * rat.q2 / (4.0 * gamma ** 2)
     window = (abs(rat.q1) + abs(rat.q2)) / (2.0 * gamma) + 1.0
 
-    roots = [1.0, -1.0]                      # always zero-residue roots of B
+    roots = [np.array([1.0, -1.0])]          # always zero-residue roots of B
     theta = np.linspace(0.0, np.pi, grid_density * N + 1)[1:-1]
     bv = _b_trig(theta, N, rat.a, s_q, p_q)
-    fn = lambda th: float(_b_trig(th, N, rat.a, s_q, p_q))
-    for i in np.nonzero(np.sign(bv[:-1]) * np.sign(bv[1:]) < 0)[0]:
-        roots.append(math.cos(_bracket_bisect(fn, theta[i], theta[i + 1], bv[i])))
-    for i in np.nonzero(bv == 0.0)[0]:
-        roots.append(math.cos(theta[i]))
+    i = np.nonzero(np.sign(bv[:-1]) * np.sign(bv[1:]) < 0)[0]
+    th = _bracket_bisect(lambda t: _b_trig(t, N, rat.a, s_q, p_q), theta[i], theta[i + 1], bv[i])
+    roots += [np.cos(th), np.cos(theta[bv == 0.0])]
 
     mu_max = math.acosh(1.0 + window) + 0.5
     mu = np.geomspace(1e-7, mu_max, 160)
     for side in (+1, -1):
         hv = _b_hyper_scaled(mu, side, N, rat.a, s_q, p_q)
-        fh = lambda m: float(_b_hyper_scaled(m, side, N, rat.a, s_q, p_q))
-        for i in np.nonzero(np.sign(hv[:-1]) * np.sign(hv[1:]) < 0)[0]:
-            m = _bracket_bisect(fh, mu[i], mu[i + 1], hv[i])
-            roots.append(side * math.cosh(m))
+        i = np.nonzero(np.sign(hv[:-1]) * np.sign(hv[1:]) < 0)[0]
+        m = _bracket_bisect(lambda v, side=side: _b_hyper_scaled(v, side, N, rat.a, s_q, p_q),
+                            mu[i], mu[i + 1], hv[i])
+        # at most a few bound states per side; math.cosh keeps their last bits
+        roots.append(np.array([side * math.cosh(v) for v in m]))
 
     expected = N + 2
-    clusters = _cluster_roots(np.array(roots))
+    clusters = _cluster_roots(np.concatenate(roots))
     total = sum(o for _, o in clusters)
     if total != expected:
         # colleague-matrix fallback: exact Chebyshev companion eigenvalues of B
@@ -341,27 +357,20 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     cBddd = npcheb.chebder(cBdd)
     cMd = [npcheb.chebder(rat.cM1), npcheb.chebder(rat.cM2)]
 
-    xs, orders = [], []
-    w = [[], []]
-    v = [[], []]
-    for x0, order in clusters:
-        xs.append(x0)
-        orders.append(order)
-        if order == 1:
-            bp = npcheb.chebval(x0, cBd)
-            for k in range(2):
-                w[k].append(rat.M(k, x0) / (2.0 * bp))
-                v[k].append(0.0)
-        else:
-            beta2 = npcheb.chebval(x0, cBdd) / 2.0
-            beta3 = npcheb.chebval(x0, cBddd) / 6.0
-            for k in range(2):
-                m0 = rat.M(k, x0)
-                m1 = npcheb.chebval(x0, cMd[k])
-                w[k].append(m1 / (2.0 * beta2) - m0 * beta3 / (2.0 * beta2 ** 2))
-                v[k].append(1j * gamma * m0 / beta2)
-    return TwoDefectSystem(rat, np.array(xs), np.array(orders, dtype=int),
-                           np.array(w, dtype=complex), np.array(v, dtype=complex))
+    x = np.array([x0 for x0, _ in clusters])
+    order = np.array([o for _, o in clusters], dtype=int)
+    simple, double = order == 1, order == 2
+    m0 = np.array([rat.M(0, x), rat.M(1, x)])                       # (2, K)
+    weights = np.zeros((2, x.size), dtype=complex)
+    ramp = np.zeros((2, x.size), dtype=complex)
+    weights[:, simple] = m0[:, simple] / (2.0 * npcheb.chebval(x[simple], cBd))
+    x2, m2 = x[double], m0[:, double]
+    beta2 = npcheb.chebval(x2, cBdd) / 2.0
+    beta3 = npcheb.chebval(x2, cBddd) / 6.0
+    m1 = np.array([npcheb.chebval(x2, c) for c in cMd])
+    weights[:, double] = m1 / (2.0 * beta2) - m2 * beta3 / (2.0 * beta2 ** 2)
+    ramp[:, double] = 1j * (gamma * m2 / beta2)          # real quotient first, as for scalars
+    return TwoDefectSystem(rat, x, order, weights, ramp)
 
 
 def defect_site_wave(system: TwoDefectSystem, k: int, t) -> np.ndarray:

@@ -29,6 +29,8 @@ only when the mode pair (k1, k2) satisfies k1 = k2 or k1 + k2 = N.  For
 even N those two branches overlap at k1 = k2 = N/2; that pair is counted
 once.  Counting it twice shifts every site by -1/N^2 and breaks
 normalization by 1/N, which the exact-diagonalization cross-check rejects.
+The surviving mode sums are discrete Fourier transforms and are taken by
+FFT (see _steady_pole_sums).
 """
 
 from __future__ import annotations
@@ -204,27 +206,32 @@ def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
     with S_k = sum_j w_j / C_k(x_j), Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j)
     and k' the k2 = N - k1 branch 1..N-1 without the k = N/2 overlap with
     the diagonal branch for even N.
+
+    Every sum over k is a discrete Fourier transform: Z_j for all poles is
+    one inverse FFT of 1/C along the modes, taken over column blocks of at
+    most BLOCK_ELEMENTS so the (N, J) temporaries stay bounded, and the two
+    k' sums are one length-N FFT each of the masked S_k and S_k^2, read at
+    (2n - n0 - nd) mod N and 2(n - nd) mod N.
     """
-    N = C.shape[0]
+    N, J = C.shape
     Sk = (w[None, :] / C).sum(axis=1)        # (N,)
     k = np.arange(N)
     n = np.arange(N)
-    k2 = np.arange(1, N)
+    half = Sk.copy()                         # S_k on the k' branch, zero elsewhere
+    half[0] = 0.0
     if N % 2 == 0:
-        k2 = k2[k2 != N // 2]
+        half[N // 2] = 0.0
 
     const = float(Sk @ np.cos(2.0 * np.pi * k * (n0 - nd) / N))
-    cross = (Sk[k2][None, :]
-             * np.cos(2.0 * np.pi * np.outer(2 * n - n0 - nd, k2) / N)).sum(axis=1)
+    cross = np.fft.fft(half).real[(2 * n - n0 - nd) % N]
 
     T1 = np.zeros(N)
-    for j in range(w.size):
-        Z = np.roll(N * np.fft.ifft(1.0 / C[:, j]), nd)
-        T1 += w[j] ** 2 * (Z.real ** 2 + Z.imag ** 2)
+    for block in time_blocks(J, N):
+        Z = np.fft.ifft(1.0 / C[:, block], axis=0, norm="forward")
+        T1 += (Z.real ** 2 + Z.imag ** 2) @ (w[block] ** 2)
     T2 = float(Sk @ Sk)
-    T3 = (Sk[k2][None, :] ** 2
-          * np.cos(4.0 * np.pi * np.outer(n - nd, k2) / N)).sum(axis=1)
-    return const + cross, T1 + T2 + T3
+    T3 = np.fft.fft(half * Sk).real[2 * (n - nd) % N]
+    return const + cross, np.roll(T1, nd) + T2 + T3
 
 
 def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:

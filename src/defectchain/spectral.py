@@ -18,6 +18,11 @@ This deflation keeps bracketing well conditioned at any defect strength:
 raw Q develops root pairs split by O(gamma/(q N)) at large q, while the
 roots of g stay separated by ~2 pi / N.  Residues come from the analytic
 derivative of the recurrences, never from numerical differentiation.
+
+All in-band brackets are polished together: _safeguarded_newton is
+element-wise, each root keeping its own bracket, bisection fallback and
+stopping rule, so a batch gives every root the bits it gets alone.  The
+residues are then array expressions over the roots.
 """
 
 from __future__ import annotations
@@ -199,36 +204,53 @@ class DefectDenominator:
 
 
 def _inband_g(theta, N, q2g):
-    return np.sin(theta) * np.sin(N * theta / 2.0) + q2g * np.cos(N * theta / 2.0)
+    a = N * theta / 2.0
+    return np.sin(theta) * np.sin(a) + q2g * np.cos(a)
 
 
 def _inband_g_deriv(theta, N, q2g):
     half = N / 2.0
-    return (np.cos(theta) * np.sin(half * theta)
-            + half * np.sin(theta) * np.cos(half * theta)
-            - q2g * half * np.sin(half * theta))
+    b = half * theta
+    sb = np.sin(b)
+    return np.cos(theta) * sb + half * np.sin(theta) * np.cos(b) - q2g * half * sb
 
 
 def _safeguarded_newton(fn, dfn, lo, hi, flo, max_iter=80, tol=1e-15):
-    """Root of fn in [lo, hi] with a sign change; Newton clipped to the bracket."""
+    """Roots of fn, one per bracket [lo, hi] with a sign change, element-wise.
+
+    lo, hi and flo = fn(lo) are arrays of one shape (0-d for one root).
+    Every element runs its own Newton iteration from its bracket midpoint:
+    the bracket shrinks to the side that keeps the sign change, a step
+    leaving it is replaced by bisection, and the element stops when fn is
+    exactly zero there or the step falls below tol * max(1, |z|).  Each
+    sweep evaluates fn and dfn once on the elements still running.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    positive = np.asarray(flo) > 0
     z = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fz = fn(z)
-        if fz == 0.0:
-            return z
-        if (fz > 0) == (flo > 0):
-            lo = z
-        else:
-            hi = z
-        dz = dfn(z)
-        step = fz / dz if dz != 0.0 else np.inf
-        cand = z - step
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        if abs(cand - z) <= tol * max(1.0, abs(z)):
-            return cand
-        z = cand
-    return z
+    shape = z.shape
+    root = z.reshape(-1).copy()
+    idx = np.arange(root.size).reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            fz = fn(z)
+            keep_lo = (fz > 0) == positive
+            lo = np.where(keep_lo, z, lo)
+            hi = np.where(keep_lo, hi, z)
+            cand = z - fz / dfn(z)           # a zero slope gives inf or nan: bisect
+            cand = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+            cand = np.where(fz == 0.0, z, cand)
+            stop = np.abs(cand - z) <= tol * np.maximum(1.0, np.abs(z))
+            if stop.any():
+                root[idx[stop]] = cand[stop]
+                run = ~stop
+                idx, lo, hi, cand, positive = idx[run], lo[run], hi[run], cand[run], positive[run]
+            z = cand
+    root[idx] = z
+    return root.reshape(shape)
 
 
 def _sech2(z):
@@ -250,7 +272,7 @@ def _bound_state_mu(N, rhs):
                      + math.sinh(m) * (N / 2.0) * _sech2(N * m / 2.0))
     lo = 1e-14
     hi = math.asinh(rhs) + 2.0
-    return _safeguarded_newton(fn, dfn, lo, hi, fn(lo))
+    return float(_safeguarded_newton(fn, dfn, lo, hi, fn(lo)))
 
 
 def _bound_state_mu_odd_negative(N, rhs):
@@ -262,7 +284,7 @@ def _bound_state_mu_odd_negative(N, rhs):
                      - math.sinh(m) * (N / 2.0) * _csch2(N * m / 2.0))
     lo = 1e-9
     hi = math.asinh(rhs) + 2.0
-    return _safeguarded_newton(fn, dfn, lo, hi, fn(lo))
+    return float(_safeguarded_newton(fn, dfn, lo, hi, fn(lo)))
 
 
 def _bound_residue_positive(N, d, q2g, mu):
@@ -297,16 +319,16 @@ def _bound_residue_negative_odd(N, d, q2g, mu):
     return sign * num / den, den
 
 
-def find_poles(denom: DefectDenominator, window: float | None = None, *,
-               grid_density: int = 8, f_tol: float = 1e-12,
+def find_poles(denom: DefectDenominator, *, grid_density: int = 8, f_tol: float = 1e-12,
                deriv_tol: float = 1e-8, validate=None) -> PoleSet:
-    """All real roots of Q in [-1-W, 1+W] with residues and classification.
+    """All real roots of Q with residues and classification.
 
     The q-dependent factor is bracketed on a uniform grid of grid_density*N
-    angles (Chebyshev-extrema density) and polished with safeguarded Newton;
-    bound states solve the monotone hyperbolic equation directly.  The
-    q-independent factor contributes the odd nodes with exactly zero
-    residue, flagged DISCARDED.
+    angles (Chebyshev-extrema density) and all brackets are polished at
+    once by the element-wise safeguarded Newton; the in-band residues are
+    array expressions over the roots.  The bound state solves the monotone
+    hyperbolic equation directly.  The q-independent factor contributes the
+    odd nodes with exactly zero residue, flagged DISCARDED.
 
     validate, when given a callable returning the oracle pole positions
     (ascending x values of spectrum classes that couple the defect site to
@@ -319,90 +341,71 @@ def find_poles(denom: DefectDenominator, window: float | None = None, *,
         # the repulsive level sits exactly on the q-independent root x = -1,
         # turning it into a double root of the denominator
         raise NonSimplePole("bound state crosses x = -1 (q / 2 gamma = -2/N)")
-    if window is None:
-        window = abs(q2g) + 1.0
 
     # q-dependent in-band roots: sign changes of g on a uniform theta grid.
     n_grid = grid_density * N
     theta = np.linspace(0.0, np.pi, n_grid + 1)
     gv = _inband_g(theta, N, q2g)
     gv[0] = q2g                      # exact endpoint values
-    gv[-1] = q2g * (1.0 if (N // 2) % 2 == 0 else -1.0) if N % 2 == 0 else 0.0
+    if N % 2 == 0:
+        gv[-1] = q2g * (1.0 if (N // 2) % 2 == 0 else -1.0)
+    else:
+        # g vanishes at theta = pi (the q-independent root x = -1); its sign
+        # just below pi is that of g / (pi - theta) -> (-1)^((N-1)/2) (1 + N q2g / 2),
+        # so an in-band level inside the last grid cell still shows a sign change
+        gv[-1] = (1.0 if (N // 2) % 2 == 0 else -1.0) * (1.0 + N * q2g / 2.0)
 
-    roots_theta = []
-    sign_change = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
-    fn = lambda th: _inband_g(th, N, q2g)
-    dfn = lambda th: _inband_g_deriv(th, N, q2g)
-    for i in sign_change:
-        roots_theta.append(_safeguarded_newton(fn, dfn, theta[i], theta[i + 1], gv[i]))
-    zero_hits = np.nonzero(gv[1:-1] == 0.0)[0]
-    for i in zero_hits:
-        roots_theta.append(theta[i + 1])
+    i = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
+    polished = _safeguarded_newton(lambda th: _inband_g(th, N, q2g),
+                                   lambda th: _inband_g_deriv(th, N, q2g),
+                                   theta[i], theta[i + 1], gv[i])
+    th = np.concatenate([polished, theta[1:-1][gv[1:-1] == 0.0]])
     if N % 2 == 1:
         # theta = pi belongs to the q-independent factor (x = -1) for odd N
-        roots_theta = [th for th in roots_theta if abs(th - np.pi) > 1e-9]
-    roots_theta = sorted(roots_theta)
-
-    xs, fs, kinds, deflated = [], [], [], []
-    for th in roots_theta:
-        gp = _inband_g_deriv(th, N, q2g)
-        x = math.cos(th)
-        f = math.sin(th) * math.cos((N / 2.0 - d) * th) / gp
-        xs.append(x)
-        fs.append(f)
-        kinds.append(PoleClass.IN_BAND)
-        deflated.append(abs(gp))
+        th = th[np.abs(th - np.pi) > 1e-9]
+    th = np.sort(th)
+    gp = _inband_g_deriv(th, N, q2g)
+    xs = np.cos(th)
+    fs = np.sin(th) * np.cos((N / 2.0 - d) * th) / gp
+    deflated = np.abs(gp)
 
     # Bound states: q > 0 splits one level above x = +1, q < 0 below x = -1
     # (for odd N only once |q|/2gamma exceeds 2/N).
-    n_bound = 0
     if q2g > 0.0:
         mu = _bound_state_mu(N, q2g)
         fb, dscale = _bound_residue_positive(N, d, q2g, mu)
-        xs.append(math.cosh(mu))
-        fs.append(fb)
-        kinds.append(PoleClass.BOUND_STATE)
-        deflated.append(abs(dscale))
-        n_bound = 1
+        xb = math.cosh(mu)
+    elif N % 2 == 0:
+        mu = _bound_state_mu(N, -q2g)
+        fb, dscale = _bound_residue_negative_even(N, d, q2g, mu)
+        xb = -math.cosh(mu)
     else:
-        if N % 2 == 0:
-            mu = _bound_state_mu(N, -q2g)
-            fb, dscale = _bound_residue_negative_even(N, d, q2g, mu)
-        else:
-            mu = _bound_state_mu_odd_negative(N, -q2g)
-            fb, dscale = (None, None) if mu is None else _bound_residue_negative_odd(N, d, q2g, mu)
+        mu = _bound_state_mu_odd_negative(N, -q2g)
         if mu is not None:
-            xs.append(-math.cosh(mu))
-            fs.append(fb)
-            kinds.append(PoleClass.BOUND_STATE)
-            deflated.append(abs(dscale))
-            n_bound = 1
+            fb, dscale = _bound_residue_negative_odd(N, d, q2g, mu)
+            xb = -math.cosh(mu)
+    if mu is not None:
+        xs, fs, deflated = np.append(xs, xb), np.append(fs, fb), np.append(deflated, abs(dscale))
+    kinds = np.full(xs.size, PoleClass.IN_BAND, dtype=np.int8)
+    kinds[th.size:] = PoleClass.BOUND_STATE
 
     expected = N // 2 + 1 if N % 2 == 0 else (N + 1) // 2
-    if len(xs) != expected:
+    if xs.size != expected:
         raise PoleCountMismatch(
-            f"found {len(xs)} q-dependent roots for N={N}, q/2gamma={q2g}; expected {expected}")
+            f"found {xs.size} q-dependent roots for N={N}, q/2gamma={q2g}; expected {expected}")
 
-    scale = max(deflated)
-    bad = [x for x, dv in zip(xs, deflated) if dv < deriv_tol * scale]
-    if bad:
-        raise NonSimplePole(f"denominator derivative vanishes near x = {bad}")
+    bad = deflated < deriv_tol * np.max(deflated)
+    if bad.any():
+        raise NonSimplePole(f"denominator derivative vanishes near x = {xs[bad].tolist()}")
 
     # q-independent factor: odd Chebyshev nodes (plus x = -1 for odd N).
     # The numerator shares these roots, so the residues are exactly zero.
     _, x_nodes = strong_defect_nodes(N)
-    for x in x_nodes:
-        xs.append(float(x))
-        fs.append(0.0)
-        kinds.append(PoleClass.DISCARDED)
     if N % 2 == 1:
-        xs.append(-1.0)
-        fs.append(0.0)
-        kinds.append(PoleClass.DISCARDED)
-
-    xs = np.asarray(xs)
-    fs = np.asarray(fs)
-    kinds = np.asarray(kinds, dtype=np.int8)
+        x_nodes = np.append(x_nodes, -1.0)
+    xs = np.concatenate([xs, x_nodes])
+    fs = np.concatenate([fs, np.zeros(x_nodes.size)])
+    kinds = np.concatenate([kinds, np.full(x_nodes.size, PoleClass.DISCARDED, dtype=np.int8)])
 
     fmax = np.max(np.abs(fs)) if fs.size else 0.0
     small = np.abs(fs) < f_tol * fmax

@@ -126,11 +126,14 @@ def interference_closed_form_infinite_q(spec: LatticeSpec, nd: int) -> np.ndarra
 
 
 def steady_moments_infinite_q(p: int, spec: LatticeSpec) -> float:
-    """Limit moments about the start site, closed form.
+    """Limit moments about the start site, leading-order closed form.
 
-    Valid whenever the mirror site sits at ring distance 2|nd - n0| from
-    n0, i.e. |nd - n0| <= N/4; for wrapped mirrors recompute from the
-    profile instead.
+    This is the leading, N-only term: it takes no nd.  For a defect at
+    ring distance 0 < d <= N/4 from n0 (mirror site at distance 2d) the
+    mean is exact, since the mirror's +d/N cancels the defect's -d/N, but
+    the MSD drops the d^2/N the two add; nd = n0 (full localization) has
+    both moments 0.  The exact moments of any geometry are those of
+    steady_profile_infinite_q, which `defectchain infq` prints.
     """
     N = float(spec.N)
     if spec.N % 2 == 0:

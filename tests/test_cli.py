@@ -141,22 +141,21 @@ def test_figure_fig2a_inset_monotone(tmp_path):
 
 
 def test_infq_moments_outside_closed_form_domain(tmp_path, capsys):
-    # |nd - n0| > N/4 wraps the mirror site: the moments come from the profile
+    # infq prints the moments of the profile it prints, for every geometry:
+    # |nd - n0| > N/4 wraps the mirror site, inside N/4 the MSD gains the
+    # d^2/N the leading closed form drops, nd = n0 localizes completely
     out = tmp_path / "infq.csv"
-    assert run_cli(["infq", "--N", "40", "--n0", "0", "--nd", "15",
-                    "--out", str(out)]) == 0
-    assert "N/4" in capsys.readouterr().err
-    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-    prof = {int(r[6]): float(r[8]) for r in rows if r[0] == "steady_occupation_infq"}
     dist = {n: min(n, 40 - n) for n in range(40)}
-    moments = {r[0]: float(r[8]) for r in rows if r[0].endswith("_steady_infq")}
-    assert abs(moments["msd_steady_infq"] - 129.125) < 1e-12
-    assert abs(moments["msd_steady_infq"] - sum(dist[n] ** 2 * v for n, v in prof.items())) < 1e-12
-    assert abs(moments["mean_displacement_steady_infq"]
-               - sum(dist[n] * v for n, v in prof.items())) < 1e-12
-    # inside the domain the closed form is printed, without a notice
-    assert run_cli(["infq", "--N", "40", "--n0", "0", "--nd", "10",
-                    "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-    assert [float(r[8]) for r in rows if r[0] == "msd_steady_infq"] == [133.5]
+    for nd, mean, msd in ((15, 9.750000000000002, 129.125), (10, 10.0, 136.0), (0, 0.0, 0.0)):
+        assert run_cli(["infq", "--N", "40", "--n0", "0", "--nd", str(nd),
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        prof = {int(r[6]): float(r[8]) for r in rows if r[0] == "steady_occupation_infq"}
+        moments = {r[0]: float(r[8]) for r in rows if r[0].endswith("_steady_infq")}
+        assert abs(moments["msd_steady_infq"] - msd) < 1e-12
+        assert abs(moments["mean_displacement_steady_infq"] - mean) < 1e-12
+        assert abs(moments["msd_steady_infq"]
+                   - sum(dist[n] ** 2 * v for n, v in prof.items())) < 1e-12
+        assert abs(moments["mean_displacement_steady_infq"]
+                   - sum(dist[n] * v for n, v in prof.items())) < 1e-12

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from defectchain.errors import (DuplicateDefectSite, NormalizationDrift,
                                 SingularResolvent)
 from defectchain.homogeneous import occupation
 from defectchain.lattice import LatticeSpec
-from defectchain.multi_defect import (TwoDefectRational, bromwich_occupation,
+from defectchain.multi_defect import (TwoDefectRational, _b_hyper_scaled, _b_trig,
+                                      _bracket_bisect, bromwich_occupation,
                                       build_two_defect_system,
                                       psi_laplace_resolvent, resolvent_solve,
                                       two_defect_occupation,
@@ -196,3 +200,64 @@ def test_overflowing_bound_state_raises_instead_of_nan():
     system = build_two_defect_system([DefectSpec(148, -99.7413), DefectSpec(174, 16.3937)], spec)
     with pytest.raises(NormalizationDrift):
         two_defect_occupation_series(system, np.linspace(0.0, 800.0, 5))
+
+
+@pytest.mark.parametrize("N, nd, q", [(200, (3, 71), (4.5, 7.0)), (57, (10, 30), (-6.0, -0.3)),
+                                      (80, (5, 6), (3.0, -9.0))])
+def test_batched_bisection_equals_one_bracket_at_a_time(N, nd, q):
+    # every trig bracket and every hyperbolic side: the element-wise
+    # bisection gives each root the bits it gets alone (0-d)
+    a = abs(nd[1] - nd[0])
+    s_q, p_q = (q[0] + q[1]) / 2.0, q[0] * q[1] / 4.0
+    theta = np.linspace(0.0, np.pi, 16 * N + 1)[1:-1]
+    mu = np.geomspace(1e-7, math.acosh(2.0 + (abs(q[0]) + abs(q[1])) / 2.0) + 0.5, 160)
+    cases = [(lambda t: _b_trig(t, N, a, s_q, p_q), theta)]
+    cases += [(lambda m, side=side: _b_hyper_scaled(m, side, N, a, s_q, p_q), mu)
+              for side in (1, -1)]
+    counts = []
+    for fn, grid in cases:
+        v = fn(grid)
+        i = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+        batch = _bracket_bisect(fn, grid[i], grid[i + 1], v[i])
+        single = [_bracket_bisect(fn, np.array(grid[k]), np.array(grid[k + 1]), np.array(v[k]))
+                  for k in i]
+        assert batch.shape == i.shape and np.array_equal(batch, np.array(single))
+        counts.append(i.size)
+    assert counts[0] > 0 and sum(counts[1:]) > 0     # in band and bound states
+
+
+def test_batched_bisection_exact_zero_stops_one_element():
+    # element 0 hits fn == 0 at its first midpoint, element 1 bisects on
+    fn = lambda z: z - 0.25
+    lo, hi = np.array([0.0, 0.0]), np.array([0.5, 0.3])
+    batch = _bracket_bisect(fn, lo, hi, fn(lo))
+    assert batch[0] == 0.25 and abs(batch[1] - 0.25) < 1e-16
+    assert batch[1] == _bracket_bisect(fn, np.array(0.0), np.array(0.3), fn(np.array(0.0)))
+
+
+def test_two_defect_weights_equal_per_cluster_chebval():
+    # N=120, nd=(0, 60), q=(2, -2) has 59 order-2 poles; the array residues
+    # reproduce the per-cluster scalar chebval evaluation bit for bit
+    spec = LatticeSpec(120, 1.0, 0)
+    system = build_two_defect_system([DefectSpec(0, 2.0), DefectSpec(60, -2.0)], spec)
+    rat = system.rational
+    assert int(np.sum(system.order == 2)) == 59
+    cBd = npcheb.chebder(rat.cB)
+    cBdd = npcheb.chebder(cBd)
+    cBddd = npcheb.chebder(cBdd)
+    cMd = [npcheb.chebder(rat.cM1), npcheb.chebder(rat.cM2)]
+    w = np.zeros((2, system.x.size), dtype=complex)
+    v = np.zeros((2, system.x.size), dtype=complex)
+    for j, (x0, order) in enumerate(zip(system.x.tolist(), system.order)):
+        for k in range(2):
+            m0 = rat.M(k, x0)
+            if order == 1:
+                w[k, j] = m0 / (2.0 * npcheb.chebval(x0, cBd))
+            else:
+                beta2 = npcheb.chebval(x0, cBdd) / 2.0
+                beta3 = npcheb.chebval(x0, cBddd) / 6.0
+                w[k, j] = (npcheb.chebval(x0, cMd[k]) / (2.0 * beta2)
+                           - m0 * beta3 / (2.0 * beta2 ** 2))
+                v[k, j] = 1j * spec.gamma * m0 / beta2
+    assert np.array_equal(system.weights, w)
+    assert np.array_equal(system.ramp_weights, v)

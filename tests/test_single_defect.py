@@ -13,7 +13,7 @@ from defectchain.lattice import LatticeSpec
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 evolve_exact, occupation_exact,
                                 time_average_exact)
-from defectchain.single_defect import (DefectSpec, amplitude_profile,
+from defectchain.single_defect import (DefectSpec, _steady_pole_sums, amplitude_profile,
                                        amplitude_profiles, build_defect_system,
                                        corrections, corrections_expanded,
                                        moment_defect_series,
@@ -389,3 +389,36 @@ def test_kernel_matches_sinc_form_with_pole_on_a_level():
     s = E @ (1j * sysq.defect.q * sysq.f)
     want = np.roll(np.fft.ifft(s, axis=1), 7, axis=1)
     assert np.max(np.abs(amplitude_profiles(placed, times) - want)) < 1e-12
+
+
+def test_steady_corrections_memory_is_blocked():
+    # N = 2000 has J = 1000 poles: the Z_j FFT runs over column blocks of at
+    # most BLOCK_ELEMENTS, where one (N, J) FFT would take ~77 MiB
+    sysq = _system(2000, 1.0, 3, 700, 0.8)
+    assert sysq.x.size == 1000
+    tracemalloc.start()
+    try:
+        steady_corrections(sysq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("N, n0, nd, q", [(12, 2, 7, 3.0), (13, 0, 12, -0.4), (40, 5, 5, 1e3),
+                                          (41, 9, 30, -25.0)])
+def test_steady_pole_sums_match_cosine_sums(N, n0, nd, q):
+    # the FFT pole sums against the mode sums of their docstring, term by term
+    sysq = _system(N, 1.0, n0, nd, q)
+    C, w = sysq.cmat, sysq.f
+    S = (w[None, :] / C).sum(axis=1)
+    k, n = np.arange(N), np.arange(N)
+    k2 = np.array([m for m in range(1, N) if 2 * m != N])
+    Z = np.exp(2j * np.pi * np.outer(n - nd, k) / N) @ (1.0 / C)        # (n, j)
+    I = (S @ np.cos(2 * np.pi * k * (n0 - nd) / N)
+         + np.cos(2 * np.pi * np.outer(2 * n - n0 - nd, k2) / N) @ S[k2])
+    K = (np.abs(Z) ** 2 @ w ** 2 + S @ S
+         + np.cos(4 * np.pi * np.outer(n - nd, k2) / N) @ S[k2] ** 2)
+    got_I, got_K = _steady_pole_sums(C, w, n0, nd)
+    assert np.max(np.abs(got_I - I)) < 1e-12 * np.abs(S).sum()
+    assert np.max(np.abs(got_K - K)) < 1e-12 * (np.abs(Z) ** 2 @ w ** 2 + 2 * S @ S).max()

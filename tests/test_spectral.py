@@ -5,6 +5,7 @@ from defectchain.errors import NonSimplePole, PoleCountMismatch
 from defectchain.lattice import LatticeSpec
 from defectchain.oracle import defect_pole_positions
 from defectchain.spectral import (ChebyshevKind, DefectDenominator, PoleClass,
+                                  _inband_g, _inband_g_deriv, _safeguarded_newton,
                                   cheb_eval, cheb_u_with_derivative, find_poles,
                                   green_laplace, strong_defect_nodes)
 
@@ -203,3 +204,52 @@ def test_green_laplace_matches_mode_sum():
         direct = np.mean(np.exp(2j * np.pi * k * (a - b) / 10)
                          / (eps - 2j * spec.gamma * np.cos(2 * np.pi * k / 10)))
         assert abs(green_laplace(spec, a, b, eps) - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+def _inband_brackets(N, q2g):
+    theta = np.linspace(0.0, np.pi, 8 * N + 1)
+    gv = _inband_g(theta, N, q2g)
+    i = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
+    return theta[i], theta[i + 1], gv[i]
+
+
+@pytest.mark.parametrize("N, q2g", [(7, 0.3), (50, -2.0), (200, 0.05), (201, -7.5), (800, 3e3)])
+def test_batched_newton_equals_one_bracket_at_a_time(N, q2g):
+    # the element-wise polish gives every root the bits it gets alone (0-d)
+    fn = lambda th: _inband_g(th, N, q2g)
+    dfn = lambda th: _inband_g_deriv(th, N, q2g)
+    lo, hi, flo = _inband_brackets(N, q2g)
+    batch = _safeguarded_newton(fn, dfn, lo, hi, flo)
+    single = [_safeguarded_newton(fn, dfn, np.array(a), np.array(b), np.array(c))
+              for a, b, c in zip(lo, hi, flo)]
+    assert all(s.shape == () for s in single)
+    assert batch.shape == lo.shape and np.array_equal(batch, np.array(single))
+
+
+def test_batched_newton_stop_rules_per_element():
+    # element 0 hits fn == 0 exactly at its midpoint, element 1 has a zero
+    # slope everywhere (pure bisection), element 2 is ordinary Newton
+    fn = lambda z: np.where(z < 1.5, z - 0.5, np.where(z < 3.5, np.sign(z - 2.7), z * z - 20.0))
+    dfn = lambda z: np.where(z < 1.5, 1.0, np.where(z < 3.5, 0.0, 2.0 * z))
+    lo, hi = np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0])
+    batch = _safeguarded_newton(fn, dfn, lo, hi, fn(lo))
+    single = [_safeguarded_newton(fn, dfn, lo[i], hi[i], fn(lo[i])) for i in range(3)]
+    assert np.array_equal(batch, np.array(single))
+    assert batch[0] == 0.5 and abs(batch[1] - 2.7) < 1e-14 and abs(batch[2] - 20.0 ** 0.5) < 1e-14
+
+
+@pytest.mark.parametrize("N", [3, 9, 129, 301])
+def test_odd_N_level_inside_last_grid_cell(N):
+    # just above q / 2 gamma = -2/N the repulsive level sits in band within
+    # one grid cell of theta = pi, where g also has its q-independent root
+    for gap in (1e-2, 1e-4, 1e-6):
+        q2g = -2.0 / N * (1.0 - gap)
+        spec = LatticeSpec(N, 1.0, 0)
+        poles = find_poles(DefectDenominator.from_physical(spec, 1, 2.0 * q2g))
+        assert poles.bound_count == 0 and len(poles) == N + 1
+        i = np.arange(N)
+        Hx = np.zeros((N, N))
+        Hx[i, (i + 1) % N] = Hx[(i + 1) % N, i] = 0.5
+        Hx[1, 1] = q2g
+        levels = np.linalg.eigvalsh(Hx)
+        assert np.max(np.min(np.abs(poles.x_retained[:, None] - levels), axis=1)) < 1e-10
