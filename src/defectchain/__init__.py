@@ -5,18 +5,16 @@ classical barrier-walk baseline."""
 
 from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      DuplicateDefectSite, NonSimplePole, NormalizationDrift,
-                     NotConverged, NotReached, PoleCountMismatch,
-                     SingularResolvent)
+                     NotConverged, NotReached, PoleCountMismatch)
 from .homogeneous import (SiteProfile, default_time_grid, estimate_tstar,
                           fit_ballistic, fit_tstar_scaling, green_profile,
                           green_time, moment_series, moment_time, occupation,
                           steady_moment, steady_profile)
 from .lattice import (LatticeSpec, cosine_weighted_sum, distance_power_sum,
                       periodic_distance, periodic_distances, site_index)
-from .multi_defect import (TwoDefectRational, TwoDefectSystem,
-                           bromwich_occupation, build_two_defect_system,
-                           psi_laplace_resolvent, resolvent_solve,
-                           two_defect_occupation, two_defect_occupation_series)
+from .multi_defect import (MultiDefectSystem, bromwich_occupation,
+                           build_two_defect_system, two_defect_occupation,
+                           two_defect_occupation_series)
 from .oracle import (BarrierWalkSpec, SpectralDecomposition,
                      barrier_walk_steady, build_hamiltonian, evolve_exact,
                      occupation_exact, time_average_exact)

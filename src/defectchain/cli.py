@@ -2,18 +2,15 @@
 oracle cross-checks, and CSV/JSON output.
 
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 an
-oracle-check difference exceeded its tolerance.  The only environment
-variable consulted is DEFECTCHAIN_THREADS (default sweep worker count).
-Output is data only; plotting belongs to external tools.
+oracle-check difference exceeded its tolerance.  No environment variable
+is consulted.  Output is data only; plotting belongs to external tools.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +129,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--n0", type=int, default=None, help="initial site (default 0)")
         sp.add_argument("--out", help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="sweep workers (default $DEFECTCHAIN_THREADS or 1)")
         sp.add_argument("--tolerance", type=float, default=1e-8,
                         help="oracle-check failure threshold")
         sp.add_argument("--tmax", type=float, default=None)
@@ -150,7 +145,7 @@ def build_parser() -> _Parser:
     common(sub.add_parser("free", help="defect-free moments and spreading"))
     common(sub.add_parser("single", help="one defect: steady profiles and moments"), True)
     common(sub.add_parser("infq", help="infinite-strength defect limit"), True)
-    common(sub.add_parser("two", help="two defects: time-resolved occupation"), True)
+    common(sub.add_parser("two", help="two or more defects: time-resolved occupation"), True)
     common(sub.add_parser("oracle-check", help="analytic vs dense diagonalization"), True)
     cl = common(sub.add_parser("classical", help="permeable-barrier walk baseline"))
     cl.add_argument("--F", type=float, default=None, help="bulk hop rate (default 1)")
@@ -166,7 +161,7 @@ def _apply_config(args):
     if getattr(args, "config", None):
         conf = _load_config(args.config)
         casts = {"N": int, "gamma": float, "n0": int, "tmax": float, "tsteps": int,
-                 "threads": int, "tolerance": float, "F": float, "r": int,
+                 "tolerance": float, "F": float, "r": int,
                  "out": str, "format": str, "panel": str}
         for key, raw in conf.items():
             if key == "schema_version":
@@ -187,12 +182,6 @@ def _apply_config(args):
             else:
                 raise ConfigError(f"unknown config key {key!r}", key)
     return args
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("DEFECTCHAIN_THREADS", "1")))
 
 
 def _lattice(args) -> LatticeSpec:
@@ -291,10 +280,8 @@ def run_single(args) -> ResultTable:
         _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
     table = ResultTable(meta={"mode": "single", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": nd})
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        chunks = pool.map(lambda q: _single_point(spec, nd, q, with_oracle, args.tolerance), qs)
-    for q, chunk in zip(qs, chunks):
-        for obs, qv, n, t, v, prov in chunk:
+    for q in qs:
+        for obs, qv, n, t, v, prov in _single_point(spec, nd, q, with_oracle, args.tolerance):
             table.add(obs, v, provenance=prov, N=spec.N, gamma=spec.gamma,
                       q=float(qv), nd=nd, n0=spec.n0, n=n, t=t)
     return table
@@ -320,12 +307,13 @@ def run_infq(args) -> ResultTable:
 
 def run_two(args) -> ResultTable:
     spec = _lattice(args)
-    if not args.nd or len(args.nd) != 2:
-        raise ConfigError("two --nd sites are required", "nd")
+    if not args.nd or len(args.nd) < 2:
+        raise ConfigError("at least two --nd sites are required", "nd")
     qs = args.q or []
-    if len(qs) != 2:
-        raise ConfigError("exactly two --q strengths are required", "q")
-    defects = [DefectSpec(args.nd[0], qs[0]), DefectSpec(args.nd[1], qs[1])]
+    if len(qs) != len(args.nd):
+        raise ConfigError(f"one --q per --nd is required ({len(args.nd)} sites, "
+                          f"{len(qs)} strengths)", "q")
+    defects = [DefectSpec(nd, q) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65)
     with_oracle = spec.N <= ORACLE_MAX_N
@@ -459,25 +447,19 @@ def _figure_fig2(panel: str) -> ResultTable:
     return table
 
 
-def _figure_fig3(panel: str, workers: int) -> ResultTable:
+def _figure_fig3(panel: str) -> ResultTable:
     p = 1 if panel == "fig3a" else 2
     name = "mean_displacement_steady" if p == 1 else "msd_steady"
     table = ResultTable(meta={"mode": "figure", "panel": panel, "N": 200, "n0": 2})
     qs = list(np.geomspace(0.01, 100.0, 41))
 
-    def point(job):
-        nd, q = job
-        spec = LatticeSpec(200, 1.0, 2)
-        sysq = build_defect_system(spec, DefectSpec(nd, q))
-        return single_defect.steady_moment_defect(sysq, p)
-
-    jobs = [(nd, q) for nd in (2, 3, 4, 5, 6) for q in qs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        vals = list(pool.map(point, jobs))
-    for (nd, q), v in zip(jobs, vals):
-        table.add(name, v, N=200, gamma=1.0, q=float(q), nd=nd, n0=2)
+    spec = LatticeSpec(200, 1.0, 2)
+    for nd in (2, 3, 4, 5, 6):
+        for q in qs:
+            sysq = build_defect_system(spec, DefectSpec(nd, q))
+            table.add(name, single_defect.steady_moment_defect(sysq, p),
+                      N=200, gamma=1.0, q=float(q), nd=nd, n0=2)
     if panel == "fig3b":
-        spec = LatticeSpec(200, 1.0, 2)
         table.add("msd_steady_infq", strong_defect.steady_moments_infinite_q(2, spec),
                   N=200, gamma=1.0, nd=4, n0=2)
     return table
@@ -504,7 +486,7 @@ def run_figure(args) -> ResultTable:
     if panel in ("fig2a", "fig2b"):
         return _figure_fig2(panel)
     if panel in ("fig3a", "fig3b"):
-        return _figure_fig3(panel, _threads(args))
+        return _figure_fig3(panel)
     return _figure_fig4(panel)
 
 

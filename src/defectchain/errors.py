@@ -29,10 +29,6 @@ class NotReached(DefectChainError):
     """No deviation from ballistic growth found within the search horizon."""
 
 
-class SingularResolvent(DefectChainError):
-    """Defect resolvent matrix is singular at the requested Laplace point."""
-
-
 class DuplicateDefectSite(DefectChainError):
     """Two defects were placed on the same lattice site."""
 

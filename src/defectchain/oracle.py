@@ -116,17 +116,25 @@ def defect_pole_positions(spec: LatticeSpec, nd: int, q: float,
     The response residue of a class is sum_a <nd|a><a|n0>; classes below
     f_tol of the largest residue (spectator states with no weight at nd,
     or exponentially decoupled levels) are dropped, mirroring the residue
-    cut applied on the analytic side."""
+    cut applied on the analytic side.  So are classes whose residue lies
+    below its own rounding error, (|<nd|a>| + |<n0|a>|) eps max|E| / gap with
+    gap the distance to the nearest other class: a nearly degenerate pair
+    mixes by eps max|E| / gap, which gives a spectator state a residue of
+    that size."""
     decomp = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
     nd = site_index(nd, spec.N)
-    xs, res = [], []
+    xs, res, amp = [], [], []
     for cls_idx in decomp.classes:
         idx = list(cls_idx)
-        coupling = float(decomp.eigenvectors[nd, idx] @ decomp.eigenvectors[spec.n0, idx])
+        v_nd, v_n0 = decomp.eigenvectors[nd, idx], decomp.eigenvectors[spec.n0, idx]
         xs.append(-np.mean(decomp.eigenvalues[idx]) / (2.0 * spec.gamma))
-        res.append(abs(coupling))
+        res.append(abs(float(v_nd @ v_n0)))
+        amp.append(np.linalg.norm(v_nd) + np.linalg.norm(v_n0))
     xs, res = np.asarray(xs), np.asarray(res)
-    keep = res > f_tol * np.max(res)
+    d = np.abs(np.diff(xs)) * 2.0 * spec.gamma
+    gap = np.minimum(np.append(d, np.inf), np.insert(d, 0, np.inf))
+    noise = np.asarray(amp) * np.finfo(float).eps * np.max(np.abs(decomp.eigenvalues)) / gap
+    keep = (res > f_tol * np.max(res)) & (res > noise)
     return np.sort(xs[keep])
 
 

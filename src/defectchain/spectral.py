@@ -95,18 +95,25 @@ def cheb_u_with_derivative(m: int, x):
     return u1, d1
 
 
-def green_laplace(spec: LatticeSpec, a: int, b: int, eps):
-    """Laplace-domain free propagator between sites a and b.
+def ring_green(d, x, N: int):
+    """Free ring Green function g(d; x) = (1/N) sum_k cos(2 pi k d / N) / (x - c_k)
+    off the real band, in the overflow-free form
 
-    G(a, b, eps) = [T_{N-d}(x) + T_d(x)] / [2 i gamma (x^2 - 1) U_{N-1}(x)]
-    with x = eps / (2 i gamma) and d the ring distance between a and b.
-    """
-    N, gamma = spec.N, spec.gamma
-    d = periodic_distance(a, b, N)
-    x = np.asarray(eps) / (2j * gamma)
-    num = cheb_t(N - d, x) + cheb_t(d, x)
-    den = (x * x - 1.0) * cheb_u(N - 1, x)
-    return num / den / (2j * gamma)
+        g = (z^d + z^(N-d)) / ((1 - z^N) w),  w = sqrt(x - 1) sqrt(x + 1),  z = x - w,
+
+    where |z| < 1; d and x broadcast, d in [0, N]."""
+    x = np.asarray(x, dtype=complex)
+    w = np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+    z = 1.0 / (x + w)
+    return (z ** d + z ** (N - d)) / ((1.0 - z ** N) * w)
+
+
+def green_laplace(spec: LatticeSpec, a: int, b: int, eps):
+    """Laplace-domain free propagator between sites a and b,
+    G(a, b, eps) = g(d; x) / (2 i gamma) with x = eps / (2 i gamma) and d the
+    ring distance between a and b (see ring_green)."""
+    x = np.asarray(eps) / (2j * spec.gamma)
+    return ring_green(periodic_distance(a, b, spec.N), x, spec.N) / (2j * spec.gamma)
 
 
 def strong_defect_nodes(N: int):

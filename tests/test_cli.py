@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from defectchain.cli import main
 
@@ -23,7 +24,7 @@ def test_rerun_is_byte_identical(tmp_path):
     args = ["single", "--N", "10", "--nd", "4", "--n0", "2",
             "--q", "0.5", "--q", "2.0", "--q", "8.0"]
     assert run_cli(args + ["--out", str(a)]) == 0
-    assert run_cli(args + ["--out", str(b), "--threads", "4"]) == 0
+    assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -65,6 +66,30 @@ def test_two_mode(tmp_path):
     assert sums and all(abs(s - 1.0) < 1e-8 for s in sums.values())
 
 
+def test_two_mode_three_defects(tmp_path):
+    out = tmp_path / "three.csv"
+    assert run_cli(["two", "--N", "96", "--n0", "5", "--nd", "0", "--nd", "32", "--nd", "64",
+                    "--q", "1.0", "--q", "1.0", "--q", "-0.7", "--tsteps", "9",
+                    "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    diffs = [float(r[8]) for r in rows if r[0] == "occupation_max_abs_diff"]
+    assert len(diffs) == 9 and max(diffs) < 1e-12
+
+
+def test_two_mode_needs_one_strength_per_site():
+    assert run_cli(["two", "--N", "12", "--nd", "1", "--nd", "5", "--nd", "8",
+                    "--q", "1.0", "--q", "0.5"]) == 1
+    assert run_cli(["two", "--N", "12", "--nd", "1", "--q", "1.0"]) == 1
+    assert run_cli(["two", "--N", "12", "--nd", "1", "--nd", "5", "--q", "1.0"]) == 1
+
+
+def test_two_mode_large_ring_symmetric_pair(tmp_path):
+    # equal strengths on opposite sites used to exit 2 (NormalizationDrift)
+    assert run_cli(["two", "--N", "1000", "--nd", "0", "--nd", "500", "--n0", "1",
+                    "--q", "1", "--q", "1", "--tsteps", "3",
+                    "--out", str(tmp_path / "big.csv")]) == 0
+
+
 def test_solver_error_exit_two():
     # duplicate defect sites surface as a solver error
     assert run_cli(["two", "--N", "8", "--nd", "2", "--nd", "10",
@@ -99,6 +124,18 @@ def test_oracle_check_exit_codes(tmp_path):
     assert breach == 3
 
 
+@pytest.mark.parametrize("q", ["0.01", "0.001"])
+def test_oracle_check_weak_defect(tmp_path, q):
+    # the oracle's pole classes used to keep spectator states whose coupling
+    # is rounding noise of a nearly degenerate pair (exit 2)
+    assert run_cli(["oracle-check", "--N", "100", "--nd", "1", "--q", q,
+                    "--tsteps", "3", "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_sweep_threads_option_is_gone():
+    assert run_cli(["single", "--N", "10", "--nd", "3", "--q", "1.0", "--threads", "2"]) == 1
+
+
 def test_config_errors_exit_one(tmp_path):
     assert run_cli(["single", "--nd", "3", "--q", "1.0"]) == 1        # missing N
     assert run_cli(["free", "--N", "2"]) == 1                         # invalid N
@@ -130,8 +167,7 @@ def test_figure_panel_writes_file(tmp_path):
 
 def test_figure_fig2a_inset_monotone(tmp_path):
     prefix = tmp_path / "fig2a"
-    assert run_cli(["figure", "--panel", "fig2a", "--out", str(prefix),
-                    "--threads", "2"]) == 0
+    assert run_cli(["figure", "--panel", "fig2a", "--out", str(prefix)]) == 0
     rows = [l.split(",") for l in (tmp_path / "fig2a_fig2a.csv").read_text().splitlines()[1:]]
     inset = sorted((float(r[3]), float(r[8])) for r in rows if r[0] == "steady_at_defect")
     vals = [v for _, v in inset]

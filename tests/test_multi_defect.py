@@ -1,74 +1,192 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev as npcheb
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectchain.errors import (DuplicateDefectSite, NormalizationDrift,
-                                SingularResolvent)
+from defectchain.errors import DuplicateDefectSite
 from defectchain.homogeneous import occupation
 from defectchain.lattice import LatticeSpec
-from defectchain.multi_defect import (TwoDefectRational, _b_hyper_scaled, _b_trig,
-                                      _bracket_bisect, bromwich_occupation,
+from defectchain.multi_defect import (_bisect_branch, _green_theta,
+                                      bromwich_occupation,
                                       build_two_defect_system,
-                                      psi_laplace_resolvent, resolvent_solve,
                                       two_defect_occupation,
                                       two_defect_occupation_series)
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 occupation_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
-                                       occupation_defect)
-from defectchain.spectral import DefectDenominator, find_poles, green_laplace
+                                       occupation_defect,
+                                       occupation_defect_series)
+from defectchain.spectral import green_laplace, ring_green
+
+
+def _dense(N, gamma, defects):
+    """Test-local dense eigen-decomposition of the ring in x = -E / 2 gamma
+    units (psi(t) = sum_j exp(2 i gamma x_j t) v_j v_j(n0))."""
+    H = np.zeros((N, N))
+    i = np.arange(N)
+    H[i, (i + 1) % N] = H[(i + 1) % N, i] = 0.5
+    for nd, q in defects:
+        H[nd % N, nd % N] += q / (2.0 * gamma)
+    return np.linalg.eigh(H)
+
+
+def _dense_occupation(N, gamma, n0, defects, times):
+    x, V = _dense(N, gamma, defects)
+    psi = np.exp(2j * gamma * np.multiply.outer(np.asarray(times, dtype=float), x)) @ (V * V[n0]).T
+    return psi.real ** 2 + psi.imag ** 2
+
+
+def _engine(N, gamma, n0, defects, times):
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, gamma, n0))
+    return two_defect_occupation_series(system, times)
+
+
+@pytest.mark.parametrize("N", [200, 800, 1200, 2000])
+def test_opposite_sites_mixed_strengths_match_dense(N):
+    # the Chebyshev rational drifted here: 2e-12 at N=200, 3e-9 at N=800,
+    # NormalizationDrift at N=1200 and NaN at N=1600
+    defects = [(0, 1.0), (N // 2, -0.5)]
+    times = np.array([0.0, 1.0, 10.0, 100.0])
+    assert np.max(np.abs(_engine(N, 1.0, 3, defects, times)
+                         - _dense_occupation(N, 1.0, 3, defects, times))) < 1e-12
+
+
+def test_equal_strengths_on_opposite_sites_match_dense():
+    # the benchmark's N=800 operation: NaN profiles through the colleague fallback
+    defects, times = [(0, 1.0), (400, 1.0)], np.array([10.0, 100.0])
+    assert np.max(np.abs(_engine(800, 1.0, 1, defects, times)
+                         - _dense_occupation(800, 1.0, 1, defects, times))) < 1e-12
+
+
+def test_roots_on_free_levels_match_dense():
+    # N=120, nd=(0, 60), q=(2, -2): 59 levels are roots of the secular
+    # equation besides keeping their invisible sine mode
+    spec = LatticeSpec(120, 1.0, 0)
+    system = build_two_defect_system([DefectSpec(0, 2.0), DefectSpec(60, -2.0)], spec)
+    levels = np.cos(2.0 * np.pi * np.arange(61) / 120)
+    on_level = np.abs(system.x[:, None] - levels).min(axis=1) < 1e-13
+    assert system.x.size == 120 and np.sum(on_level) == 2 * 59
+    times = np.linspace(0.0, 400.0, 9)
+    P = two_defect_occupation_series(system, times)
+    assert np.max(np.abs(P - _dense_occupation(120, 1.0, 0, [(0, 2.0), (60, -2.0)], times))) < 1e-12
+
+
+def test_weak_opposite_pair_on_adjacent_sites_matches_dense():
+    # q = +-1e-6 next to each other put roots within rounding of a level
+    defects, times = [(10, 1e-6), (11, -1e-6)], np.array([1.0, 10.0, 100.0])
+    assert np.max(np.abs(_engine(300, 1.0, 5, defects, times)
+                         - _dense_occupation(300, 1.0, 5, defects, times))) < 1e-12
+
+
+def test_far_bound_state_matches_dense():
+    # a bound state far outside the band overflowed the Chebyshev series
+    # (NaN weights); the engine stays exact there
+    defects, times = [(148, -99.7413), (174, 16.3937)], np.linspace(0.0, 20.0, 5)
+    assert np.max(np.abs(_engine(200, 1.0, 9, defects, times)
+                         - _dense_occupation(200, 1.0, 9, defects, times))) < 1e-12
+
+
+@pytest.mark.parametrize("N, n0, defects", [
+    (99, 0, [(0, 1.0), (33, 1.0), (66, 1.0)]),                 # exact double roots
+    (105, 104, [(0, 171.6553), (35, 171.6553), (70, 171.6553)]),
+    (40, 13, [(0, -2573.9505), (20, 2587.3934)]),                # roots 1e-7 from levels
+    (60, 32, [(0, -969.5915), (20, 969.5915), (40, -969.5915)]),
+    (195, 0, [(0, 4051.7665), (65, -4051.7665), (130, 0.0365)]),   # strong and weak mixed
+    (106, 33, [(31, 1.2595), (84, -1.2595), (85, 0.0149)]),        # a root next to a level root
+    (265, 229, [(227, 1326.7338), (228, -1326.7338), (229, 1326.7338)]),
+    (50, 1, [(3, 1e-12), (20, -1e-12)]),                        # a level root of size ~5e-13
+])
+def test_degenerate_and_mixed_strength_inputs_match_dense(N, n0, defects):
+    # short times, where the dense reference itself keeps its digits; the
+    # levels to a few ulps each, which catches a deep bound state whose phase
+    # barely shows in P
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, 1.0, n0))
+    times = np.array([0.0, 0.05, 0.5])
+    P = two_defect_occupation_series(system, times)
+    assert np.max(np.abs(P - _dense_occupation(N, 1.0, n0, defects, times))) < 1e-12
+    x = _dense(N, 1.0, defects)[0]
+    assert np.all(np.abs(np.sort(system.x) - x) <= 5e-13 * (1.0 + np.abs(x)))
+
+
+def test_one_defect_matches_single_defect_series():
+    spec = LatticeSpec(57, 1.3, 4)
+    times = np.linspace(0.0, 60.0, 13)
+    single = occupation_defect_series(build_defect_system(spec, DefectSpec(20, -0.8)), times)
+    multi = two_defect_occupation_series(build_two_defect_system([DefectSpec(20, -0.8)], spec), times)
+    assert np.max(np.abs(single - multi)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(N=st.integers(3, 150), data=st.data(), gamma=st.sampled_from([0.7, 1.0, 1.3]))
+def test_spectrum_equals_eigvalsh(N, data, gamma):
+    M = data.draw(st.integers(2, min(3, N)))
+    sites = data.draw(st.lists(st.integers(0, N - 1), min_size=M, max_size=M, unique=True))
+    mags = data.draw(st.lists(st.floats(-3.0, 4.0), min_size=M, max_size=M))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=M, max_size=M))
+    defects = [(n, sg * 10.0 ** e) for n, sg, e in zip(sites, signs, mags)]
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, gamma, 0))
+    x = _dense(N, gamma, defects)[0]
+    scale = 1.0 + sum(abs(q) for _, q in defects) / (2.0 * gamma)
+    assert np.max(np.abs(np.sort(system.x) - x)) <= 1e-10 * scale
+
+
+def test_bromwich_finite_and_close_at_n200():
+    # the Chebyshev recurrences of the old Green function overflowed to NaN
+    spec = LatticeSpec(200, 1.0, 0)
+    P = bromwich_occupation([DefectSpec(50, 1.0)], spec, 5.0)
+    assert np.all(np.isfinite(P))
+    assert np.max(np.abs(P - _dense_occupation(200, 1.0, 0, [(50, 1.0)], [5.0])[0])) < 5e-3
+
+
+def test_build_and_series_memory_bounded_at_n2000():
+    spec = LatticeSpec(2000, 1.0, 3)
+    tracemalloc.start()
+    try:
+        system = build_two_defect_system([DefectSpec(17, 1.0), DefectSpec(1234, -0.5)], spec)
+        two_defect_occupation_series(system, np.linspace(0.0, 8000.0, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
 
 
 def test_single_defect_resolvent_matches_scalar_formula():
+    # the Laplace transform of the engine's series, sum_j W_j / (eps - 2 i gamma x_j),
+    # is G_d0 / (1 - i q G_dd) at the defect site
     spec = LatticeSpec(8, 1.1, 2)
+    system = build_two_defect_system([DefectSpec(5, 1.7)], spec)
     eps = 0.8 + 0.45j
-    psi = resolvent_solve([DefectSpec(5, 1.7)], spec, eps)[0]
-    Gdd = green_laplace(spec, 5, 5, eps)
-    Gd0 = green_laplace(spec, 5, 2, eps)
+    psi = np.sum(system.weights[:, 5] / (eps - 2j * spec.gamma * system.x))
+    Gdd, Gd0 = green_laplace(spec, 5, 5, eps), green_laplace(spec, 5, 2, eps)
     assert abs(psi - Gd0 / (1.0 - 1.7j * Gdd)) < 1e-13
 
 
-def test_resolvent_rejects_duplicate_sites_and_poles():
-    spec = LatticeSpec(8, 1.0, 0)
-    with pytest.raises(DuplicateDefectSite):
-        resolvent_solve([DefectSpec(2, 1.0), DefectSpec(10, 0.5)], spec, 1.0 + 1.0j)
-    # evaluating exactly on a pole of the defected system is singular
-    poles = find_poles(DefectDenominator.from_physical(spec, 3, 1.4))
-    eps_pole = 2j * spec.gamma * poles.x_retained[1]
-    with pytest.raises(SingularResolvent):
-        resolvent_solve([DefectSpec(3, 1.4)], spec, eps_pole)
-
-
 def test_closed_form_matches_resolvent_assembly():
+    # the engine's spectral form against the Laplace-domain linear system
+    # psi = G + sum_a i q_a G(., nd_a) psi(nd_a), assembled from green_laplace
     rng = np.random.default_rng(31)
     for _ in range(15):
         N = int(rng.integers(5, 20))
         gamma = float(rng.uniform(0.5, 2.0))
         n0 = int(rng.integers(0, N))
-        d1 = int(rng.integers(0, N))
-        d2 = (d1 + int(rng.integers(1, N))) % N
-        q1, q2 = float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))
+        M = int(rng.integers(2, 4))
+        sites = [int(v) for v in rng.choice(N, size=M, replace=False)]
+        qs = [float(v) for v in rng.uniform(-4, 4, size=M)]
         spec = LatticeSpec(N, gamma, n0)
-        defects = [DefectSpec(d1, q1), DefectSpec(d2, q2)]
-        rat = TwoDefectRational.build(defects, spec)
+        system = build_two_defect_system([DefectSpec(a, q) for a, q in zip(sites, qs)], spec)
         eps = complex(rng.uniform(0.2, 1.5), rng.uniform(-3.0, 3.0))
-        for n in rng.integers(0, N, size=3):
-            ref = psi_laplace_resolvent(defects, spec, int(n), eps)
-            assert abs(rat.psi_laplace(int(n), eps) - ref) < 1e-11 * max(1.0, abs(ref))
-        psis = resolvent_solve(defects, spec, eps)
-        for k in range(2):
-            assert abs(rat.defect_site_laplace(k, eps) - psis[k]) < 1e-11 * max(1.0, abs(psis[k]))
+        G = np.array([[green_laplace(spec, n, a, eps) for a in sites] for n in range(N)])
+        G0 = np.array([green_laplace(spec, n, n0, eps) for n in range(N)])
+        psi_d = np.linalg.solve(np.eye(M) - 1j * np.array(qs) * G[sites], G0[sites])
+        ref = G0 + G @ (1j * np.array(qs) * psi_d)
+        psi = (system.weights / (eps - 2j * gamma * system.x)[:, None]).sum(axis=0)
+        assert np.max(np.abs(psi - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_two_defect_relabeling_symmetry():
     spec = LatticeSpec(10, 1.0, 1)
-    ra = TwoDefectRational.build([DefectSpec(3, 1.2), DefectSpec(7, -0.8)], spec)
-    rb = TwoDefectRational.build([DefectSpec(7, -0.8), DefectSpec(3, 1.2)], spec)
-    eps = 0.3 + 0.9j
-    for n in range(10):
-        assert abs(ra.psi_laplace(n, eps) - rb.psi_laplace(n, eps)) < 1e-12
     sa = build_two_defect_system([DefectSpec(3, 1.2), DefectSpec(7, -0.8)], spec)
     sb = build_two_defect_system([DefectSpec(7, -0.8), DefectSpec(3, 1.2)], spec)
     for t in (0.8, 3.0):
@@ -128,12 +246,13 @@ def test_adjacent_strong_defects_stay_normalized():
 
 
 def test_opposite_strength_family_has_double_roots():
-    # q and -q with matched geometry produce exact double roots of the
-    # deflated denominator; the order-2 residue branch must stay exact
+    # q and -q with matched geometry make free levels secular roots on top
+    # of their invisible modes (double eigenvalues); both stay exact
     for (N, d1, d2, q) in [(6, 0, 3, 1.5), (10, 0, 5, 0.8), (12, 0, 4, 3.0)]:
         spec = LatticeSpec(N, 1.0, 1)
         system = build_two_defect_system([DefectSpec(d1, q), DefectSpec(d2, -q)], spec)
-        assert int(np.sum(system.order == 2)) > 0
+        x = np.sort(system.x)
+        assert np.any(np.diff(x) < 1e-12)
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d1, q), (d2, -q)]))
         for t in (0.5, 3.0, 50.0):
@@ -166,6 +285,8 @@ def test_three_defects_via_resolvent_and_bromwich():
     t = 1.2
     P = bromwich_occupation(defects, spec, t)
     assert np.max(np.abs(P - occupation_exact(dec, 0, t))) < 5e-3
+    exact = two_defect_occupation(build_two_defect_system(defects, spec), t)
+    assert np.max(np.abs(exact - occupation_exact(dec, 0, t))) < 1e-12
 
 
 def test_bromwich_matches_exact_two_defect():
@@ -189,75 +310,47 @@ def test_minimum_chain_size_two_defects():
 def test_duplicate_two_defect_sites_rejected():
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(DuplicateDefectSite):
-        TwoDefectRational.build([DefectSpec(3, 1.0), DefectSpec(11, 2.0)], spec)
+        build_two_defect_system([DefectSpec(3, 1.0), DefectSpec(11, 2.0)], spec)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_bound_state_raises_instead_of_nan():
-    # a bound state far outside the band overflows the Chebyshev series
-    # and leaves NaN weights; the guard must refuse them
-    spec = LatticeSpec(200, 1.0, 9)
-    system = build_two_defect_system([DefectSpec(148, -99.7413), DefectSpec(174, 16.3937)], spec)
-    with pytest.raises(NormalizationDrift):
-        two_defect_occupation_series(system, np.linspace(0.0, 800.0, 5))
+def _secular(N, sites, qs, green):
+    """D g_D D - sign(S) at points green(d, idx, u), as the engine bisects it."""
+    s = np.array(qs) / 2.0
+    D = np.sqrt(np.abs(s))
+    d = np.abs(np.subtract.outer(sites, sites)) % N
+    d = np.minimum(d, N - d)
+    return lambda idx, u: (D[:, None] * green(d.reshape(-1), idx[:, None], u[:, None])
+                           .reshape(-1, len(sites), len(sites)) * D - np.diag(np.sign(s)))
 
 
 @pytest.mark.parametrize("N, nd, q", [(200, (3, 71), (4.5, 7.0)), (57, (10, 30), (-6.0, -0.3)),
                                       (80, (5, 6), (3.0, -9.0))])
 def test_batched_bisection_equals_one_bracket_at_a_time(N, nd, q):
-    # every trig bracket and every hyperbolic side: the element-wise
-    # bisection gives each root the bits it gets alone (0-d)
-    a = abs(nd[1] - nd[0])
-    s_q, p_q = (q[0] + q[1]) / 2.0, q[0] * q[1] / 4.0
-    theta = np.linspace(0.0, np.pi, 16 * N + 1)[1:-1]
-    mu = np.geomspace(1e-7, math.acosh(2.0 + (abs(q[0]) + abs(q[1])) / 2.0) + 0.5, 160)
-    cases = [(lambda t: _b_trig(t, N, a, s_q, p_q), theta)]
-    cases += [(lambda m, side=side: _b_hyper_scaled(m, side, N, a, s_q, p_q), mu)
-              for side in (1, -1)]
-    counts = []
-    for fn, grid in cases:
-        v = fn(grid)
-        i = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
-        batch = _bracket_bisect(fn, grid[i], grid[i + 1], v[i])
-        single = [_bracket_bisect(fn, np.array(grid[k]), np.array(grid[k + 1]), np.array(v[k]))
-                  for k in i]
-        assert batch.shape == i.shape and np.array_equal(batch, np.array(single))
-        counts.append(i.size)
-    assert counts[0] > 0 and sum(counts[1:]) > 0     # in band and bound states
+    # in-band half cells from every level and both sides off the band: the
+    # element-wise bisection gives each element the bits it gets alone
+    K = N // 2
+    j = np.repeat(2 * np.arange(K), 2)
+    m = np.tile([1, 2], K)
+    side = np.array([1.0, 1.0, -1.0, -1.0])
+    cases = [(_secular(N, nd, q, lambda d, i, u: _green_theta(d, j[i], u, N)), m,
+              np.full(2 * K, np.pi / N)),
+             (_secular(N, nd, q, lambda d, i, u: ring_green(d, side[i] * (1.0 + u), N).real),
+              np.array([1, 2, 1, 2]), np.full(4, 3.0))]
+    for secular, branch, hi in cases:
+        pos_lo = np.linalg.eigvalsh(secular(np.arange(hi.size), 1e-9 * hi))[
+            np.arange(hi.size), branch - 1] > 0
+        batch = _bisect_branch(secular, branch, pos_lo, hi)
+        sample = np.unique(np.linspace(0, hi.size - 1, 12).astype(int))
+        alone = [_bisect_branch(lambda i, u, e=e: secular(i + e, u), branch[e:e + 1],
+                                pos_lo[e:e + 1], hi[e:e + 1])[0] for e in sample]
+        assert np.array_equal(batch[sample], np.array(alone))
 
 
 def test_batched_bisection_exact_zero_stops_one_element():
-    # element 0 hits fn == 0 at its first midpoint, element 1 bisects on
-    fn = lambda z: z - 0.25
-    lo, hi = np.array([0.0, 0.0]), np.array([0.5, 0.3])
-    batch = _bracket_bisect(fn, lo, hi, fn(lo))
-    assert batch[0] == 0.25 and abs(batch[1] - 0.25) < 1e-16
-    assert batch[1] == _bracket_bisect(fn, np.array(0.0), np.array(0.3), fn(np.array(0.0)))
-
-
-def test_two_defect_weights_equal_per_cluster_chebval():
-    # N=120, nd=(0, 60), q=(2, -2) has 59 order-2 poles; the array residues
-    # reproduce the per-cluster scalar chebval evaluation bit for bit
-    spec = LatticeSpec(120, 1.0, 0)
-    system = build_two_defect_system([DefectSpec(0, 2.0), DefectSpec(60, -2.0)], spec)
-    rat = system.rational
-    assert int(np.sum(system.order == 2)) == 59
-    cBd = npcheb.chebder(rat.cB)
-    cBdd = npcheb.chebder(cBd)
-    cBddd = npcheb.chebder(cBdd)
-    cMd = [npcheb.chebder(rat.cM1), npcheb.chebder(rat.cM2)]
-    w = np.zeros((2, system.x.size), dtype=complex)
-    v = np.zeros((2, system.x.size), dtype=complex)
-    for j, (x0, order) in enumerate(zip(system.x.tolist(), system.order)):
-        for k in range(2):
-            m0 = rat.M(k, x0)
-            if order == 1:
-                w[k, j] = m0 / (2.0 * npcheb.chebval(x0, cBd))
-            else:
-                beta2 = npcheb.chebval(x0, cBdd) / 2.0
-                beta3 = npcheb.chebval(x0, cBddd) / 6.0
-                w[k, j] = (npcheb.chebval(x0, cMd[k]) / (2.0 * beta2)
-                           - m0 * beta3 / (2.0 * beta2 ** 2))
-                v[k, j] = 1j * spec.gamma * m0 / beta2
-    assert np.array_equal(system.weights, w)
-    assert np.array_equal(system.ramp_weights, v)
+    # element 0's branch is exactly zero at its first midpoint and ends there;
+    # element 1 bisects on with the bits it gets alone
+    secular = lambda idx, u: (u - 0.25)[:, None, None]
+    lo_sign = np.array([False, False])
+    batch = _bisect_branch(secular, np.array([1, 1]), lo_sign, np.array([0.5, 0.3]))
+    assert abs(batch[0] - 0.25) <= np.spacing(0.25)
+    assert batch[1] == _bisect_branch(secular, np.array([1]), lo_sign[:1], np.array([0.3]))[0]

@@ -8,7 +8,7 @@ from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_rate_matrix, barrier_walk_propagate,
                                 barrier_walk_steady, build_hamiltonian,
-                                evolve_exact, occupation_exact,
+                                defect_pole_positions, evolve_exact, occupation_exact,
                                 time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_occupation)
@@ -149,3 +149,13 @@ def test_barrier_not_converged():
     with pytest.raises(NotConverged):
         barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5, 0, 0),
                             residual_tol=1e-300, time_cap_factor=2.0)
+
+
+@pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])
+def test_weak_defect_pole_classes_match_find_poles(N, q):
+    # a nearly degenerate pair mixes by eps max|E| / gap, which gave spectator
+    # classes a rounding-size coupling that the 1e-12 relative cut kept
+    # ("retained 51 poles but the spectrum oracle has 59" at N=100)
+    spec = LatticeSpec(N, 1.0, 0)
+    system = build_defect_system(spec, DefectSpec(1, q), validate=True)   # raised before
+    assert system.poles.x_retained.size == defect_pole_positions(spec, 1, q).size
