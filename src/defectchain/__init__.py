@@ -25,12 +25,10 @@ from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             occupation_defect_series, phi_series,
                             steady_corrections, steady_moment_defect,
                             steady_occupation)
-from .spectral import (ChebyshevKind, DefectDenominator, PoleClass, PoleSet,
-                       cheb_eval, find_poles, green_laplace,
-                       strong_defect_nodes)
+from .spectral import PoleClass, PoleSet, find_poles, green_laplace
 from .strong_defect import (StrongDefectSeries, mirror_site, phi_infinite_q,
                             steady_corrections_infinite_q,
                             steady_moments_infinite_q,
-                            steady_profile_infinite_q)
+                            steady_profile_infinite_q, strong_defect_nodes)
 
 __version__ = "0.1.0"

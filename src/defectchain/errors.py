@@ -18,7 +18,8 @@ class PoleCountMismatch(DefectChainError):
 
 
 class NonSimplePole(DefectChainError):
-    """A retained pole failed the simple-pole derivative threshold."""
+    """The M-defect engine could not tell whether a free level is a root of
+    its secular equation (one defect has only simple poles and never raises it)."""
 
 
 class NormalizationDrift(DefectChainError):

@@ -26,7 +26,7 @@ from .errors import DuplicateDefectSite, NonSimplePole, NotConverged, PoleCountM
 from .homogeneous import green_profile, time_blocks
 from .lattice import LatticeSpec, periodic_distances, site_index
 from .single_defect import DefectSpec, _check_normalized
-from .spectral import ring_green
+from .spectral import _cos_sin, _gaps_theta, _green_theta, ring_green
 
 RANK_TOL = 1e-8        # rank cut for level modes on the defect sites, relative to sqrt(2/N)
 ZERO_TOL = 300 * np.finfo(float).eps        # compressed secular eigenvalue taken as zero,
@@ -34,31 +34,6 @@ AMBIGUOUS_TOL = 1000 * np.finfo(float).eps  # and up to here ambiguous, per unit
 MERGE_TOL = 1e-13      # roots this close, relative to their bracket, share null vectors
 NEAR = 1e-2            # finite-branch roots this close to a level (in pi / N) are refined
 CLUSTER_TOL = 1e-1     # roots this close to their level, in (2 pi / N)^2, join its Rayleigh-Ritz group
-
-
-def _cos_sin(m, den):
-    """cos and sin of pi m / den for integer m, exactly zero where they vanish."""
-    a = np.pi * m / den
-    return (np.where((2 * m) % (2 * den) == den, 0.0, np.cos(a)),
-            np.where(m % den == 0, 0.0, np.sin(a)))
-
-
-def _green_theta(d, j, phi, N):
-    """g(d; cos theta) at theta = pi j / N + phi, |phi| < pi / N, with phi first
-    moved to the nearest multiple of pi / N (exactly, by Sterbenz)."""
-    shift = np.rint(phi * (N / np.pi)).astype(int)
-    j, phi = j + shift, phi - shift * (np.pi / N)
-    cm, sm = _cos_sin((j * (N - 2 * d)) % (4 * N), 2 * N)
-    cr, sr = _cos_sin(j, N)
-    y, half = (N / 2.0 - d) * phi, N * phi / 2.0
-    sin_half = np.where(j % 2 == 0, np.sin(half), np.cos(half)) * np.where(j % 4 >= 2, -1.0, 1.0)
-    return -(cm * np.cos(y) - sm * np.sin(y)) / ((sr * np.cos(phi) + cr * np.sin(phi)) * sin_half)
-
-
-def _gaps_theta(j, phi, N):
-    """x - c_k for every level k <= N/2 at x = cos(pi j / N + phi), as products."""
-    k2, half = 2 * np.arange(N // 2 + 1), np.pi / (2 * N)
-    return -2.0 * np.sin(half * (j + k2) + phi / 2) * np.sin(half * (j - k2) + phi / 2)
 
 
 def _regular_green(gaps, ref, N):

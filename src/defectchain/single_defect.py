@@ -45,7 +45,7 @@ from .homogeneous import (SiteProfile, distance_powers, green_profile,
                           green_profiles, steady_moment, steady_profile,
                           time_blocks)
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .spectral import DefectDenominator, PoleSet, find_poles
+from .spectral import PoleSet, find_poles
 
 NORM_TOL = 1e-8
 
@@ -123,16 +123,16 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
     defect = DefectSpec(nd, float(defect.q))
     if defect.q == 0.0:
         empty = np.empty(0)
-        poles = PoleSet(empty, empty, np.empty(0, dtype=np.int8))
+        poles = PoleSet(empty, empty, np.empty(0, dtype=np.int8), np.empty(0, dtype=int), empty)
         modes = np.cos(2.0 * np.pi * np.arange(spec.N) / spec.N)
         return DefectSystem(spec, defect, poles, empty, empty, modes,
                             np.empty((spec.N, 0)))
-    denom = DefectDenominator.from_physical(spec, nd, defect.q)
     checker = None
     if validate:
         from .oracle import defect_pole_positions
         checker = lambda: defect_pole_positions(spec, nd, defect.q)
-    poles = find_poles(denom, validate=checker)
+    poles = find_poles(spec.N, defect.q / (2.0 * spec.gamma),
+                       periodic_distance(nd, spec.n0, spec.N), validate=checker)
     x = poles.x_retained
     f = poles.f_retained
     modes = np.cos(2.0 * np.pi * np.arange(spec.N) / spec.N)
@@ -197,7 +197,7 @@ def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
     return occupation_defect_series(system, [t])[0]
 
 
-def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
+def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int, own=None):
     """Site sums behind the steady corrections, before their prefactors.
 
     For mode denominators C (N, J) and pole weights w (J,) returns
@@ -205,7 +205,8 @@ def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
         K_n = sum_j w_j^2 |Z_j(n)|^2 + sum_k S_k^2 + sum_k' S_k^2 cos(4 pi k (n-nd)/N)
     with S_k = sum_j w_j / C_k(x_j), Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j)
     and k' the k2 = N - k1 branch 1..N-1 without the k = N/2 overlap with
-    the diagonal branch for even N.
+    the diagonal branch for even N.  own = (k_j, C_j), when given, replaces
+    C at each pole's own level k_j and at its mirror mode N - k_j.
 
     Every sum over k is a discrete Fourier transform: Z_j for all poles is
     one inverse FFT of 1/C along the modes, taken over column blocks of at
@@ -214,7 +215,15 @@ def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
     (2n - n0 - nd) mod N and 2(n - nd) mod N.
     """
     N, J = C.shape
-    Sk = (w[None, :] / C).sum(axis=1)        # (N,)
+
+    def own_level(A, cols, num):
+        """A = num / C[:, cols], with C taken from `own` at the own levels."""
+        if own is not None:
+            k, j = own[0][cols], np.arange(A.shape[1])
+            A[k, j] = A[(N - k) % N, j] = num / own[1][cols]
+        return A
+
+    Sk = own_level(w[None, :] / C, slice(None), w).sum(axis=1)        # (N,)
     k = np.arange(N)
     n = np.arange(N)
     half = Sk.copy()                         # S_k on the k' branch, zero elsewhere
@@ -227,7 +236,7 @@ def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int):
 
     T1 = np.zeros(N)
     for block in time_blocks(J, N):
-        Z = np.fft.ifft(1.0 / C[:, block], axis=0, norm="forward")
+        Z = np.fft.ifft(own_level(1.0 / C[:, block], block, 1.0), axis=0, norm="forward")
         T1 += (Z.real ** 2 + Z.imag ** 2) @ (w[block] ** 2)
     T2 = float(Sk @ Sk)
     T3 = np.fft.fft(half * Sk).real[2 * (n - nd) % N]
@@ -243,13 +252,16 @@ def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
                           + sum_k' S_k^2 cos(4 pi k (n-nd)/N) ]
     with C_k(x_j) = gamma (cos(2 pi k/N) - x_j), S_k = sum_j f_j / C_k(x_j),
     Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j), and k' the half-band
-    range without the even-N overlap mode.
+    range without the even-N overlap mode.  At each pole's own level C is
+    -gamma times the solver's offset x_j - c_k: a pole within rounding of
+    its level would otherwise lose its digits to the subtraction.
     """
-    spec, q = system.spec, system.defect.q
+    spec, q, poles = system.spec, system.defect.q, system.poles
     N = spec.N
     if q == 0.0 or system.x.size == 0:
         return np.zeros(N), np.zeros(N)
-    I, K = _steady_pole_sums(system.cmat, system.f, spec.n0, system.defect.nd)
+    own = (poles.level[poles.retained], -spec.gamma * poles.offset[poles.retained])
+    I, K = _steady_pole_sums(system.cmat, system.f, spec.n0, system.defect.nd, own)
     return (q / N ** 2) * I, (q ** 2 / (4.0 * N ** 2)) * K
 
 

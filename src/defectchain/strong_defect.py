@@ -24,7 +24,17 @@ import numpy as np
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
 from .single_defect import _steady_pole_sums
-from .spectral import strong_defect_nodes
+
+
+def strong_defect_nodes(N: int):
+    """Angles theta_k = pi (2k - 1) / N and nodes x_k = cos(theta_k), the
+    poles of the infinite-strength limit; k runs to N/2 for even N and
+    (N-1)/2 for odd N."""
+    if N < 3:
+        raise ValueError(f"N must be >= 3, got {N}")
+    k = np.arange(1, N // 2 + 1)
+    theta = np.pi * (2 * k - 1) / N
+    return theta, np.cos(theta)
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,42 @@ def test_two_mode_large_ring_symmetric_pair(tmp_path):
                     "--out", str(tmp_path / "big.csv")]) == 0
 
 
+def _dense_steady(N, n0, nd, q):
+    """Long-time average of P_n from a dense eigh of the ring, one block per
+    parity under the reflection n -> 2 nd - n: the defect's levels sit ~q/N
+    from the free ones of the other parity, closer than eigh can resolve
+    the eigenvectors of one matrix, while every level of a block is simple."""
+    n, m = np.arange(N), np.arange(N // 2 + 1)
+    H = np.zeros((N, N))
+    H[n, (n + 1) % N] = H[(n + 1) % N, n] = 1.0
+    H[nd, nd] += q
+    out = np.zeros(N)
+    for parity in (1.0, -1.0):
+        B = np.zeros((N, m.size))
+        B[(nd + m) % N, m] += 1.0
+        B[(nd - m) % N, m] += parity
+        norm = np.linalg.norm(B, axis=0)
+        B = B[:, norm > 0] / norm[norm > 0]
+        V = B @ np.linalg.eigh(B.T @ H @ B)[1]
+        out += ((V * V[n0]) ** 2).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("N, n0, nd, q", [(50, 2, 4, 1e-7), (5, 0, 2, -0.8), (51, 3, 10, -1e-12),
+                                          (400, 5, 100, 1e-11)])
+def test_single_small_q_and_odd_band_edge(tmp_path, N, n0, nd, q):
+    # small |q| drifted off normalization (C_k = gamma (c_k - x_j) cancelled next
+    # to a level; at N=50, q=1e-7 the oracle columns are skipped, DegeneracyAmbiguity),
+    # and q / 2 gamma = -2/N on an odd ring raised NonSimplePole
+    out = tmp_path / "single.csv"
+    assert run_cli(["single", "--N", str(N), "--n0", str(n0), "--nd", str(nd),
+                    f"--q={q!r}", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    prof = np.array([float(r[8]) for r in rows if r[0] == "steady_occupation" and r[9] == "analytic"])
+    assert prof.size == N
+    assert np.max(np.abs(prof - _dense_steady(N, n0, nd, q))) < 1e-12
+
+
 def test_solver_error_exit_two():
     # duplicate defect sites surface as a solver error
     assert run_cli(["two", "--N", "8", "--nd", "2", "--nd", "10",

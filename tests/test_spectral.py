@@ -1,86 +1,43 @@
 import numpy as np
 import pytest
 
-from defectchain.errors import NonSimplePole, PoleCountMismatch
-from defectchain.lattice import LatticeSpec
+from defectchain.errors import PoleCountMismatch
+from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import defect_pole_positions
-from defectchain.spectral import (ChebyshevKind, DefectDenominator, PoleClass,
-                                  _inband_g, _inband_g_deriv, _safeguarded_newton,
-                                  cheb_eval, cheb_u_with_derivative, find_poles,
-                                  green_laplace, strong_defect_nodes)
-
-T, U, V = ChebyshevKind.FIRST, ChebyshevKind.SECOND, ChebyshevKind.THIRD
+from defectchain.spectral import (PoleClass, _safeguarded_newton, find_poles,
+                                  green_laplace)
+from defectchain.strong_defect import strong_defect_nodes
 
 
-def test_cheb_eval_examples():
-    assert cheb_eval(T, 0, 0.7) == 1.0
-    assert abs(cheb_eval(T, 5, np.cos(0.3)) - np.cos(1.5)) < 1e-14
-    assert abs(cheb_eval(U, 3, 0.5) - (-1.0)) < 1e-14
+def _poles(spec, nd, q):
+    return find_poles(spec.N, q / (2.0 * spec.gamma), periodic_distance(nd, spec.n0, spec.N))
 
 
-def test_cheb_eval_trig_forms():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        m = int(rng.integers(0, 40))
-        th = float(rng.uniform(0.05, np.pi - 0.05))
-        x = np.cos(th)
-        assert abs(cheb_eval(T, m, x) - np.cos(m * th)) < 1e-11
-        assert abs(cheb_eval(U, m, x) - np.sin((m + 1) * th) / np.sin(th)) < 1e-10
-        assert abs(cheb_eval(V, m, x) - np.cos((m + 0.5) * th) / np.cos(th / 2)) < 1e-10
+def _ring_x(N, nd, s):
+    """The defected ring in the pole variable x = -E / 2 gamma."""
+    i = np.arange(N)
+    Hx = np.zeros((N, N))
+    Hx[i, (i + 1) % N] = Hx[(i + 1) % N, i] = 0.5
+    Hx[nd, nd] = s
+    return Hx
 
 
-@pytest.mark.parametrize("N", [3, 4, 7, 12, 25, 50])
-def test_identity_banded_u(N):
-    # (x^2 - 1) U_{N-1}(x) == T_{N+1}(x) - x T_N(x)
-    rng = np.random.default_rng(N)
-    x = rng.uniform(-1.2, 1.2, size=100)
-    lhs = (x * x - 1.0) * cheb_eval(U, N - 1, x)
-    rhs = cheb_eval(T, N + 1, x) - x * cheb_eval(T, N, x)
-    assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-12
+def _spectrum_from_poles(N, poles):
+    """All N levels: the poles plus one free level c_k (0 < k < N/2) per
+    doubled level, the mode that vanishes on the defect site."""
+    k = np.arange(1, (N - 1) // 2 + 1)
+    return np.sort(np.concatenate([poles.x, np.cos(2.0 * np.pi * k / N)]))
 
 
-@pytest.mark.parametrize("N", [4, 6, 12, 50, 5, 9, 25, 55])
-def test_tn_plus_one_factorization(N):
-    # T_N + 1 = 2 T_{N/2}^2 (even N) and (1 + x) V_{(N-1)/2}^2 (odd N);
-    # the even branch carries a factor 2 on top of the bare square
-    rng = np.random.default_rng(N + 1)
-    x = rng.uniform(-1.0, 1.0, size=50)
-    tn1 = cheb_eval(T, N, x) + 1.0
-    if N % 2 == 0:
-        fac = 2.0 * cheb_eval(T, N // 2, x) ** 2
-    else:
-        fac = (1.0 + x) * cheb_eval(V, (N - 1) // 2, x) ** 2
-    assert np.max(np.abs(tn1 - fac) / (1.0 + np.abs(tn1))) < 1e-12
-
-
-def test_u_derivative_against_finite_differences():
-    rng = np.random.default_rng(5)
-    for m in (1, 4, 11):
-        x = rng.uniform(-0.9, 0.9, size=20)
-        _, du = cheb_u_with_derivative(m, x)
-        h = 1e-6
-        fd = (cheb_eval(U, m, x + h) - cheb_eval(U, m, x - h)) / (2 * h)
-        assert np.max(np.abs(du - fd)) < 1e-4
-
-
-def test_defect_denominator_examples():
-    # q = 0: zeros at the Chebyshev-U nodes
-    den = DefectDenominator(6, 0.0, 2)
-    for k in range(1, 6):
-        assert abs(den.value(np.cos(k * np.pi / 6))) < 1e-13
-    den4 = DefectDenominator(4, 0.0, 1)
-    u3 = cheb_eval(U, 3, 0.3)
-    assert abs(den4.value(0.3) - (0.3 ** 2 - 1.0) * u3) < 1e-14
-    den_band = DefectDenominator(4, 0.5, 1)
-    assert abs(den_band.value(1.0) - (-1.0)) < 1e-14
-
-
-def test_defect_denominator_derivative():
-    den = DefectDenominator(9, 0.7, 3)
-    h = 1e-6
-    for x in (-0.83, 0.12, 1.4):
-        fd = (den.value(x + h) - den.value(x - h)) / (2 * h)
-        assert abs(den.derivative(x) - fd) < 1e-4 * max(1.0, abs(fd))
+def _secular_residual(N, s, poles):
+    """|1 - s g(0; x_j)| over the scale of its terms, with each pole's own
+    level gap taken from its offset."""
+    k = np.arange(N // 2 + 1)
+    w = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
+    gaps = poles.x[:, None] - np.cos(2.0 * np.pi * k / N)[None, :]
+    gaps[np.arange(len(poles)), poles.level] = poles.offset
+    terms = s * w / gaps
+    return np.abs(1.0 - terms.sum(axis=1)) / (1.0 + np.abs(terms).sum(axis=1))
 
 
 def test_strong_defect_nodes():
@@ -102,61 +59,57 @@ def test_find_poles_against_spectrum_oracle():
         q = float(rng.uniform(-10, 10)) or 0.5
         n0, nd = int(rng.integers(0, N)), int(rng.integers(0, N))
         spec = LatticeSpec(N, gamma, n0)
-        den = DefectDenominator.from_physical(spec, nd, q)
-        poles = find_poles(den, validate=lambda: defect_pole_positions(spec, nd, q))
-        # residue sum rule: partial fractions of P/Q give sum f_j = delta_{d,0}
-        assert abs(poles.f.sum() - (1.0 if den.dist == 0 else 0.0)) < 1e-9
-        assert len(poles) == N + 1
+        d = periodic_distance(nd, n0, N)
+        poles = find_poles(N, q / (2.0 * gamma), d,
+                           validate=lambda: defect_pole_positions(spec, nd, q))
+        # residue sum rule: sum_j v_j(nd) v_j(n0) = delta_{d,0} over the modes seen at nd
+        assert abs(poles.f.sum() - (1.0 if d == 0 else 0.0)) < 1e-9
+        assert len(poles) == N // 2 + 1
 
 
 def test_find_poles_polish_residual():
     spec = LatticeSpec(30, 1.0, 4)
     for q in (0.3, -2.0, 7.0, 300.0):
-        den = DefectDenominator.from_physical(spec, 11, q)
-        poles = find_poles(den)
-        resid = np.abs(den.value(poles.x_retained))
-        scale = den.value_scale(poles.x_retained)
-        assert np.all(resid < 1e-12 * np.maximum(scale, 1e-30))
+        poles = _poles(spec, 11, q)
+        assert np.all(_secular_residual(30, q / 2.0, poles) < 1e-14)
 
 
 def test_find_poles_small_q_continuity():
-    # q -> 0+: in-band poles converge to the q = 0 factorization nodes
-    spec = LatticeSpec(6, 1.0, 0)
-    den = DefectDenominator.from_physical(spec, 2, 1e-9)
-    got = np.sort(find_poles(den).x)
-    nodes = np.sort(np.concatenate([np.cos(np.arange(1, 6) * np.pi / 6), [-1.0, 1.0]]))
-    assert got.size == nodes.size
-    assert np.max(np.abs(got - nodes)) < 1e-4
+    # q -> 0+: every pole sits next to its level, shifted by first-order
+    # perturbation theory, s |v_k(nd)|^2 = s w_k (1/N for a single level, 2/N doubled)
+    N, s = 6, 0.5e-9
+    poles = find_poles(N, s, 2)
+    k = np.arange(N // 2 + 1)
+    assert np.array_equal(np.sort(poles.level), k)
+    w = np.where((poles.level == 0) | (2 * poles.level == N), 1.0, 2.0) / N
+    assert np.max(np.abs(poles.offset / (s * w) - 1.0)) < 1e-6
+    assert np.max(np.abs(poles.x - np.cos(2.0 * np.pi * poles.level / N))) < 1e-9
 
 
 def test_find_poles_continuity_under_strength_steps():
-    # each pole moves by ~ dq * (T_N + 1) / (2 gamma Q') between nearby strengths
-    spec = LatticeSpec(14, 1.0, 3)
-    qs = np.linspace(1.0, 1.2, 9)
+    # each pole moves by ~ ds v_j(nd)^2 between nearby strengths (Hellmann-Feynman),
+    # v_j(nd)^2 being the residue for a start on the defect; every step agrees with eigvalsh
+    N, nd = 14, 8
     prev = None
-    for q in qs:
-        den = DefectDenominator.from_physical(spec, 8, float(q))
-        poles = find_poles(den)
-        x = poles.x_retained
+    for q in np.linspace(1.0, 1.2, 9):
+        s = float(q) / 2.0
+        x = find_poles(N, s, 0).x
+        assert np.allclose(_spectrum_from_poles(N, find_poles(N, s, 0)),
+                           np.linalg.eigvalsh(_ring_x(N, nd, s)), atol=1e-13)
         if prev is not None:
-            dq = float(q - prev_q)
-            tn1 = cheb_eval(T, spec.N, prev) + 1.0
-            predicted = np.abs(dq * tn1 / (2.0 * spec.gamma * prev_den.derivative(prev)))
-            moved = np.abs(x - prev)
-            assert np.all(moved <= 2.0 * predicted + 1e-8)
-        prev, prev_q, prev_den = x, q, den
+            predicted = np.abs(s - prev_s) * prev.f
+            assert np.all(np.abs(x - prev.x) <= 2.0 * predicted + 1e-12)
+        prev, prev_s = find_poles(N, s, 0), s
 
 
 def test_find_poles_bound_state_window():
     spec = LatticeSpec(50, 1.0, 2)
-    den = DefectDenominator.from_physical(spec, 2, 20.0)
-    poles = find_poles(den)
+    poles = _poles(spec, 2, 20.0)
     bound = poles.x[poles.kind == PoleClass.BOUND_STATE]
     assert bound.size == 1
     assert 1.0 < bound[0] <= 1.0 + 20.0 / 2.0     # Gershgorin-type window
     # attractive vs repulsive side
-    den_neg = DefectDenominator.from_physical(spec, 2, -20.0)
-    bound_neg = find_poles(den_neg)
+    bound_neg = _poles(spec, 2, -20.0)
     b = bound_neg.x[bound_neg.kind == PoleClass.BOUND_STATE]
     assert b.size == 1 and b[0] < -1.0
 
@@ -164,34 +117,22 @@ def test_find_poles_bound_state_window():
 def test_find_poles_odd_N_shallow_negative_q_keeps_level_in_band():
     # for odd N the repulsive level leaves the band only past |q| = 4 gamma / N
     spec = LatticeSpec(9, 1.0, 0)
-    poles = find_poles(DefectDenominator.from_physical(spec, 3, -0.2))
-    assert poles.bound_count == 0
-    poles2 = find_poles(DefectDenominator.from_physical(spec, 3, -3.0))
-    assert poles2.bound_count == 1
-
-
-def test_find_poles_discarded_are_odd_nodes():
-    spec = LatticeSpec(12, 1.0, 5)
-    poles = find_poles(DefectDenominator.from_physical(spec, 7, 1.3))
-    disc = np.sort(poles.x[poles.kind == PoleClass.DISCARDED])
-    _, nodes = strong_defect_nodes(12)
-    assert np.allclose(disc, np.sort(nodes), atol=1e-14)
-    assert np.allclose(poles.f[poles.kind == PoleClass.DISCARDED], 0.0)
+    assert _poles(spec, 3, -0.2).bound_count == 0
+    assert _poles(spec, 3, -3.0).bound_count == 1
 
 
 def test_find_poles_errors():
     spec = LatticeSpec(8, 1.0, 0)
-    den = DefectDenominator.from_physical(spec, 3, 0.0)
     with pytest.raises(ValueError):
-        find_poles(den)
+        _poles(spec, 3, 0.0)
     # an oracle that disagrees must raise
-    den_ok = DefectDenominator.from_physical(spec, 3, 1.0)
     with pytest.raises(PoleCountMismatch):
-        find_poles(den_ok, validate=lambda: np.array([0.0, 1.0]))
-    # odd N at q / 2 gamma = -2/N: the repulsive level sits exactly on x = -1
-    spec9 = LatticeSpec(5, 1.0, 0)
-    with pytest.raises(NonSimplePole):
-        find_poles(DefectDenominator.from_physical(spec9, 2, -4.0 / 5.0))
+        find_poles(8, 0.5, 3, validate=lambda: np.array([0.0, 1.0]))
+    # odd N at q / 2 gamma = -2/N: the repulsive level sits on x = -1, a simple root
+    poles = _poles(LatticeSpec(5, 1.0, 0), 2, -4.0 / 5.0)
+    assert len(poles) == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
+    assert np.allclose(_spectrum_from_poles(5, poles),
+                       np.linalg.eigvalsh(_ring_x(5, 2, -0.4)), atol=1e-14)
 
 
 def test_green_laplace_matches_mode_sum():
@@ -206,50 +147,68 @@ def test_green_laplace_matches_mode_sum():
         assert abs(green_laplace(spec, a, b, eps) - direct) < 1e-12 * max(1.0, abs(direct))
 
 
-def _inband_brackets(N, q2g):
-    theta = np.linspace(0.0, np.pi, 8 * N + 1)
-    gv = _inband_g(theta, N, q2g)
-    i = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
-    return theta[i], theta[i + 1], gv[i]
+def _band_secular(N, s):
+    """The in-band secular equation in theta offsets phi from the level of
+    each half interval, on its analytic bracket (0, pi / N)."""
+    K, up = N // 2, s > 0
+    sig, theta = (-1.0 if up else 1.0), 2.0 * np.pi * (np.arange(K) + up) / N
+
+    def fn(idx, phi):
+        t, a = theta[idx] + sig * phi, N * phi / 2.0
+        return (sig * np.sin(t) * np.sin(a) + s * np.cos(a),
+                np.cos(t) * np.sin(a) + N / 2.0 * (sig * np.sin(t) * np.cos(a) - s * np.sin(a)))
+
+    return fn, np.zeros(K), np.full(K, np.pi / N), np.full(K, up)
 
 
 @pytest.mark.parametrize("N, q2g", [(7, 0.3), (50, -2.0), (200, 0.05), (201, -7.5), (800, 3e3)])
 def test_batched_newton_equals_one_bracket_at_a_time(N, q2g):
-    # the element-wise polish gives every root the bits it gets alone (0-d)
-    fn = lambda th: _inband_g(th, N, q2g)
-    dfn = lambda th: _inband_g_deriv(th, N, q2g)
-    lo, hi, flo = _inband_brackets(N, q2g)
-    batch = _safeguarded_newton(fn, dfn, lo, hi, flo)
-    single = [_safeguarded_newton(fn, dfn, np.array(a), np.array(b), np.array(c))
-              for a, b, c in zip(lo, hi, flo)]
-    assert all(s.shape == () for s in single)
+    # the element-wise polish gives every root the bits it gets alone
+    fn, lo, hi, pos = _band_secular(N, q2g)
+    batch = _safeguarded_newton(fn, lo, hi, pos)
+    single = [_safeguarded_newton(lambda idx, z, i=i: fn(idx + i, z), lo[i:i + 1], hi[i:i + 1],
+                                  pos[i:i + 1])[0] for i in range(lo.size)]
     assert batch.shape == lo.shape and np.array_equal(batch, np.array(single))
+    # and each is a root inside its half interval
+    assert np.all((0.0 < batch) & (batch < np.pi / N))
+    assert np.max(np.abs(fn(np.arange(lo.size), batch)[0])) < 1e-13 * (1.0 + abs(q2g))
 
 
 def test_batched_newton_stop_rules_per_element():
     # element 0 hits fn == 0 exactly at its midpoint, element 1 has a zero
     # slope everywhere (pure bisection), element 2 is ordinary Newton
-    fn = lambda z: np.where(z < 1.5, z - 0.5, np.where(z < 3.5, np.sign(z - 2.7), z * z - 20.0))
-    dfn = lambda z: np.where(z < 1.5, 1.0, np.where(z < 3.5, 0.0, 2.0 * z))
+    def fn(idx, z):
+        return (np.where(z < 1.5, z - 0.5, np.where(z < 3.5, np.sign(z - 2.7), z * z - 20.0)),
+                np.where(z < 1.5, 1.0, np.where(z < 3.5, 0.0, 2.0 * z)))
+
     lo, hi = np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0])
-    batch = _safeguarded_newton(fn, dfn, lo, hi, fn(lo))
-    single = [_safeguarded_newton(fn, dfn, lo[i], hi[i], fn(lo[i])) for i in range(3)]
+    pos = fn(None, lo)[0] > 0
+    batch = _safeguarded_newton(fn, lo, hi, pos)
+    single = [_safeguarded_newton(fn, lo[i:i + 1], hi[i:i + 1], pos[i:i + 1])[0] for i in range(3)]
     assert np.array_equal(batch, np.array(single))
     assert batch[0] == 0.5 and abs(batch[1] - 2.7) < 1e-14 and abs(batch[2] - 20.0 ** 0.5) < 1e-14
 
 
 @pytest.mark.parametrize("N", [3, 9, 129, 301])
 def test_odd_N_level_inside_last_grid_cell(N):
-    # just above q / 2 gamma = -2/N the repulsive level sits in band within
-    # one grid cell of theta = pi, where g also has its q-independent root
+    # just above q / 2 gamma = -2/N the repulsive level sits in band, within
+    # pi / (8N) of theta = pi, next to the odd node x = -1
     for gap in (1e-2, 1e-4, 1e-6):
         q2g = -2.0 / N * (1.0 - gap)
-        spec = LatticeSpec(N, 1.0, 0)
-        poles = find_poles(DefectDenominator.from_physical(spec, 1, 2.0 * q2g))
-        assert poles.bound_count == 0 and len(poles) == N + 1
-        i = np.arange(N)
-        Hx = np.zeros((N, N))
-        Hx[i, (i + 1) % N] = Hx[(i + 1) % N, i] = 0.5
-        Hx[1, 1] = q2g
-        levels = np.linalg.eigvalsh(Hx)
+        poles = find_poles(N, q2g, 1)
+        assert poles.bound_count == 0 and len(poles) == N // 2 + 1
+        levels = np.linalg.eigvalsh(_ring_x(N, 1, q2g))
         assert np.max(np.min(np.abs(poles.x_retained[:, None] - levels), axis=1)) < 1e-10
+
+
+@pytest.mark.parametrize("edge", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-2, -1e-2])
+@pytest.mark.parametrize("N", [3, 5, 9, 129, 301])
+def test_odd_N_band_edge_matches_eigvalsh(N, edge):
+    # 1 + N q / 4 gamma = edge: the repulsive level crosses x = -1 at edge = 0,
+    # where the old denominator had a double root; the secular equation has none
+    s = 2.0 * (edge - 1.0) / N
+    poles = find_poles(N, s, 2 % N)
+    assert len(poles) == N // 2 + 1 and poles.bound_count == (edge < 0)
+    want = np.linalg.eigvalsh(_ring_x(N, 0, s))
+    assert np.max(np.abs(_spectrum_from_poles(N, poles) - want)) < 1e-10 * (1.0 + abs(s))
+    assert np.all(_secular_residual(N, s, poles) < 1e-13)
