@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -86,6 +87,13 @@ class ResultTable:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError, and reads a negative number in exponent form
+    (--q -1e-12) as a value where argparse would take it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 

@@ -14,7 +14,8 @@ class ConfigError(DefectChainError):
 
 
 class PoleCountMismatch(DefectChainError):
-    """Root search found a different pole count than the spectrum implies."""
+    """Root search disagrees with the spectrum: a negative root count in an
+    interval (M defects) or levels off the dense spectrum (validate=True)."""
 
 
 class NonSimplePole(DefectChainError):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DuplicateDefectSite, NonSimplePole, NotConverged, PoleCountMismatch
 from .homogeneous import green_profile, time_blocks
 from .lattice import LatticeSpec, periodic_distances, site_index
-from .single_defect import DefectSpec, _check_normalized
+from .single_defect import DefectSpec, _check_normalized, eigen_amplitudes
 from .spectral import _cos_sin, _gaps_theta, _green_theta, ring_green
 
 RANK_TOL = 1e-8        # rank cut for level modes on the defect sites, relative to sqrt(2/N)
@@ -241,10 +241,8 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
 def two_defect_occupation_series(system: MultiDefectSystem, times) -> np.ndarray:
     """P_n(t) rows, shape (len(times), N); NormalizationDrift if a row drifts."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    P = np.empty((times.size, system.spec.N))
-    for block in time_blocks(times.size, system.spec.N + system.x.size):
-        phase = 2.0 * system.spec.gamma * times[block, None] * system.x
-        P[block] = (np.cos(phase) @ system.weights) ** 2 + (np.sin(phase) @ system.weights) ** 2
+    psi = eigen_amplitudes(system.x, system.weights, system.spec.gamma, times)
+    P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "multi-defect probability", times)
     return P
 

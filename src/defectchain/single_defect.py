@@ -1,36 +1,29 @@
-"""Finite-strength single defect: the response series Phi(t), the convolution
-amplitude, time-resolved and steady corrections, and the defected moments.
+"""Finite-strength single defect in eigenvector form: the response series
+Phi(t), time-resolved and steady occupations, and the defected moments.
 
-The wave function splits as psi(n, t) = G(n, n0, t) + A(n, nd, t), where A
-convolves the free propagator from the defect site with the defect response
-Phi.  Expanding G in lattice modes turns the convolution into closed form:
-the kernel for one (mode, pole) pair is
+Reflection through the defect site nd commutes with the defected ring, so
+every level is even or odd about nd.  An odd mode vanishes on nd and keeps
+its free level c_k (0 < k < N/2).  The N//2 + 1 even levels are the roots
+x_j of 1 = s g(0; x) (spectral.find_poles), with the rank-one-update
+eigenvectors v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| (Bunch, Nielsen &
+Sorensen 1978).  Each row g(.; x_j) is one inverse real FFT of 1 / (x_j - c_k),
+the gaps taken as (c_L - c_k) + delta_j from the level L the root was solved
+from and its exact offset delta_j, so a root within rounding of its level
+keeps its digits.  With the weight rows W_jn = v_j(n) v_j(n0),
 
-    E(c, x, t) = (exp(2 i gamma x t) - exp(2 i gamma c t)) / (2 i gamma (x - c)),
+    psi(n, t) = sum_j exp(2 i gamma x_j t) W_jn + (G(n, n0, t) - G(n, 2 nd - n0, t)) / 2,
 
-so with R_kj = 1 / (2 i gamma (x_j - c_k)) = 0.5j / cmat the mode amplitude
-of A is
+the second term being the odd part of the free propagator: a block of times
+costs one cos and one sin matrix product (eigen_amplitudes) and one FFT.
 
-    s_k(t) = sum_j R_kj w_j exp(2 i gamma x_j t) - exp(2 i gamma c_k t) sum_j R_kj w_j.
+No sector holds a degenerate pair, so the time average keeps the square of
+each level's amplitude.  Split as the free steady profile plus corrections,
 
-For a block of times that is one (T, J) @ (J, N) product plus T (N + J)
-exponentials; the two terms are combined per mode, so one inverse FFT per
-time brings A to the sites.  Where a pole and a level round to the same
-double (cmat == 0, met at |q| ~ 1e-14 to 1e-12) the pair takes its
-resonant limit t exp(2 i gamma c_k t) w_j.  A nearly resonant pair needs
-no switch: its weight w_j shrinks with the gap.
+    Kbar_n = sum_j W_jn^2 + sum_k e_k(n)^2,   Ibar_n = -2 sum_k e_k(n) (e_k(n) + o_k(n)),
 
-Times run in blocks bounded by homogeneous.BLOCK_ELEMENTS; every
-time-resolved observable -- A, P_n(t), Delta_p(t) -- is batched over times,
-and the single-time functions are views of one-row batches.
-
-Steady-state corrections follow from time-averaging: a frequency survives
-only when the mode pair (k1, k2) satisfies k1 = k2 or k1 + k2 = N.  For
-even N those two branches overlap at k1 = k2 = N/2; that pair is counted
-once.  Counting it twice shifts every site by -1/N^2 and breaks
-normalization by 1/N, which the exact-diagonalization cross-check rejects.
-The surviving mode sums are discrete Fourier transforms and are taken by
-FFT (see _steady_pole_sums).
+with e_k and o_k the even and odd parts about nd of the free level-k
+propagator; the level sums are closed forms (steady_sums) and Ibar does
+not depend on q.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NormalizationDrift
+from .errors import NormalizationDrift, PoleCountMismatch
 from .homogeneous import (SiteProfile, distance_powers, green_profile,
                           green_profiles, steady_moment, steady_profile,
                           time_blocks)
@@ -48,6 +41,7 @@ from .lattice import LatticeSpec, periodic_distance, site_index
 from .spectral import PoleSet, find_poles
 
 NORM_TOL = 1e-8
+LEVEL_TOL = 1e-8        # validate: root vs dense level, relative to 1 + |x|
 
 
 def _check_normalized(totals, what: str, times=None) -> None:
@@ -74,7 +68,7 @@ class DefectSpec:
 
 @dataclass(frozen=True)
 class PhiSeries:
-    """Defect response Phi(t) = sum_j w_j exp(2 i gamma x_j t), w_j = i q f_j."""
+    """Defect response Phi(t) = sum_j w_j exp(2 i gamma x_j t), w_j = i q W_j,nd."""
 
     x: np.ndarray
     weights: np.ndarray
@@ -89,19 +83,15 @@ class PhiSeries:
 
 @dataclass(frozen=True)
 class DefectSystem:
-    """Precomputed pole data for one (lattice, defect) pair."""
+    """One (lattice, defect) pair in spectral form: the even levels x_j
+    (x = -E / 2 gamma) and the weight rows W_jn = v_j(n) v_j(n0) of their
+    eigenvectors, fields named as in multi_defect.MultiDefectSystem."""
 
     spec: LatticeSpec
     defect: DefectSpec
     poles: PoleSet
-    x: np.ndarray            # retained pole positions
-    f: np.ndarray            # retained residues
-    modes: np.ndarray        # cos(2 pi k / N)
-    cmat: np.ndarray         # gamma (c_k - x_j), shape (N, J)
-
-    @property
-    def dist(self) -> int:
-        return periodic_distance(self.defect.nd, self.spec.n0, self.spec.N)
+    x: np.ndarray            # all N//2 + 1 roots, ascending
+    weights: np.ndarray      # shape (N//2 + 1, N)
 
     @cached_property
     def _steady(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,58 +102,100 @@ class DefectSystem:
         return Ibar, Kbar
 
 
+def _gap_table(level: np.ndarray, offset: np.ndarray, N: int) -> np.ndarray:
+    """x_j - c_k for x_j = c_L + offset_j and every level k <= N/2, shape
+    (J, N//2 + 1), with c_L - c_k = -2 sin(pi (L + k)/N) sin(pi (L - k)/N)
+    read from one table of sines: every gap keeps its relative accuracy and
+    the own level's gap is the offset itself."""
+    K = N // 2
+    m = np.arange(-K, N + 1)
+    sines = np.sin(np.pi * np.where(2 * m > N, N - m, m) / N)       # sin(pi m / N), m = -K..N
+    k = np.arange(K + 1)
+    return -2.0 * sines[level[:, None] + k + K] * sines[level[:, None] - k + K] + offset[:, None]
+
+
+def _weight_rows(gaps: np.ndarray, N: int, n0: int, nd: int) -> np.ndarray:
+    """W_jn = v_j(n) v_j(n0) for the even eigenvectors v_j(n) = g(n - nd; x_j)
+    / ||g(.; x_j)||, from the gap table x_j - c_k (k <= N/2), shape (J, N//2 + 1):
+    one inverse real FFT per block of rows."""
+    W = np.empty((gaps.shape[0], N))
+    d = (n0 - nd) % N
+    for b in time_blocks(gaps.shape[0], 2 * N):
+        g = np.fft.irfft(1.0 / gaps[b], N)                 # g(d; x_j), d = 0..N-1
+        g *= (g[:, d] / np.einsum("jn,jn->j", g, g))[:, None]
+        W[b, nd:], W[b, :nd] = g[:, :N - nd], g[:, N - nd:]
+    return W
+
+
+def _odd_levels(N: int) -> np.ndarray:
+    """The free levels c_k, 0 < k < N/2, that keep one mode odd about nd."""
+    return np.cos(2.0 * np.pi * np.arange(1, (N - 1) // 2 + 1) / N)
+
+
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
                         validate: bool = False) -> DefectSystem:
-    """Find the poles for one defect and cache the mode denominators.
+    """Find the even levels of one defect and their weight rows.
 
-    validate=True cross-checks the retained poles against the dense
-    diagonalization of the defected Hamiltonian.
+    validate=True checks that the roots plus the odd free levels are the
+    eigenvalues of the dense defected Hamiltonian, and raises
+    PoleCountMismatch where one differs by more than LEVEL_TOL (1 + |x|)
+    plus the dense solver's own rounding.
     """
-    nd = site_index(defect.nd, spec.N)
+    N = spec.N
+    nd = site_index(defect.nd, N)
     defect = DefectSpec(nd, float(defect.q))
     if defect.q == 0.0:
         empty = np.empty(0)
         poles = PoleSet(empty, empty, np.empty(0, dtype=np.int8), np.empty(0, dtype=int), empty)
-        modes = np.cos(2.0 * np.pi * np.arange(spec.N) / spec.N)
-        return DefectSystem(spec, defect, poles, empty, empty, modes,
-                            np.empty((spec.N, 0)))
-    checker = None
+        return DefectSystem(spec, defect, poles, empty, np.empty((0, N)))
+    s = defect.q / (2.0 * spec.gamma)
+    poles = find_poles(N, s, periodic_distance(nd, spec.n0, N))
     if validate:
-        from .oracle import defect_pole_positions
-        checker = lambda: defect_pole_positions(spec, nd, defect.q)
-    poles = find_poles(spec.N, defect.q / (2.0 * spec.gamma),
-                       periodic_distance(nd, spec.n0, spec.N), validate=checker)
-    x = poles.x_retained
-    f = poles.f_retained
-    modes = np.cos(2.0 * np.pi * np.arange(spec.N) / spec.N)
-    cmat = spec.gamma * (modes[:, None] - x[None, :])
-    return DefectSystem(spec, defect, poles, x, f, modes, cmat)
+        from .oracle import defect_levels
+        dense = defect_levels(spec, nd, defect.q)
+        mine = np.sort(np.append(poles.x, _odd_levels(N)))
+        tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))
+        if np.any(np.abs(mine - dense) > tol):
+            raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
+                                    f"(worst {np.max(np.abs(mine - dense)):.3g})")
+    return DefectSystem(spec, defect, poles, poles.x,
+                        _weight_rows(_gap_table(poles.level, poles.offset, N), N, spec.n0, nd))
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:
-    """Exponential series for Phi(t); empty when q = 0."""
-    return PhiSeries(system.x, 1j * system.defect.q * system.f, system.spec.gamma)
+    """Exponential series for Phi(t) = i q psi(nd, t); empty when q = 0."""
+    return PhiSeries(system.x, 1j * system.defect.q * system.weights[:, system.defect.nd],
+                     system.spec.gamma)
+
+
+def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) -> np.ndarray:
+    """sum_j exp(2 i gamma x_j t) weights_jn for a time grid, shape
+    (len(times), N): one cos and one sin matrix product per block of times."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty((times.size, weights.shape[1]), dtype=complex)
+    for block in time_blocks(times.size, weights.shape[1] + x.size):
+        phase = 2.0 * gamma * times[block, None] * x
+        out.real[block] = np.cos(phase) @ weights
+        out.imag[block] = np.sin(phase) @ weights
+    return out
+
+
+def _wave_functions(system: DefectSystem, times) -> tuple[np.ndarray, np.ndarray]:
+    """psi(n, t) and the free G(n, n0, t) for a time grid, shape (len(times), N) each."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    spec, nd = system.spec, system.defect.nd
+    G = green_profiles(spec, times)
+    if system.defect.q == 0.0:
+        return G, G
+    mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - nd)) % spec.N]     # G(n, 2 nd - n0, t)
+    return eigen_amplitudes(system.x, system.weights, spec.gamma, times) + 0.5 * (G - mirror), G
 
 
 def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
-    """A(n, nd, t) rows for a time grid, shape (len(times), N): the
-    defect-scattered part of the wave function."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    N, gamma = system.spec.N, system.spec.gamma
-    if system.x.size == 0:
-        return np.zeros((times.size, N), dtype=complex)
-    w = 1j * system.defect.q * system.f
-    resonant = system.cmat == 0.0
-    R = np.divide(0.5j, system.cmat, out=np.zeros(system.cmat.shape, dtype=complex),
-                  where=~resonant)
-    S = R @ w                                   # S_k = sum_j R_kj w_j
-    r = resonant @ w                            # weight of the poles on level k
-    s = np.empty((times.size, N), dtype=complex)
-    for block in time_blocks(times.size, N + system.x.size):
-        tt = times[block, None]
-        ex = np.exp(2j * gamma * tt * system.x) * w
-        s[block] = ex @ R.T - np.exp(2j * gamma * tt * system.modes) * (S - tt * r)
-    return np.roll(np.fft.ifft(s, axis=1), system.defect.nd, axis=1)
+    """A(n, nd, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
+    (len(times), N): the defect-scattered part of the wave function."""
+    psi, G = _wave_functions(system, times)
+    return psi - G
 
 
 def amplitude_profile(system: DefectSystem, t: float) -> np.ndarray:
@@ -184,10 +216,8 @@ def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
     """P_n(t) rows for a time grid, shape (len(times), N); each row must
     stay normalized."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    G = green_profiles(system.spec, times)
-    A = amplitude_profiles(system, times)
-    P = (G.real ** 2 + G.imag ** 2 + 2.0 * (np.conj(G) * A).real
-         + A.real ** 2 + A.imag ** 2)
+    psi = _wave_functions(system, times)[0]
+    P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)
     return P
 
@@ -197,72 +227,32 @@ def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
     return occupation_defect_series(system, [t])[0]
 
 
-def _steady_pole_sums(C: np.ndarray, w: np.ndarray, n0: int, nd: int, own=None):
-    """Site sums behind the steady corrections, before their prefactors.
+def steady_sums(weights: np.ndarray, N: int, n0: int, nd: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Ibar_n, Kbar_n) for even weight rows W_jn about nd: Ibar = -2 sum_k
+    e_k (e_k + o_k) and Kbar = sum_j W_jn^2 + sum_k e_k^2 (module docstring).
 
-    For mode denominators C (N, J) and pole weights w (J,) returns
-        I_n = sum_k cos(2 pi k (n0-nd)/N) S_k + sum_k' cos(2 pi k (2n-n0-nd)/N) S_k
-        K_n = sum_j w_j^2 |Z_j(n)|^2 + sum_k S_k^2 + sum_k' S_k^2 cos(4 pi k (n-nd)/N)
-    with S_k = sum_j w_j / C_k(x_j), Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j)
-    and k' the k2 = N - k1 branch 1..N-1 without the k = N/2 overlap with
-    the diagonal branch for even N.  own = (k_j, C_j), when given, replaces
-    C at each pole's own level k_j and at its mirror mode N - k_j.
-
-    Every sum over k is a discrete Fourier transform: Z_j for all poles is
-    one inverse FFT of 1/C along the modes, taken over column blocks of at
-    most BLOCK_ELEMENTS so the (N, J) temporaries stay bounded, and the two
-    k' sums are one length-N FFT each of the masked S_k and S_k^2, read at
-    (2n - n0 - nd) mod N and 2(n - nd) mod N.
+    With m = n - nd, d = n0 - nd and level weight w_k (1/N for k = 0, N/2,
+    else 2/N), e_k = w_k cos(2 pi k m/N) cos(2 pi k d/N) and o_k = w_k
+    sin(2 pi k m/N) sin(2 pi k d/N), so both level sums are read from
+    h(a) = sum_k w_k^2 cos(2 pi k a/N) = (2/N) [a = 0] - (1 + [N even] (-1)^a) / N^2.
     """
-    N, J = C.shape
-
-    def own_level(A, cols, num):
-        """A = num / C[:, cols], with C taken from `own` at the own levels."""
-        if own is not None:
-            k, j = own[0][cols], np.arange(A.shape[1])
-            A[k, j] = A[(N - k) % N, j] = num / own[1][cols]
-        return A
-
-    Sk = own_level(w[None, :] / C, slice(None), w).sum(axis=1)        # (N,)
-    k = np.arange(N)
-    n = np.arange(N)
-    half = Sk.copy()                         # S_k on the k' branch, zero elsewhere
-    half[0] = 0.0
-    if N % 2 == 0:
-        half[N // 2] = 0.0
-
-    const = float(Sk @ np.cos(2.0 * np.pi * k * (n0 - nd) / N))
-    cross = np.fft.fft(half).real[(2 * n - n0 - nd) % N]
-
-    T1 = np.zeros(N)
-    for block in time_blocks(J, N):
-        Z = np.fft.ifft(own_level(1.0 / C[:, block], block, 1.0), axis=0, norm="forward")
-        T1 += (Z.real ** 2 + Z.imag ** 2) @ (w[block] ** 2)
-    T2 = float(Sk @ Sk)
-    T3 = np.fft.fft(half * Sk).real[2 * (n - nd) % N]
-    return const + cross, np.roll(T1, nd) + T2 + T3
+    a = np.arange(N)
+    h = -(1.0 + (N % 2 == 0) * np.where(a % 2, -1.0, 1.0)) / N ** 2
+    h[0] += 2.0 / N
+    m, d = a - nd, n0 - nd
+    even = h[0] + h[2 * m % N] + h[2 * d % N]
+    minus = h[2 * (m - d) % N]
+    ee = 0.25 * even + 0.125 * (h[2 * (m + d) % N] + minus)
+    return -0.5 * (even + minus), np.einsum("jn,jn->n", weights, weights) + ee
 
 
 def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Long-time averages (Ibar_n, Kbar_n) from the pole sums.
-
-    Ibar_n = (q/N^2) sum_j f_j [ sum_k cos(2 pi k (n0-nd)/N)/C_k(x_j)
-                                 + sum_k' cos(2 pi k (2n-n0-nd)/N)/C_k(x_j) ]
-    Kbar_n = (q^2/4N^2) [ sum_j f_j^2 |Z_j(n)|^2 + sum_k S_k^2
-                          + sum_k' S_k^2 cos(4 pi k (n-nd)/N) ]
-    with C_k(x_j) = gamma (cos(2 pi k/N) - x_j), S_k = sum_j f_j / C_k(x_j),
-    Z_j(n) = sum_k e^{2 pi i k (n-nd)/N} / C_k(x_j), and k' the half-band
-    range without the even-N overlap mode.  At each pole's own level C is
-    -gamma times the solver's offset x_j - c_k: a pole within rounding of
-    its level would otherwise lose its digits to the subtraction.
-    """
-    spec, q, poles = system.spec, system.defect.q, system.poles
-    N = spec.N
-    if q == 0.0 or system.x.size == 0:
-        return np.zeros(N), np.zeros(N)
-    own = (poles.level[poles.retained], -spec.gamma * poles.offset[poles.retained])
-    I, K = _steady_pole_sums(system.cmat, system.f, spec.n0, system.defect.nd, own)
-    return (q / N ** 2) * I, (q ** 2 / (4.0 * N ** 2)) * K
+    """Long-time averages (Ibar_n, Kbar_n) of the interference and scattered
+    terms, so that Pbar = steady_profile + Ibar + Kbar; zero when q = 0."""
+    spec = system.spec
+    if system.defect.q == 0.0:
+        return np.zeros(spec.N), np.zeros(spec.N)
+    return steady_sums(system.weights, spec.N, spec.n0, system.defect.nd)
 
 
 def steady_occupation(system: DefectSystem) -> SiteProfile:
@@ -288,46 +278,3 @@ def steady_moment_defect(system: DefectSystem, p: int) -> float:
     Ibar, Kbar = system._steady
     dpow = distance_powers(system.spec, p)
     return steady_moment(p, system.spec) + float(dpow @ (Ibar + Kbar))
-
-
-# ---------------------------------------------------------------------------
-# Expanded four-index forms of the time-resolved corrections.  These restate
-# I and K as explicit mode-pair/pole sums (the shape the steady-state limit
-# is read off from) and exist to cross-validate the composed expressions;
-# cost grows like N^2 J^2, so keep N small.
-# ---------------------------------------------------------------------------
-
-def corrections_expanded(system: DefectSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    spec, q = system.spec, system.defect.q
-    N, gamma, n0, nd = spec.N, spec.gamma, spec.n0, system.defect.nd
-    if q == 0.0 or system.x.size == 0:
-        return np.zeros(N), np.zeros(N)
-    x, f, c = system.x, system.f, system.modes
-    C = system.cmat                                     # (N, J)
-    n = np.arange(N)
-    kk = np.arange(N)
-    ph_d = np.exp(2j * np.pi * np.outer(kk, n - nd) / N)   # (K, n)
-    ph_0 = np.exp(2j * np.pi * np.outer(kk, n - n0) / N)
-
-    # I_n: sum over (j, k1, k2) of (f_j / C_{k2}(x_j)) e^{iB} (e^{i beta t} - e^{-2 i C_{k1}(x_j) t})
-    beta = 2.0 * gamma * (c[None, :] - c[:, None])      # beta(k1, k2), (K1, K2)
-    term = np.zeros(N, dtype=complex)
-    for j in range(x.size):
-        osc = np.exp(1j * beta * t) - np.exp(-2j * C[:, j] * t)[:, None]   # (K1, K2)
-        M = (f[j] / C[:, j])[None, :] * osc                                # (K1, K2)
-        term += np.einsum("ab,an,bn->n", M, np.conj(ph_0), ph_d)
-    I = (q / N ** 2) * term.real
-
-    # K_n: sum over (j, r, k1, k2); note the crossed time arguments
-    # C_{k2}(x_j) and C_{k1}(x_r) in the oscillating bracket.
-    term = np.zeros(N, dtype=complex)
-    for j in range(x.size):
-        for r in range(x.size):
-            W = 2.0 * gamma * (x[j] - x[r])
-            osc = (np.exp(1j * W * t) + np.exp(-1j * beta * t)
-                   - np.exp(-2j * C[:, j] * t)[None, :]
-                   - np.exp(2j * C[:, r] * t)[:, None])
-            M = (f[j] * f[r]) / (C[:, j][:, None] * C[:, r][None, :]) * osc
-            term += np.einsum("ab,an,bn->n", M, ph_d, np.conj(ph_d))
-    K = (q ** 2 / (4.0 * N ** 2)) * term.real
-    return I, K

@@ -30,7 +30,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import PoleCountMismatch
 from .lattice import LatticeSpec, periodic_distance
 
 
@@ -168,7 +167,7 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
     return root
 
 
-def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12, validate=None) -> PoleSet:
+def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12) -> PoleSet:
     """The N//2 + 1 roots of 1 = s g(0; x) for one defect of strength
     s = q / 2 gamma, with residues for start and defect sites at ring
     distance dist, classified and sorted ascending.
@@ -180,10 +179,6 @@ def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12, validate=No
     phi = 0 and -sig sin(theta) at the odd node.  Root K is at x = c_L + side
     u, L = 0 or K, solved as side u (1/s - g_L(x)) = w_L with g_L the other
     levels' part of g(0; x) and w_L this level's weight: -w_L at u = 0.
-
-    validate, when given a callable returning the oracle pole positions
-    (ascending x values of spectrum classes that couple the defect site to
-    the start site), cross-checks the retained set against it.
     """
     if s == 0.0:
         raise ValueError("q must be nonzero; the defect-free case has no poles to find")
@@ -248,14 +243,4 @@ def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12, validate=No
                   g_d / (s * (weight / (gaps * gaps)).sum()))
     kind[np.abs(f) < f_tol * np.max(np.abs(f))] = PoleClass.DISCARDED
     order = np.argsort(x)
-    poles = PoleSet(x[order], f[order], kind[order], lev[order], delta[order])
-
-    if validate is not None:
-        oracle_x = np.sort(np.asarray(validate()))
-        mine = poles.x_retained
-        if oracle_x.size != mine.size:
-            raise PoleCountMismatch(
-                f"retained {mine.size} poles but the spectrum oracle has {oracle_x.size}")
-        if np.max(np.abs(oracle_x - mine) / (1.0 + np.abs(oracle_x))) > 1e-8:
-            raise PoleCountMismatch("retained pole positions disagree with the spectrum oracle")
-    return poles
+    return PoleSet(x[order], f[order], kind[order], lev[order], delta[order])

@@ -1,6 +1,6 @@
 """Infinite defect strength: the order-2 residue limit of the response
 series, the exact steady profile with its mirror-site enhancement, the
-limit corrections, and the limit moments.
+limit corrections from the node eigenvectors, and the limit moments.
 
 With the particle started on the defect site the limit is complete
 localization.  Otherwise the response becomes a q-independent series over
@@ -23,7 +23,8 @@ import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import _steady_pole_sums
+from .single_defect import _weight_rows, steady_sums
+from .spectral import _gaps_theta
 
 
 def strong_defect_nodes(N: int):
@@ -90,32 +91,24 @@ def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:
 
 
 def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Limit corrections (Ibar_n, Kbar_n) from the node sums.
+    """Limit corrections (Ibar_n, Kbar_n) from the node eigenvectors.
 
-    These are the q -> infinity limits of the finite-strength pole sums
-    under q f_j -> -gamma_tilde F_k, x_j -> cos theta_k:
-
-    Ibar_n = -(gamma_tilde / N^2) sum_l F_l [ sum_k cos(2 pi k (n0-nd)/N) / C_k(x_l)
-                                              + sum_k' cos(2 pi k (2n-n0-nd)/N) / C_k(x_l) ]
-    Kbar_n = (4 gamma^2 / N^4) [ sum_l F_l^2 |Z_l(n)|^2 + sum_k R_k^2
-                                 + sum_k' R_k^2 cos(4 pi k (n-nd)/N) ]
-    with R_k = sum_l F_l / C_k(x_l) and the same half-band mode range k'
-    as in the finite-q steady state.  Pbar + Ibar + Kbar reproduces
-    steady_profile_infinite_q exactly, for every geometry.
+    As q -> infinity the even levels about nd become the nodes x_l =
+    cos(theta_l), where g(0; x_l) = 0, with eigenvectors g(n - nd; x_l) that
+    vanish on nd, and a bound state whose weight at n0 != nd vanishes.
+    Their weight rows go into the same steady sums as at finite strength
+    (single_defect.steady_sums), so Ibar is the finite-strength Ibar (which
+    interference_closed_form_infinite_q restates away from mirror
+    collisions) and Pbar + Ibar + Kbar reproduces steady_profile_infinite_q,
+    for every geometry.
     """
-    N, gamma = spec.N, spec.gamma
+    N = spec.N
     nd = site_index(nd, N)
     if nd == spec.n0:
         raise ValueError("nd = n0 is the full-localization branch; no correction sums")
-    d = periodic_distance(nd, spec.n0, N)
-    theta, xl = strong_defect_nodes(N)
-    F = np.sin(d * theta) * np.sin(theta)
-    gt = 4.0 * gamma / N
-
-    ck = np.cos(2.0 * np.pi * np.arange(N) / N)
-    C = gamma * (ck[:, None] - xl[None, :])        # (N, L)
-    I, K = _steady_pole_sums(C, F, spec.n0, nd)
-    return -(gt / N ** 2) * I, (4.0 * gamma ** 2 / N ** 4) * K
+    j = 2 * np.arange(1, N // 2 + 1) - 1                  # theta_l = pi j / N
+    W = _weight_rows(_gaps_theta(j[:, None], 0.0, N), N, spec.n0, nd)
+    return steady_sums(W, N, spec.n0, nd)
 
 
 def interference_closed_form_infinite_q(spec: LatticeSpec, nd: int) -> np.ndarray:

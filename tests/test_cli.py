@@ -168,6 +168,24 @@ def test_oracle_check_weak_defect(tmp_path, q):
                     "--tsteps", "3", "--out", str(tmp_path / "o.csv")]) == 0
 
 
+def test_oracle_check_residue_cuts_cannot_disagree(tmp_path):
+    # the oracle and the root finder cut small residues separately, and
+    # disagreed here ("retained 21 poles but the spectrum oracle has 22", exit
+    # 2); validation now compares every level with the dense spectrum
+    assert run_cli(["oracle-check", "--N", "42", "--n0", "17", "--nd", "25", "--q=-233.07",
+                    "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_negative_exponent_strength(tmp_path):
+    # argparse took "-1e-12" for an option ("expected one argument", exit 1)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["single", "--N", "51", "--n0", "3", "--nd", "10"]
+    assert run_cli(args + ["--q", "-1e-12", "--out", str(a)]) == 0
+    assert run_cli(args + ["--q=-1e-12", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert ",-1e-12," in a.read_text()
+
+
 def test_sweep_threads_option_is_gone():
     assert run_cli(["single", "--N", "10", "--nd", "3", "--q", "1.0", "--threads", "2"]) == 1
 

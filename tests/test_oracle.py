@@ -8,7 +8,7 @@ from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_rate_matrix, barrier_walk_propagate,
                                 barrier_walk_steady, build_hamiltonian,
-                                defect_pole_positions, evolve_exact, occupation_exact,
+                                defect_levels, evolve_exact, occupation_exact,
                                 time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_occupation)
@@ -153,9 +153,12 @@ def test_barrier_not_converged():
 
 @pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])
 def test_weak_defect_pole_classes_match_find_poles(N, q):
-    # a nearly degenerate pair mixes by eps max|E| / gap, which gave spectator
-    # classes a rounding-size coupling that the 1e-12 relative cut kept
-    # ("retained 51 poles but the spectrum oracle has 59" at N=100)
+    # weak defects split each doubled level by ~q / N; the roots plus the odd
+    # free levels are the whole dense spectrum (validate=True checks it, and
+    # once raised "retained 51 poles but the spectrum oracle has 59" at N=100)
     spec = LatticeSpec(N, 1.0, 0)
-    system = build_defect_system(spec, DefectSpec(1, q), validate=True)   # raised before
-    assert system.poles.x_retained.size == defect_pole_positions(spec, 1, q).size
+    system = build_defect_system(spec, DefectSpec(1, q), validate=True)
+    k = np.arange(1, (N - 1) // 2 + 1)
+    levels = np.sort(np.append(system.x, np.cos(2.0 * np.pi * k / N)))
+    assert levels.size == N
+    assert np.max(np.abs(levels - defect_levels(spec, 1, q))) < 1e-12

@@ -1,24 +1,27 @@
-"""Property tests of the single-defect pole set and steady profile against a
-dense diagonalization of the defected ring, over N in [3, 300], either sign
-of q, and any start and defect sites: |q| in [1e-12, 1e8] for the poles and
-[1e-3, 1e4] for the steady profile."""
+"""Property tests of the single-defect pole set, time-resolved and steady
+profiles against a dense diagonalization of the defected ring, over N in
+[3, 300], |q| in [1e-12, 1e8] of either sign, and any start and defect
+sites.  The profiles are checked against the dense propagation split by
+reflection parity about the defect (parity_dense)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lattice import LatticeSpec
-from defectchain.single_defect import DefectSpec, build_defect_system, steady_occupation
+from defectchain.single_defect import (DefectSpec, build_defect_system, occupation_defect_series,
+                                       steady_corrections, steady_occupation)
+from parity_dense import dense_occupation, dense_steady_terms
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def rings(draw, log_q=(-3.0, 4.0)):
+def rings(draw):
     N = draw(st.integers(3, 300))
     n0 = draw(st.integers(0, N - 1))
     nd = draw(st.integers(0, N - 1))
-    q = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(*log_q))
+    q = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-12.0, 8.0))
     gamma = draw(st.sampled_from((1.0, 0.7, 1.3)))
     return LatticeSpec(N, gamma, n0), nd, q
 
@@ -40,7 +43,7 @@ def _classes(x, scale):
 
 
 @SETTINGS
-@given(rings(log_q=(-12.0, 8.0)))
+@given(rings())
 def test_retained_poles_are_dense_levels(ring):
     spec, nd, q = ring
     system = build_defect_system(spec, DefectSpec(nd, q))
@@ -59,14 +62,30 @@ def test_retained_poles_are_dense_levels(ring):
 @SETTINGS
 @given(rings())
 def test_steady_occupation_is_dense_time_average(ring):
-    """|q| stays in [1e-3, 1e4]: at smaller |q| the defect splits levels by
-    less than the 1e-9 class tolerance, and the dense time average merges
-    pairs that the exact average keeps apart."""
+    """Neither parity sector holds a degenerate pair, so the dense time
+    average is a sum of squares at any |q|."""
     spec, nd, q = ring
-    x, V = np.linalg.eigh(_ring_x(spec, nd, q))
-    # only pairs of levels inside one degenerate class survive the average
-    want = np.zeros(spec.N)
-    for c in _classes(x, 1.0 + abs(q) / (2.0 * spec.gamma)):
-        want += (V[:, c] @ V[spec.n0, c]) ** 2
+    want = dense_steady_terms(spec, nd, q)[0]
     got = steady_occupation(build_defect_system(spec, DefectSpec(nd, q))).values
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+@SETTINGS
+@given(rings())
+def test_occupation_series_is_dense_propagation(ring):
+    spec, nd, q = ring
+    times = np.linspace(0.0, 4.0 * spec.N / spec.gamma, 9)
+    got = occupation_defect_series(build_defect_system(spec, DefectSpec(nd, q)), times)
+    want = dense_occupation(spec.N, spec.gamma, spec.n0, nd, q, times)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@SETTINGS
+@given(rings(), st.floats(-12.0, 8.0), st.sampled_from((1.0, -1.0)))
+def test_interference_does_not_depend_on_q(ring, log_q2, sign):
+    # Ibar = -2 sum_k e_k (e_k + o_k) holds only free-level terms; the dense
+    # Ibar = Pbar - Pbar_free - Kbar at two strengths agrees with it
+    spec, nd, q = ring
+    Ibar = steady_corrections(build_defect_system(spec, DefectSpec(nd, q)))[0]
+    for strength in (q, sign * 10.0 ** log_q2):
+        assert np.max(np.abs(Ibar - dense_steady_terms(spec, nd, strength)[1])) < 1e-12

@@ -13,15 +13,15 @@ from defectchain.lattice import LatticeSpec
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 evolve_exact, occupation_exact,
                                 time_average_exact)
-from defectchain.single_defect import (DefectSpec, _steady_pole_sums, amplitude_profile,
+from defectchain.single_defect import (DefectSpec, amplitude_profile,
                                        amplitude_profiles, build_defect_system,
-                                       corrections, corrections_expanded,
-                                       moment_defect_series,
+                                       corrections, moment_defect_series,
                                        moment_defect_time, occupation_defect,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
 from defectchain.spectral import green_laplace
+from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
 
 def _system(N, gamma, n0, nd, q, validate=False):
@@ -116,12 +116,23 @@ def test_amplitude_profiles_vectorized():
         assert np.max(np.abs(rows[i] - amplitude_profile(sysq, float(t)))) < 1e-13
 
 
-def test_corrections_expanded_matches_composition():
-    # the four-index mode-pair sums must agree with 2 Re(G* A) and |A|^2
-    sysq = _system(6, 1.0, 2, 4, 1.5)
+def _dense_corrections(spec, nd, q, t):
+    """(A, I, K) at time t from the dense parity-split propagation:
+    A = psi - G, I = |psi|^2 - |G|^2 - |A|^2, K = |A|^2."""
+    psi = dense_wave_function(spec.N, spec.gamma, spec.n0, nd, q, t)[0]
+    A = psi - green_profile(spec, t)
+    K = np.abs(A) ** 2
+    return A, np.abs(psi) ** 2 - occupation(spec, t) - K, K
+
+
+def test_corrections_match_dense_composition():
+    # I = |psi|^2 - |G|^2 - |A|^2 and K = |A|^2 with psi from dense propagation
+    spec = LatticeSpec(6, 1.0, 2)
+    sysq = build_defect_system(spec, DefectSpec(4, 1.5))
     for t in (0.7, 2.0):
+        A, I2, K2 = _dense_corrections(spec, 4, 1.5, t)
         I1, K1 = corrections(sysq, t)
-        I2, K2 = corrections_expanded(sysq, t)
+        assert np.max(np.abs(amplitude_profile(sysq, t) - A)) < 1e-12
         assert np.max(np.abs(I1 - I2)) < 1e-12
         assert np.max(np.abs(K1 - K2)) < 1e-12
 
@@ -214,7 +225,7 @@ def test_reflection_symmetry_about_defect():
 
 def test_normalization_drift_detection():
     sysq = _system(8, 1.0, 1, 4, 1.7)
-    broken = dataclasses.replace(sysq, f=sysq.f * 1.05)
+    broken = dataclasses.replace(sysq, weights=sysq.weights * 1.05)
     with pytest.raises(NormalizationDrift):
         occupation_defect(broken, 2.0)
     with pytest.raises(NormalizationDrift):
@@ -291,19 +302,17 @@ def test_steady_profile_plus_corrections_is_normalized():
 
 
 # ---------------------------------------------------------------------------
-# The partial-fraction kernel against a test-local dense propagation.  The
-# oracle's SpectralDecomposition is not used here: it rejects the nearly
-# degenerate spectra of small |q| (DegeneracyAmbiguity at N=50, q=1e-7).
+# The eigenvector form against the dense parity-split propagation
+# (parity_dense).  The oracle's SpectralDecomposition is not used here: it
+# rejects the nearly degenerate spectra of small |q| (DegeneracyAmbiguity at
+# N=50, q=1e-7).
 # ---------------------------------------------------------------------------
 
-def _dense_occupation(N, gamma, n0, nd, q, times):
-    n = np.arange(N)
-    H = np.zeros((N, N))
-    H[n, (n + 1) % N] = H[(n + 1) % N, n] = gamma
-    H[nd, nd] += q
-    E, V = np.linalg.eigh(H)
-    psi = (V * V[n0]) @ np.exp(1j * np.outer(E, times))
-    return (psi.real ** 2 + psi.imag ** 2).T
+def _within_rounding_of_level(system):
+    """Whether some root rounds to the same double as a free level
+    cos(2 pi k / N), k = 0..N-1 (k and N - k may round apart)."""
+    c = np.cos(2.0 * np.pi * np.arange(system.spec.N) / system.spec.N)
+    return bool(np.isin(system.x, c).any())
 
 
 @pytest.mark.parametrize("N, n0, nd, q", [
@@ -311,12 +320,13 @@ def _dense_occupation(N, gamma, n0, nd, q, times):
     (400, 5, 100, 1e-13), (2000, 7, 900, 1e-12),
 ])
 def test_series_exact_coincidence_against_dense(N, n0, nd, q):
-    # poles that round onto a free level take the resonant limit t e^{2 i gamma c t} w
+    # roots within rounding of a free level: their rows take the gap at the
+    # own level from the solver's offset
     sysq = _system(N, 1.0, n0, nd, q)
-    assert np.any(sysq.cmat == 0.0)
+    assert _within_rounding_of_level(sysq)
     times = np.linspace(0.0, 4.0 * N, 9)
     P = occupation_defect_series(sysq, times)
-    assert np.max(np.abs(P - _dense_occupation(N, 1.0, n0, nd, q, times))) < 1e-12
+    assert np.max(np.abs(P - dense_occupation(N, 1.0, n0, nd, q, times))) < 1e-12
 
 
 @pytest.mark.parametrize("N, gamma, n0, nd, q", [
@@ -328,15 +338,17 @@ def test_series_against_dense(N, gamma, n0, nd, q):
     sysq = _system(N, gamma, n0, nd, q)
     times = np.linspace(0.0, 4.0 * N / gamma, 17)
     P = occupation_defect_series(sysq, times)
-    assert np.max(np.abs(P - _dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
+    assert np.max(np.abs(P - dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
 
 
-def test_corrections_expanded_matches_composition_odd_and_bound():
+def test_corrections_match_dense_composition_odd_and_bound():
     for N, n0, nd, q in [(7, 1, 4, -3.0), (9, 2, 2, 5.0), (8, 0, 5, 0.4)]:
-        sysq = _system(N, 1.0, n0, nd, q)
+        spec = LatticeSpec(N, 1.0, n0)
+        sysq = build_defect_system(spec, DefectSpec(nd, q))
         for t in (0.3, 2.5, 11.0):
+            A, I2, K2 = _dense_corrections(spec, nd, q, t)
             I1, K1 = corrections(sysq, t)
-            I2, K2 = corrections_expanded(sysq, t)
+            assert np.max(np.abs(amplitude_profile(sysq, t) - A)) < 1e-12
             assert np.max(np.abs(I1 - I2)) < 1e-12
             assert np.max(np.abs(K1 - K2)) < 1e-12
 
@@ -371,31 +383,33 @@ def test_steady_corrections_computed_once_per_system(monkeypatch):
     assert m1 == steady_moment(1, spec) + float(distance_powers(spec, 1) @ (Ibar + Kbar))
 
 
-def test_kernel_matches_sinc_form_with_pole_on_a_level():
-    # E(c, x, t) = exp(i gamma (c + x) t) t sinc(gamma (x - c) t) for every
-    # (mode, pole) pair, also for a pole placed exactly on a level, where
-    # the partial-fraction form switches to its resonant limit (k = 0 is a
-    # simple level, so no other mode sits within rounding of the pole)
-    sysq = _system(12, 1.3, 2, 7, 0.9)
-    x = sysq.x.copy()
-    x[1] = sysq.modes[0]
-    cmat = sysq.spec.gamma * (sysq.modes[:, None] - x[None, :])
-    placed = dataclasses.replace(sysq, x=x, cmat=cmat)
-    assert np.count_nonzero(cmat == 0.0) == 1
+@pytest.mark.parametrize("N, gamma, n0, nd, q", [(12, 1.3, 2, 7, 0.9), (12, 1.3, 2, 7, 1e-16),
+                                                  (400, 1.0, 5, 100, 1e-13)])
+def test_pole_within_rounding_of_its_level_against_dense(N, gamma, n0, nd, q):
+    # P_n(t), A, I/K and Pbar against the dense parity split, also where a
+    # root lies within rounding of its level (|q| = 1e-16 at N=12, 1e-13 at N=400)
+    spec = LatticeSpec(N, gamma, n0)
+    sysq = build_defect_system(spec, DefectSpec(nd, q))
+    assert _within_rounding_of_level(sysq) == (q < 1e-3)
     times = np.linspace(0.0, 40.0, 9)
-    g, c, xx = sysq.spec.gamma, sysq.modes[None, :, None], x[None, None, :]
-    t = times[:, None, None]
-    E = np.exp(1j * g * (c + xx) * t) * t * np.sinc(g * (xx - c) * t / np.pi)
-    s = E @ (1j * sysq.defect.q * sysq.f)
-    want = np.roll(np.fft.ifft(s, axis=1), 7, axis=1)
-    assert np.max(np.abs(amplitude_profiles(placed, times) - want)) < 1e-12
+    P = occupation_defect_series(sysq, times)
+    assert np.max(np.abs(P - dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
+    for t in times[1::3]:
+        A, I, K = _dense_corrections(spec, nd, q, t)
+        assert np.max(np.abs(amplitude_profile(sysq, t) - A)) < 1e-12
+        I1, K1 = corrections(sysq, t)
+        assert np.max(np.abs(I1 - I)) < 1e-12 and np.max(np.abs(K1 - K)) < 1e-12
+    Pbar, Ibar, Kbar = dense_steady_terms(spec, nd, q)
+    got_I, got_K = steady_corrections(sysq)
+    assert np.max(np.abs(got_I - Ibar)) < 1e-12 and np.max(np.abs(got_K - Kbar)) < 1e-12
+    assert np.max(np.abs(steady_occupation(sysq).values - Pbar)) < 1e-12
 
 
 def test_steady_corrections_memory_is_blocked():
-    # N = 2000 has J = 1000 poles: the Z_j FFT runs over column blocks of at
-    # most BLOCK_ELEMENTS, where one (N, J) FFT would take ~77 MiB
+    # N = 2000 has 1001 weight rows: the steady sums read them in place,
+    # and the rows are built over blocks of at most BLOCK_ELEMENTS
     sysq = _system(2000, 1.0, 3, 700, 0.8)
-    assert sysq.x.size == 1000
+    assert sysq.x.size == 1001
     tracemalloc.start()
     try:
         steady_corrections(sysq)
@@ -407,18 +421,12 @@ def test_steady_corrections_memory_is_blocked():
 
 @pytest.mark.parametrize("N, n0, nd, q", [(12, 2, 7, 3.0), (13, 0, 12, -0.4), (40, 5, 5, 1e3),
                                           (41, 9, 30, -25.0)])
-def test_steady_pole_sums_match_cosine_sums(N, n0, nd, q):
-    # the FFT pole sums against the mode sums of their docstring, term by term
-    sysq = _system(N, 1.0, n0, nd, q)
-    C, w = sysq.cmat, sysq.f
-    S = (w[None, :] / C).sum(axis=1)
-    k, n = np.arange(N), np.arange(N)
-    k2 = np.array([m for m in range(1, N) if 2 * m != N])
-    Z = np.exp(2j * np.pi * np.outer(n - nd, k) / N) @ (1.0 / C)        # (n, j)
-    I = (S @ np.cos(2 * np.pi * k * (n0 - nd) / N)
-         + np.cos(2 * np.pi * np.outer(2 * n - n0 - nd, k2) / N) @ S[k2])
-    K = (np.abs(Z) ** 2 @ w ** 2 + S @ S
-         + np.cos(4 * np.pi * np.outer(n - nd, k2) / N) @ S[k2] ** 2)
-    got_I, got_K = _steady_pole_sums(C, w, n0, nd)
-    assert np.max(np.abs(got_I - I)) < 1e-12 * np.abs(S).sum()
-    assert np.max(np.abs(got_K - K)) < 1e-12 * (np.abs(Z) ** 2 @ w ** 2 + 2 * S @ S).max()
+def test_steady_terms_against_dense(N, n0, nd, q):
+    # Ibar, Kbar and Pbar against the dense parity split, term by term
+    spec = LatticeSpec(N, 1.0, n0)
+    sysq = build_defect_system(spec, DefectSpec(nd, q))
+    Pbar, Ibar, Kbar = dense_steady_terms(spec, nd, q)
+    got_I, got_K = steady_corrections(sysq)
+    assert np.max(np.abs(got_I - Ibar)) < 1e-13
+    assert np.max(np.abs(got_K - Kbar)) < 1e-13
+    assert np.max(np.abs(steady_occupation(sysq).values - Pbar)) < 1e-13

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from defectchain.errors import PoleCountMismatch
 from defectchain.lattice import LatticeSpec, periodic_distance
-from defectchain.oracle import defect_pole_positions
+from defectchain.oracle import defect_levels
+from defectchain.single_defect import DefectSpec, build_defect_system
 from defectchain.spectral import (PoleClass, _safeguarded_newton, find_poles,
                                   green_laplace)
 from defectchain.strong_defect import strong_defect_nodes
@@ -60,8 +63,10 @@ def test_find_poles_against_spectrum_oracle():
         n0, nd = int(rng.integers(0, N)), int(rng.integers(0, N))
         spec = LatticeSpec(N, gamma, n0)
         d = periodic_distance(nd, n0, N)
-        poles = find_poles(N, q / (2.0 * gamma), d,
-                           validate=lambda: defect_pole_positions(spec, nd, q))
+        poles = find_poles(N, q / (2.0 * gamma), d)
+        # the roots plus the odd free levels are the dense spectrum
+        assert np.allclose(_spectrum_from_poles(N, poles), defect_levels(spec, nd, q),
+                           rtol=0.0, atol=1e-12)
         # residue sum rule: sum_j v_j(nd) v_j(n0) = delta_{d,0} over the modes seen at nd
         assert abs(poles.f.sum() - (1.0 if d == 0 else 0.0)) < 1e-9
         assert len(poles) == N // 2 + 1
@@ -121,13 +126,19 @@ def test_find_poles_odd_N_shallow_negative_q_keeps_level_in_band():
     assert _poles(spec, 3, -3.0).bound_count == 1
 
 
-def test_find_poles_errors():
+def test_find_poles_errors(monkeypatch):
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(ValueError):
         _poles(spec, 3, 0.0)
-    # an oracle that disagrees must raise
+    # roots that disagree with the dense spectrum must raise under validate=True
+    import defectchain.single_defect as sd
+    build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
+    def shifted(*args):
+        poles = find_poles(*args)
+        return dataclasses.replace(poles, x=poles.x + 1e-6)
+    monkeypatch.setattr(sd, "find_poles", shifted)
     with pytest.raises(PoleCountMismatch):
-        find_poles(8, 0.5, 3, validate=lambda: np.array([0.0, 1.0]))
+        build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
     # odd N at q / 2 gamma = -2/N: the repulsive level sits on x = -1, a simple root
     poles = _poles(LatticeSpec(5, 1.0, 0), 2, -4.0 / 5.0)
     assert len(poles) == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
