@@ -8,10 +8,10 @@ from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      NotConverged, NotReached, PoleCountMismatch)
 from .homogeneous import (SiteProfile, default_time_grid, estimate_tstar,
                           fit_ballistic, fit_tstar_scaling, green_profile,
-                          green_time, moment_series, moment_time, occupation,
+                          moment_series, moment_time, occupation,
                           steady_moment, steady_profile)
-from .lattice import (LatticeSpec, cosine_weighted_sum, distance_power_sum,
-                      periodic_distance, periodic_distances, site_index)
+from .lattice import (LatticeSpec, periodic_distance, periodic_distances,
+                      site_index)
 from .multi_defect import (MultiDefectSystem, bromwich_occupation,
                            build_two_defect_system, two_defect_occupation,
                            two_defect_occupation_series)
@@ -25,10 +25,10 @@ from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             occupation_defect_series, phi_series,
                             steady_corrections, steady_moment_defect,
                             steady_occupation)
-from .spectral import PoleClass, PoleSet, find_poles, green_laplace
-from .strong_defect import (StrongDefectSeries, mirror_site, phi_infinite_q,
+from .spectral import PoleSet, find_poles, green_laplace
+from .strong_defect import (mirror_site, phi_infinite_q,
                             steady_corrections_infinite_q,
                             steady_moments_infinite_q,
-                            steady_profile_infinite_q, strong_defect_nodes)
+                            steady_profile_infinite_q)
 
 __version__ = "0.1.0"

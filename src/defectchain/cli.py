@@ -259,17 +259,17 @@ def run_free(args) -> ResultTable:
     return table
 
 
-def _single_point(spec, nd, q, with_oracle, tolerance):
+def _single_point(spec, nd, q, with_oracle):
     sysq = build_defect_system(spec, DefectSpec(nd, q))
     prof = single_defect.steady_occupation(sysq).values
     out = []
     for n, v in enumerate(prof):
-        out.append(("steady_occupation", q, n, None, v, "analytic"))
-    out.append(("steady_at_defect", q, nd, None, float(prof[site_index(nd, spec.N)]), "analytic"))
-    out.append(("steady_at_start", q, spec.n0, None, float(prof[spec.n0]), "analytic"))
+        out.append(("steady_occupation", q, n, v, "analytic"))
+    out.append(("steady_at_defect", q, nd, float(prof[site_index(nd, spec.N)]), "analytic"))
+    out.append(("steady_at_start", q, spec.n0, float(prof[spec.n0]), "analytic"))
     for p in (1, 2):
         name = "mean_displacement_steady" if p == 1 else "msd_steady"
-        out.append((name, q, None, None, single_defect.steady_moment_defect(sysq, p), "analytic"))
+        out.append((name, q, None, single_defect.steady_moment_defect(sysq, p), "analytic"))
     if with_oracle:
         try:
             dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
@@ -280,8 +280,8 @@ def _single_point(spec, nd, q, with_oracle, tolerance):
             return out
         oprof = time_average_exact(dec, spec.n0)
         for n, v in enumerate(oprof):
-            out.append(("steady_occupation", q, n, None, float(v), "oracle"))
-            out.append(("steady_occupation", q, n, None, float(abs(v - prof[n])), "abs_diff"))
+            out.append(("steady_occupation", q, n, float(v), "oracle"))
+            out.append(("steady_occupation", q, n, float(abs(v - prof[n])), "abs_diff"))
     return out
 
 
@@ -295,9 +295,9 @@ def run_single(args) -> ResultTable:
     table = ResultTable(meta={"mode": "single", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": nd})
     for q in qs:
-        for obs, qv, n, t, v, prov in _single_point(spec, nd, q, with_oracle, args.tolerance):
+        for obs, qv, n, v, prov in _single_point(spec, nd, q, with_oracle):
             table.add(obs, v, provenance=prov, N=spec.N, gamma=spec.gamma,
-                      q=float(qv), nd=nd, n0=spec.n0, n=n, t=t)
+                      q=float(qv), nd=nd, n0=spec.n0, n=n)
     return table
 
 

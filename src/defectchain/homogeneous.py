@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReached
-from .lattice import LatticeSpec, periodic_distances, site_index
+from .lattice import LatticeSpec, periodic_distances
 
 # Largest array (in elements) one block of times may build; bounds the
 # temporaries of every batched time evaluation in this package.
@@ -32,11 +32,10 @@ def time_blocks(count: int, per_time: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class SiteProfile:
-    """Length-N probability vector with provenance."""
+    """Length-N steady probability vector; mirror_collision flags an
+    infinite-strength profile whose mirror site lands on n0 or nd."""
 
     values: np.ndarray
-    kind: str                    # "time" or "steady"
-    time: float | None = None
     mirror_collision: bool = False
 
 
@@ -52,15 +51,6 @@ def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
 def green_profile(spec: LatticeSpec, t: float) -> np.ndarray:
     """Free amplitudes G(n, n0, t) for all sites n at one time."""
     return green_profiles(spec, [t])[0]
-
-
-def green_time(n: int, n0: int, t: float, spec: LatticeSpec) -> complex:
-    """Single amplitude G(n, n0, t); depends on n, n0 only through (n - n0) mod N."""
-    N, gamma = spec.N, spec.gamma
-    delta = site_index(n - n0, N)
-    k = np.arange(N)
-    phi = 2.0 * np.pi * k / N
-    return complex(np.mean(np.exp(2j * gamma * t * np.cos(phi) + 1j * phi * delta)))
 
 
 def occupation(spec: LatticeSpec, t: float) -> np.ndarray:
@@ -79,7 +69,7 @@ def steady_profile(spec: LatticeSpec) -> SiteProfile:
     else:
         values = np.full(N, 1.0 / N - 1.0 / N ** 2)
         values[spec.n0] = 2.0 / N - 1.0 / N ** 2
-    return SiteProfile(values, "steady")
+    return SiteProfile(values)
 
 
 def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Ring geometry: site arithmetic, the periodic distance metric, and the
-closed-form distance sums that feed every moment computation.
+"""Ring geometry: site arithmetic and the periodic distance metric that
+feeds every moment computation.
 
 All site labels are reduced modulo N at entry, so downstream formulas never
 see an unreduced index.  The periodic distance [a - b] = min(|a-b|, N-|a-b|)
@@ -49,42 +49,3 @@ def periodic_distances(N: int, origin: int = 0) -> np.ndarray:
     d = (np.arange(N) - int(origin)) % N
     return np.minimum(d, N - d)
 
-
-def distance_power_sum(p: int, N: int) -> float:
-    """Closed form for sum_n [n - n0]^p over one ring period.
-
-    Independent of n0 by translation invariance.  Only p = 1, 2 have
-    closed forms (and are the only moments used anywhere).
-    """
-    if p == 1:
-        return N * N / 4.0 if N % 2 == 0 else (N * N - 1) / 4.0
-    if p == 2:
-        return N * (N * N + 2) / 12.0 if N % 2 == 0 else N * (N * N - 1) / 12.0
-    raise ValueError(f"p must be 1 or 2, got {p}")
-
-
-def cosine_weighted_sum(p: int, y: int, N: int) -> float:
-    """Closed form for sum_{n=1}^{N-1} [n]^p cos(2 pi y n / N).
-
-    Branches on the parity of y and N.  The y = 0 residue class has no
-    closed-form branch here (it reduces to distance_power_sum) and is
-    rejected.
-    """
-    r = int(y) % int(N)
-    if r == 0:
-        raise ValueError("y must not be divisible by N; handle y = 0 separately")
-    if p == 1:
-        if N % 2 == 0:
-            if r % 2 == 0:
-                return 0.0
-            return -1.0 / np.sin(np.pi * r / N) ** 2
-        if r % 2 == 0:
-            return -1.0 / (4.0 * np.cos(np.pi * r / (2 * N)) ** 2)
-        return -1.0 / (4.0 * np.sin(np.pi * r / (2 * N)) ** 2)
-    if p == 2:
-        sign = -1.0 if r % 2 else 1.0
-        s2 = np.sin(np.pi * r / N) ** 2
-        if N % 2 == 0:
-            return N * sign / (2.0 * s2)
-        return N * sign * np.cos(np.pi * r / N) / (2.0 * s2)
-    raise ValueError(f"p must be 1 or 2, got {p}")

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DegeneracyAmbiguity, DuplicateDefectSite, NotConverged
 from .lattice import LatticeSpec, periodic_distances, site_index
 
+DEG_TOL_FACTOR = 1e-9   # degeneracy tolerance, relative to the hopping scale
+
 
 def build_hamiltonian(spec: LatticeSpec, defects: Sequence[tuple[int, float]] = ()) -> np.ndarray:
     """Dense ring Hamiltonian: -gamma on all N ring bonds, -q_k on defect sites.
@@ -56,11 +58,11 @@ class SpectralDecomposition:
     deg_tol: float
 
     @classmethod
-    def from_hamiltonian(cls, H: np.ndarray, deg_tol_factor: float = 1e-9) -> "SpectralDecomposition":
+    def from_hamiltonian(cls, H: np.ndarray) -> "SpectralDecomposition":
         E, V = np.linalg.eigh(H)
         off = np.abs(H - np.diag(np.diag(H)))
         scale = off.max() if off.any() else (np.max(np.abs(E)) if E.size else 1.0)
-        deg_tol = deg_tol_factor * max(float(scale), 1e-300)
+        deg_tol = DEG_TOL_FACTOR * max(float(scale), 1e-300)
         gaps = np.diff(E)
         ambiguous = (gaps > deg_tol) & (gaps < 10.0 * deg_tol)
         if np.any(ambiguous):

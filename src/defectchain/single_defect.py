@@ -37,8 +37,8 @@ from .errors import NormalizationDrift, PoleCountMismatch
 from .homogeneous import (SiteProfile, distance_powers, green_profile,
                           green_profiles, steady_moment, steady_profile,
                           time_blocks)
-from .lattice import LatticeSpec, periodic_distance, site_index
-from .spectral import PoleSet, find_poles
+from .lattice import LatticeSpec, site_index
+from .spectral import _gaps_theta, find_poles
 
 NORM_TOL = 1e-8
 LEVEL_TOL = 1e-8        # validate: root vs dense level, relative to 1 + |x|
@@ -89,7 +89,6 @@ class DefectSystem:
 
     spec: LatticeSpec
     defect: DefectSpec
-    poles: PoleSet
     x: np.ndarray            # all N//2 + 1 roots, ascending
     weights: np.ndarray      # shape (N//2 + 1, N)
 
@@ -102,21 +101,9 @@ class DefectSystem:
         return Ibar, Kbar
 
 
-def _gap_table(level: np.ndarray, offset: np.ndarray, N: int) -> np.ndarray:
-    """x_j - c_k for x_j = c_L + offset_j and every level k <= N/2, shape
-    (J, N//2 + 1), with c_L - c_k = -2 sin(pi (L + k)/N) sin(pi (L - k)/N)
-    read from one table of sines: every gap keeps its relative accuracy and
-    the own level's gap is the offset itself."""
-    K = N // 2
-    m = np.arange(-K, N + 1)
-    sines = np.sin(np.pi * np.where(2 * m > N, N - m, m) / N)       # sin(pi m / N), m = -K..N
-    k = np.arange(K + 1)
-    return -2.0 * sines[level[:, None] + k + K] * sines[level[:, None] - k + K] + offset[:, None]
-
-
 def _weight_rows(gaps: np.ndarray, N: int, n0: int, nd: int) -> np.ndarray:
     """W_jn = v_j(n) v_j(n0) for the even eigenvectors v_j(n) = g(n - nd; x_j)
-    / ||g(.; x_j)||, from the gap table x_j - c_k (k <= N/2), shape (J, N//2 + 1):
+    / ||g(.; x_j)||, from the gaps x_j - c_k (k <= N/2), shape (J, N//2 + 1):
     one inverse real FFT per block of rows."""
     W = np.empty((gaps.shape[0], N))
     d = (n0 - nd) % N
@@ -145,11 +132,9 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
     nd = site_index(defect.nd, N)
     defect = DefectSpec(nd, float(defect.q))
     if defect.q == 0.0:
-        empty = np.empty(0)
-        poles = PoleSet(empty, empty, np.empty(0, dtype=np.int8), np.empty(0, dtype=int), empty)
-        return DefectSystem(spec, defect, poles, empty, np.empty((0, N)))
+        return DefectSystem(spec, defect, np.empty(0), np.empty((0, N)))
     s = defect.q / (2.0 * spec.gamma)
-    poles = find_poles(N, s, periodic_distance(nd, spec.n0, N))
+    poles = find_poles(N, s)
     if validate:
         from .oracle import defect_levels
         dense = defect_levels(spec, nd, defect.q)
@@ -158,8 +143,9 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
         if np.any(np.abs(mine - dense) > tol):
             raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
                                     f"(worst {np.max(np.abs(mine - dense)):.3g})")
-    return DefectSystem(spec, defect, poles, poles.x,
-                        _weight_rows(_gap_table(poles.level, poles.offset, N), N, spec.n0, nd))
+    # x_j - c_k as (c_L - c_k) + offset_j: the own level's gap is the offset itself
+    gaps = _gaps_theta(2 * poles.level[:, None], 0.0, N) + poles.offset[:, None]
+    return DefectSystem(spec, defect, poles.x, _weight_rows(gaps, N, spec.n0, nd))
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:
@@ -260,7 +246,7 @@ def steady_occupation(system: DefectSystem) -> SiteProfile:
     Ibar, Kbar = system._steady
     values = steady_profile(system.spec).values + Ibar + Kbar
     _check_normalized(values.sum(), "steady profile")
-    return SiteProfile(values, "steady")
+    return SiteProfile(values)
 
 
 def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:

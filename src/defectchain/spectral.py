@@ -1,5 +1,5 @@
-"""The free ring Green function, in offsets from a level, and the poles and
-residues of one on-site defect.
+"""The free ring Green function, in offsets from a level, and the roots of
+one on-site defect's secular equation.
 
 With x = -E / 2 gamma, levels c_k = cos(2 pi k / N) (k <= N/2; k and N - k
 share a level) and the free ring Green function
@@ -16,8 +16,7 @@ root lies in (1, 1 + s] for s > 0 and in (-1 - |s|, c_K) for s < 0, K = N//2
 (for odd N that covers both sides of x = -1).  Every root is solved in its
 offset from its level -- theta offset phi in band, x offset u outside -- by
 one element-wise safeguarded Newton, so a root next to its level keeps its
-digits.  The residue of root j for start and defect sites at ring distance d
-is f_j = g(d; x_j) / (-s dg(0; x_j)/dx) = v_j(nd) v_j(n0).
+digits.
 
 The helpers evaluate g and the gaps x - c_k at theta = pi j / N + phi with
 the angle reduced exactly, and are shared with the M-defect engine.
@@ -26,7 +25,6 @@ the angle reduced exactly, and are shared with the M-defect engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -53,9 +51,21 @@ def _green_theta(d, j, phi, N):
 
 
 def _gaps_theta(j, phi, N):
-    """x - c_k for every level k <= N/2 at x = cos(pi j / N + phi), as products."""
-    k2, half = 2 * np.arange(N // 2 + 1), np.pi / (2 * N)
-    return -2.0 * np.sin(half * (j + k2) + phi / 2) * np.sin(half * (j - k2) + phi / 2)
+    """x - c_k for every level k <= N/2 at x = cos(pi j / N + phi), as
+    -2 sin(pi r / 2N + phi / 2) over r = j + 2k and r = j - 2k, each r first
+    reduced exactly (mod 4N, then sin(pi - a) = sin(a)) to |r| <= N: a gap
+    next to a zero of its sine keeps its relative accuracy."""
+    r = np.arange(-N, 5 * N + 1)                          # j mod 4N + 2k and j mod 4N - 2k
+    r = np.where(r > 2 * N, r - 4 * N, r)
+    flip = np.abs(r) > N
+    a = np.pi * np.where(flip, np.sign(r) * 2 * N - r, r) / (2 * N)
+    jm, k2 = np.asarray(j) % (4 * N) + N, 2 * np.arange(N // 2 + 1)
+    hi, lo = jm + k2, jm - k2
+    if not np.any(phi):                                   # the same bits, one table of sines
+        sin_a = np.sin(a)
+        return -2.0 * sin_a[hi] * sin_a[lo]
+    half = np.where(flip, -0.5, 0.5)
+    return -2.0 * np.sin(a[hi] + half[hi] * phi) * np.sin(a[lo] + half[lo] * phi)
 
 
 def ring_green(d, x, N: int):
@@ -79,50 +89,27 @@ def green_laplace(spec: LatticeSpec, a: int, b: int, eps):
     return ring_green(periodic_distance(a, b, spec.N), x, spec.N) / (2j * spec.gamma)
 
 
-class PoleClass(IntEnum):
-    IN_BAND = 0
-    BOUND_STATE = 1
-    DISCARDED = 2
-
-
 @dataclass(frozen=True)
 class PoleSet:
-    """Real poles x_j of the defect response with residues f_j.
+    """The real roots x_j of one defect's secular equation, sorted ascending.
 
-    Sorted ascending in x.  level_j is the level c_k each pole was solved
-    from and offset_j = x_j - c_k, exact where x_j rounds.  DISCARDED marks
-    roots whose residue is below f_tol of the largest (the start site sits
-    on a node of that eigenvector); sums over the pole set skip them.
+    level_j is the level c_k each root was solved from and offset_j = x_j - c_k,
+    exact where x_j rounds.
     """
 
     x: np.ndarray
-    f: np.ndarray
-    kind: np.ndarray
     level: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
-        object.__setattr__(self, "kind", np.asarray(self.kind, dtype=np.int8))
         object.__setattr__(self, "level", np.asarray(self.level, dtype=int))
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
 
     @property
-    def retained(self) -> np.ndarray:
-        return self.kind != PoleClass.DISCARDED
-
-    @property
     def x_retained(self) -> np.ndarray:
-        return self.x[self.retained]
-
-    @property
-    def f_retained(self) -> np.ndarray:
-        return self.f[self.retained]
-
-    @property
-    def bound_count(self) -> int:
-        return int(np.sum(self.kind == PoleClass.BOUND_STATE))
+        """Every root; no root is discarded (the benchmark's traced run counts these)."""
+        return self.x
 
     def __len__(self) -> int:
         return self.x.size
@@ -167,10 +154,9 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
     return root
 
 
-def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12) -> PoleSet:
+def find_poles(N: int, s: float) -> PoleSet:
     """The N//2 + 1 roots of 1 = s g(0; x) for one defect of strength
-    s = q / 2 gamma, with residues for start and defect sites at ring
-    distance dist, classified and sorted ascending.
+    s = q / 2 gamma, sorted ascending.
 
     Root i < K = N//2 lies between levels i and i + 1, at theta = theta_L +
     sig phi, 0 < phi < pi / N, from the level L of its half interval; there
@@ -220,27 +206,7 @@ def find_poles(N: int, s: float, dist: int, *, f_tol: float = 1e-12) -> PoleSet:
     hi = np.append(np.full(K, np.pi / N), abs(s) + edge)
     z = _safeguarded_newton(secular, np.zeros(K + 1), hi, np.append(np.full(K, up), False))
 
-    phi, u = z[:K], z[K]
-    sin_t, _, sa, _ = band(np.arange(K), phi)
-    slope = secular(np.arange(K), phi)[1]
-    delta = np.append(offset(np.arange(K), phi), side * u)
+    delta = np.append(offset(np.arange(K), z[:K]), side * z[K])
     x = c_lev + delta
-    gaps = out_gaps + side * u
-    kind = np.full(K + 1, PoleClass.IN_BAND, dtype=np.int8)
-    if u > edge:
-        # a bound state, x = side cosh(mu): the level sum for g(d) would cancel
-        # to rounding, so g(d) = g(0) rho with g(0) = 1/s and, for z = side e^-mu,
-        # rho = (z^d + z^(N-d)) / (1 + z^N)
-        kind[K] = PoleClass.BOUND_STATE
-        beyond = u - edge                                 # |x| - 1
-        mu = np.log1p(beyond + np.sqrt(beyond * (2.0 + beyond)))
-        one_plus = (lambda a: 1.0 + np.exp(-a)) if side ** N > 0 else (lambda a: -np.expm1(-a))
-        g_d = side ** dist * np.exp(-dist * mu) * one_plus((N - 2 * dist) * mu) / one_plus(N * mu) / s
-    else:
-        g_d = (weight * _cos_sin((2 * k * dist) % (2 * N), N)[0] / gaps).sum()
-    # in band, -s dg(0)/dx = -slope / (sin(theta)^2 sin(N phi / 2)) at a root
-    f = np.append(-_green_theta(dist, 2 * lev[:K], sig * phi, N) * sin_t * sin_t * sa / slope,
-                  g_d / (s * (weight / (gaps * gaps)).sum()))
-    kind[np.abs(f) < f_tol * np.max(np.abs(f))] = PoleClass.DISCARDED
     order = np.argsort(x)
-    return PoleSet(x[order], f[order], kind[order], lev[order], delta[order])
+    return PoleSet(x[order], lev[order], delta[order])

@@ -17,42 +17,12 @@ with n0 (separation N/2 on an even ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import _weight_rows, steady_sums
+from .single_defect import PhiSeries, _weight_rows, steady_sums
 from .spectral import _gaps_theta
-
-
-def strong_defect_nodes(N: int):
-    """Angles theta_k = pi (2k - 1) / N and nodes x_k = cos(theta_k), the
-    poles of the infinite-strength limit; k runs to N/2 for even N and
-    (N-1)/2 for odd N."""
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
-    k = np.arange(1, N // 2 + 1)
-    theta = np.pi * (2 * k - 1) / N
-    return theta, np.cos(theta)
-
-
-@dataclass(frozen=True)
-class StrongDefectSeries:
-    """Phi(t) = -i gamma_tilde sum_k F_k exp(2 i gamma t cos theta_k)."""
-
-    theta: np.ndarray
-    x: np.ndarray
-    F: np.ndarray
-    gamma_tilde: float
-    gamma: float
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        ph = np.exp(2j * self.gamma * np.multiply.outer(t, self.x))
-        out = -1j * self.gamma_tilde * (ph @ self.F)
-        return out if out.ndim else out[()]
 
 
 def mirror_site(spec: LatticeSpec, nd: int) -> int:
@@ -60,13 +30,16 @@ def mirror_site(spec: LatticeSpec, nd: int) -> int:
     return site_index(2 * site_index(nd, spec.N) - spec.n0, spec.N)
 
 
-def phi_infinite_q(spec: LatticeSpec, nd: int) -> StrongDefectSeries:
-    """Limit response series; identically zero when nd = n0 (full localization)."""
+def phi_infinite_q(spec: LatticeSpec, nd: int) -> PhiSeries:
+    """Limit response series Phi(t) = -i (4 gamma / N) sum_k F_k exp(2 i gamma t x_k)
+    over the nodes x_k = cos(theta_k), theta_k = pi (2k - 1) / N (k <= N/2),
+    with F_k = sin(d theta_k) sin(theta_k) for the ring distance d between nd
+    and n0; identically zero when nd = n0 (full localization)."""
     nd = site_index(nd, spec.N)
     d = periodic_distance(nd, spec.n0, spec.N)
-    theta, x = strong_defect_nodes(spec.N)
+    theta = np.pi * (2 * np.arange(1, spec.N // 2 + 1) - 1) / spec.N
     F = np.sin(d * theta) * np.sin(theta)
-    return StrongDefectSeries(theta, x, F, 4.0 * spec.gamma / spec.N, spec.gamma)
+    return PhiSeries(np.cos(theta), -1j * (4.0 * spec.gamma / spec.N) * F, spec.gamma)
 
 
 def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:
@@ -81,13 +54,13 @@ def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:
     if nd == spec.n0:
         values = np.zeros(N)
         values[nd] = 1.0
-        return SiteProfile(values, "steady")
+        return SiteProfile(values)
     m = mirror_site(spec, nd)
     values = np.full(N, 1.0 / N)
     values[m] += 0.5 / N
     values[spec.n0] += 0.5 / N
     values[nd] -= 1.0 / N
-    return SiteProfile(values, "steady", mirror_collision=(m in (spec.n0, nd)))
+    return SiteProfile(values, mirror_collision=(m in (spec.n0, nd)))
 
 
 def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from defectchain.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -249,3 +254,27 @@ def test_infq_moments_outside_closed_form_domain(tmp_path, capsys):
                    - sum(dist[n] ** 2 * v for n, v in prof.items())) < 1e-12
         assert abs(moments["mean_displacement_steady_infq"]
                    - sum(dist[n] * v for n, v in prof.items())) < 1e-12
+
+
+def _readme_blocks(section):
+    """The fenced code blocks of one `## ` section of README.md, as (language, text)."""
+    body = README.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```(\w*)\n(.*?)```", body, flags=re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every `defectchain ...` line of the Command line section, with the
+    # run.conf it shows, exits 0; the Library section's code runs as written
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks("Command line")
+    conf = [text for _, text in blocks if text.startswith("# run.conf")]
+    assert len(conf) == 1
+    (tmp_path / "run.conf").write_text(conf[0])
+    commands = [line for lang, text in blocks if lang == "sh"
+                for line in text.replace("\\\n", " ").splitlines() if line.startswith("defectchain ")]
+    assert len(commands) >= 10
+    for line in commands:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()
+    (library,) = [text for lang, text in _readme_blocks("Library") if lang == "python"]
+    exec(compile(library, "README.md", "exec"), {})

@@ -5,7 +5,7 @@ import pytest
 
 from defectchain.homogeneous import (default_time_grid, distance_powers,
                                      estimate_tstar, fit_ballistic,
-                                     green_profile, green_profiles, green_time,
+                                     green_profile, green_profiles,
                                      moment_series, moment_time, occupation,
                                      steady_moment, steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distances
@@ -24,7 +24,7 @@ def test_green_three_site_closed_form():
     spec = LatticeSpec(3, 1.0, 0)
     for t in (0.0, 0.37, 1.9, 12.3):
         assert abs(occupation(spec, t)[0] - (5 + 4 * np.cos(3 * t)) / 9) < 1e-13
-        g = green_time(0, 0, t, spec)
+        g = green_profile(spec, t)[0]
         expect = (np.exp(2j * t) + 2 * np.exp(-1j * t)) / 3
         assert abs(g - expect) < 1e-13
 
@@ -45,7 +45,7 @@ def test_green_translation_invariance_exact():
     ga, gb = green_profile(spec_a, t), green_profile(spec_b, t)
     # same amplitudes, shifted: G(n+s, n0+s) == G(n, n0)
     assert np.all(np.roll(ga, 5) == gb)
-    assert green_time(7, 3, t, spec_a) == green_time(12, 8, t, spec_b)
+    assert ga[7] == gb[0]                         # G(7, 3) == G(12, 8), site 12 = 0
 
 
 def test_steady_profile_values():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from defectchain.lattice import (LatticeSpec, cosine_weighted_sum,
-                                 distance_power_sum, periodic_distance,
+from defectchain.homogeneous import distance_powers, steady_moment
+from defectchain.lattice import (LatticeSpec, periodic_distance,
                                  periodic_distances, site_index)
 
 
@@ -32,45 +32,51 @@ def test_periodic_distance_symmetry_and_translation():
         assert 0 <= periodic_distance(a, b, N) <= N // 2
 
 
+def _distance_power_sum(p, N):
+    """Closed form of sum_n [n - n0]^p over one ring period, p = 1 or 2."""
+    if p == 1:
+        return N * N / 4.0 if N % 2 == 0 else (N * N - 1) / 4.0
+    return N * (N * N + 2) / 12.0 if N % 2 == 0 else N * (N * N - 1) / 12.0
+
+
 @pytest.mark.parametrize("N", list(range(3, 66)) + [128, 501, 1000])
 def test_distance_power_sum_exact(N):
-    d = periodic_distances(N).astype(float)
-    assert distance_power_sum(1, N) == d.sum()
-    assert distance_power_sum(2, N) == (d * d).sum()
+    # the moment weights [n - n0]^p sum to their closed forms exactly, from any start site
+    for n0 in (0, N // 3):
+        for p in (1, 2):
+            assert distance_powers(LatticeSpec(N, 1.0, n0), p).sum() == _distance_power_sum(p, N)
 
 
 def test_distance_power_sum_examples_and_errors():
-    assert distance_power_sum(1, 4) == 4.0
-    assert distance_power_sum(2, 5) == 10.0
-    assert distance_power_sum(2, 4) == 6.0       # [n] values {0,1,2,1}
+    assert distance_powers(LatticeSpec(4, 1.0, 0), 1).sum() == 4.0
+    assert distance_powers(LatticeSpec(5, 1.0, 2), 2).sum() == 10.0
+    assert np.array_equal(distance_powers(LatticeSpec(4, 1.0, 1), 2), [1.0, 0.0, 1.0, 4.0])
     with pytest.raises(ValueError):
-        distance_power_sum(3, 10)
+        steady_moment(3, LatticeSpec(10, 1.0, 0))    # only p = 1, 2 have closed forms
 
+
+# The free steady moment is the time average over the level pairs {k, N - k}:
+# Dbar_p = (N S_p + 2 sum_{0<k<N/2} C_p(2k)) / N^2, with S_p = sum_n [n]^p and the
+# cosine-weighted sums C_p(y) = sum_n [n]^p cos(2 pi y n / N).
 
 def test_cosine_weighted_sum_examples():
-    assert abs(cosine_weighted_sum(2, 1, 4) - (-4.0)) < 1e-14
-    assert abs(cosine_weighted_sum(1, 1, 4) - (-2.0)) < 1e-14
-    direct = sum(periodic_distances(5)[n] ** 2 * np.cos(4 * np.pi * n / 5)
-                 for n in range(1, 5))
-    assert abs(cosine_weighted_sum(2, 2, 5) - direct) < 1e-13
+    # N = 4: S_2 = 6, C_2(2) = 2 and S_1 = 4, C_1(2) = 0
+    assert steady_moment(2, LatticeSpec(4, 1.0, 0)) == (4 * 6 + 2 * 2) / 16
+    assert steady_moment(1, LatticeSpec(4, 1.0, 3)) == 1.0
+    # N = 5: S_2 = 10, C_2(2) + C_2(4) = -5
+    assert abs(steady_moment(2, LatticeSpec(5, 1.0, 0)) - (5 * 10 - 2 * 5) / 25) < 1e-15
 
 
 @pytest.mark.parametrize("N", range(3, 65))
 def test_cosine_weighted_sum_matches_direct(N):
-    # the oracle runs in extended precision with exactly reduced angles:
-    # in float64 its own cancellation noise would exceed the 1e-12 target
+    # the sums run in extended precision with exactly reduced angles:
+    # in float64 their own cancellation noise would exceed the 1e-12 target
     d = periodic_distances(N).astype(np.longdouble)
-    n = np.arange(1, N)
+    n = np.arange(N)
     two_pi = 8 * np.arctan(np.longdouble(1))
+    y = 2 * np.arange(1, (N - 1) // 2 + 1)
+    cos = np.cos(two_pi * ((y[:, None] * n) % N) / N)
     for p in (1, 2):
-        for y in range(1, N):
-            direct = float(d[1:] ** p @ np.cos(two_pi * ((y * n) % N) / N))
-            closed = cosine_weighted_sum(p, y, N)
-            assert abs(direct - closed) <= 1e-12 * max(1.0, abs(direct))
-
-
-def test_cosine_weighted_sum_rejects_zero_class():
-    with pytest.raises(ValueError):
-        cosine_weighted_sum(1, 0, 8)
-    with pytest.raises(ValueError):
-        cosine_weighted_sum(2, 16, 8)
+        direct = float((N * (d ** p).sum() + 2 * (cos @ d ** p).sum()) / N ** 2)
+        closed = steady_moment(p, LatticeSpec(N, 1.0, N // 2))
+        assert abs(direct - closed) <= 1e-12 * direct

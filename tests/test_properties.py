@@ -48,11 +48,10 @@ def test_retained_poles_are_dense_levels(ring):
     spec, nd, q = ring
     system = build_defect_system(spec, DefectSpec(nd, q))
     scale = 1.0 + abs(q) / (2.0 * spec.gamma)
-    # every retained pole is a level of the defected ring ...
+    # every root is a level of the defected ring ...
     levels = np.linalg.eigvalsh(_ring_x(spec, nd, q))
     assert np.all(np.min(np.abs(system.x[:, None] - levels[None, :]), axis=1) <= 1e-10 * scale)
-    # ... and every level class that couples nd to n0 well above the
-    # residue cut is a retained pole
+    # ... and every level class that couples nd to n0 is a root
     x, V = np.linalg.eigh(_ring_x(spec, nd, q))
     for c in _classes(x, scale):
         if abs(V[nd, c] @ V[spec.n0, c]) > 1e-6:

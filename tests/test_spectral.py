@@ -7,13 +7,13 @@ from defectchain.errors import PoleCountMismatch
 from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import defect_levels
 from defectchain.single_defect import DefectSpec, build_defect_system
-from defectchain.spectral import (PoleClass, _safeguarded_newton, find_poles,
+from defectchain.spectral import (_gaps_theta, _safeguarded_newton, find_poles,
                                   green_laplace)
-from defectchain.strong_defect import strong_defect_nodes
+from defectchain.strong_defect import phi_infinite_q
 
 
-def _poles(spec, nd, q):
-    return find_poles(spec.N, q / (2.0 * spec.gamma), periodic_distance(nd, spec.n0, spec.N))
+def _poles(spec, q):
+    return find_poles(spec.N, q / (2.0 * spec.gamma))
 
 
 def _ring_x(N, nd, s):
@@ -44,14 +44,16 @@ def _secular_residual(N, s, poles):
 
 
 def test_strong_defect_nodes():
-    theta, x = strong_defect_nodes(4)
-    assert np.allclose(theta, [np.pi / 4, 3 * np.pi / 4])
-    assert np.allclose(x, [np.sqrt(2) / 2, -np.sqrt(2) / 2])
-    theta3, x3 = strong_defect_nodes(3)
-    assert np.allclose(theta3, [np.pi / 3]) and np.allclose(x3, [0.5])
-    _, x50 = strong_defect_nodes(50)
+    # the infinite-strength series runs over the nodes x_k = cos(pi (2k - 1) / N), k <= N/2
+    assert np.allclose(phi_infinite_q(LatticeSpec(4, 1.0, 0), 1).x, [np.sqrt(2) / 2, -np.sqrt(2) / 2])
+    assert np.allclose(phi_infinite_q(LatticeSpec(3, 1.0, 0), 1).x, [0.5])
+    x50 = phi_infinite_q(LatticeSpec(50, 1.0, 0), 3).x
     assert x50.size == 25
     assert np.all(np.diff(x50) < 0) and np.all(np.abs(x50) < 1.0)
+    # they are the zeros of g(0; x), where the in-band roots of 1 = s g(0; x) go as s -> inf
+    for N in (3, 4, 50, 51):
+        nodes = np.sort(phi_infinite_q(LatticeSpec(N, 1.0, 0), 1).x)
+        assert np.max(np.abs(find_poles(N, 1e9).x[:-1] - nodes)) < 1e-8
 
 
 def test_find_poles_against_spectrum_oracle():
@@ -63,19 +65,22 @@ def test_find_poles_against_spectrum_oracle():
         n0, nd = int(rng.integers(0, N)), int(rng.integers(0, N))
         spec = LatticeSpec(N, gamma, n0)
         d = periodic_distance(nd, n0, N)
-        poles = find_poles(N, q / (2.0 * gamma), d)
+        poles = find_poles(N, q / (2.0 * gamma))
         # the roots plus the odd free levels are the dense spectrum
         assert np.allclose(_spectrum_from_poles(N, poles), defect_levels(spec, nd, q),
                            rtol=0.0, atol=1e-12)
-        # residue sum rule: sum_j v_j(nd) v_j(n0) = delta_{d,0} over the modes seen at nd
-        assert abs(poles.f.sum() - (1.0 if d == 0 else 0.0)) < 1e-9
+        # sum rule: sum_j v_j(nd) v_j(n0) = delta_{d,0} over the even modes (the odd
+        # ones vanish on nd), read from the weight rows W_jn = v_j(n) v_j(n0) at n = nd
+        system = build_defect_system(spec, DefectSpec(nd, q))
+        assert np.array_equal(system.x, poles.x)
+        assert abs(system.weights[:, nd].sum() - (1.0 if d == 0 else 0.0)) < 1e-9
         assert len(poles) == N // 2 + 1
 
 
 def test_find_poles_polish_residual():
     spec = LatticeSpec(30, 1.0, 4)
     for q in (0.3, -2.0, 7.0, 300.0):
-        poles = _poles(spec, 11, q)
+        poles = _poles(spec, q)
         assert np.all(_secular_residual(30, q / 2.0, poles) < 1e-14)
 
 
@@ -83,7 +88,7 @@ def test_find_poles_small_q_continuity():
     # q -> 0+: every pole sits next to its level, shifted by first-order
     # perturbation theory, s |v_k(nd)|^2 = s w_k (1/N for a single level, 2/N doubled)
     N, s = 6, 0.5e-9
-    poles = find_poles(N, s, 2)
+    poles = find_poles(N, s)
     k = np.arange(N // 2 + 1)
     assert np.array_equal(np.sort(poles.level), k)
     w = np.where((poles.level == 0) | (2 * poles.level == N), 1.0, 2.0) / N
@@ -93,43 +98,45 @@ def test_find_poles_small_q_continuity():
 
 def test_find_poles_continuity_under_strength_steps():
     # each pole moves by ~ ds v_j(nd)^2 between nearby strengths (Hellmann-Feynman),
-    # v_j(nd)^2 being the residue for a start on the defect; every step agrees with eigvalsh
+    # v_j(nd)^2 being the weight W_j,nd for a start on the defect; every step agrees
+    # with eigvalsh
     N, nd = 14, 8
+    spec = LatticeSpec(N, 1.0, nd)
     prev = None
     for q in np.linspace(1.0, 1.2, 9):
         s = float(q) / 2.0
-        x = find_poles(N, s, 0).x
-        assert np.allclose(_spectrum_from_poles(N, find_poles(N, s, 0)),
+        system = build_defect_system(spec, DefectSpec(nd, float(q)))
+        assert np.allclose(_spectrum_from_poles(N, find_poles(N, s)),
                            np.linalg.eigvalsh(_ring_x(N, nd, s)), atol=1e-13)
         if prev is not None:
-            predicted = np.abs(s - prev_s) * prev.f
-            assert np.all(np.abs(x - prev.x) <= 2.0 * predicted + 1e-12)
-        prev, prev_s = find_poles(N, s, 0), s
+            predicted = np.abs(s - prev_s) * prev.weights[:, nd]
+            assert np.all(np.abs(system.x - prev.x) <= 2.0 * predicted + 1e-12)
+        prev, prev_s = system, s
 
 
 def test_find_poles_bound_state_window():
     spec = LatticeSpec(50, 1.0, 2)
-    poles = _poles(spec, 2, 20.0)
-    bound = poles.x[poles.kind == PoleClass.BOUND_STATE]
+    poles = _poles(spec, 20.0)
+    bound = poles.x[np.abs(poles.x) > 1.0]
     assert bound.size == 1
     assert 1.0 < bound[0] <= 1.0 + 20.0 / 2.0     # Gershgorin-type window
     # attractive vs repulsive side
-    bound_neg = _poles(spec, 2, -20.0)
-    b = bound_neg.x[bound_neg.kind == PoleClass.BOUND_STATE]
+    bound_neg = _poles(spec, -20.0)
+    b = bound_neg.x[np.abs(bound_neg.x) > 1.0]
     assert b.size == 1 and b[0] < -1.0
 
 
 def test_find_poles_odd_N_shallow_negative_q_keeps_level_in_band():
     # for odd N the repulsive level leaves the band only past |q| = 4 gamma / N
     spec = LatticeSpec(9, 1.0, 0)
-    assert _poles(spec, 3, -0.2).bound_count == 0
-    assert _poles(spec, 3, -3.0).bound_count == 1
+    assert np.sum(np.abs(_poles(spec, -0.2).x) > 1.0) == 0
+    assert np.sum(np.abs(_poles(spec, -3.0).x) > 1.0) == 1
 
 
 def test_find_poles_errors(monkeypatch):
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(ValueError):
-        _poles(spec, 3, 0.0)
+        _poles(spec, 0.0)
     # roots that disagree with the dense spectrum must raise under validate=True
     import defectchain.single_defect as sd
     build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
@@ -140,7 +147,7 @@ def test_find_poles_errors(monkeypatch):
     with pytest.raises(PoleCountMismatch):
         build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
     # odd N at q / 2 gamma = -2/N: the repulsive level sits on x = -1, a simple root
-    poles = _poles(LatticeSpec(5, 1.0, 0), 2, -4.0 / 5.0)
+    poles = _poles(LatticeSpec(5, 1.0, 0), -4.0 / 5.0)
     assert len(poles) == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
     assert np.allclose(_spectrum_from_poles(5, poles),
                        np.linalg.eigvalsh(_ring_x(5, 2, -0.4)), atol=1e-14)
@@ -206,10 +213,10 @@ def test_odd_N_level_inside_last_grid_cell(N):
     # pi / (8N) of theta = pi, next to the odd node x = -1
     for gap in (1e-2, 1e-4, 1e-6):
         q2g = -2.0 / N * (1.0 - gap)
-        poles = find_poles(N, q2g, 1)
-        assert poles.bound_count == 0 and len(poles) == N // 2 + 1
+        poles = find_poles(N, q2g)
+        assert np.sum(np.abs(poles.x) > 1.0) == 0 and len(poles) == N // 2 + 1
         levels = np.linalg.eigvalsh(_ring_x(N, 1, q2g))
-        assert np.max(np.min(np.abs(poles.x_retained[:, None] - levels), axis=1)) < 1e-10
+        assert np.max(np.min(np.abs(poles.x[:, None] - levels), axis=1)) < 1e-10
 
 
 @pytest.mark.parametrize("edge", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-2, -1e-2])
@@ -218,8 +225,25 @@ def test_odd_N_band_edge_matches_eigvalsh(N, edge):
     # 1 + N q / 4 gamma = edge: the repulsive level crosses x = -1 at edge = 0,
     # where the old denominator had a double root; the secular equation has none
     s = 2.0 * (edge - 1.0) / N
-    poles = find_poles(N, s, 2 % N)
-    assert len(poles) == N // 2 + 1 and poles.bound_count == (edge < 0)
+    poles = find_poles(N, s)
+    assert len(poles) == N // 2 + 1 and np.sum(np.abs(poles.x) > 1.0) == (edge < 0)
     want = np.linalg.eigvalsh(_ring_x(N, 0, s))
     assert np.max(np.abs(_spectrum_from_poles(N, poles) - want)) < 1e-10 * (1.0 + abs(s))
     assert np.all(_secular_residual(N, s, poles) < 1e-13)
+
+
+@pytest.mark.parametrize("N", [3, 4, 7, 50, 51, 200])
+def test_gaps_theta_keep_relative_accuracy(N):
+    # x - c_k at x = cos(pi j / N + phi), against mpmath: each gap, the own
+    # level's too, to a few ulps of itself (a zero gap is exactly zero); at N = 50, s = 5e-10 the root next
+    # to level 25 (x = -1) sits at phi = 4.47e-6, where an unreduced angle
+    # pi + phi / 2 lost 7e-11 of the own-level gap
+    import mpmath
+    mpmath.mp.dps = 40
+    k = np.arange(N // 2 + 1)
+    for j in (0, 1, N - 1, N, N + 1, 2 * N - 1, 2 * N, 3 * N + 2, -N):
+        for phi in (0.0, 4.47e-6, -4.47e-6, 1e-12, 0.3 / N):
+            got = _gaps_theta(j, phi, N)
+            x = mpmath.cos(mpmath.pi * j / N + mpmath.mpf(phi))
+            want = np.array([float(x - mpmath.cos(2 * mpmath.pi * int(kk) / N)) for kk in k])
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want) + 1e-30), (j, phi)
