@@ -6,10 +6,10 @@ classical barrier-walk baseline."""
 from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      DuplicateDefectSite, NonSimplePole, NormalizationDrift,
                      NotConverged, NotReached, PoleCountMismatch)
-from .homogeneous import (SiteProfile, default_time_grid, estimate_tstar,
-                          fit_ballistic, fit_tstar_scaling, green_profile,
-                          moment_series, moment_time, occupation,
-                          steady_moment, steady_profile)
+from .homogeneous import (SiteProfile, estimate_tstar, fit_ballistic,
+                          fit_tstar_scaling, green_profile, moment_series,
+                          moment_time, occupation, steady_moment,
+                          steady_profile)
 from .lattice import (LatticeSpec, periodic_distance, periodic_distances,
                       site_index)
 from .multi_defect import (MultiDefectSystem, bromwich_occupation,
@@ -20,7 +20,7 @@ from .oracle import (BarrierWalkSpec, SpectralDecomposition,
                      occupation_exact, time_average_exact)
 from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             amplitude_profile, build_defect_system,
-                            corrections, moment_defect_series,
+                            corrections, defect_systems, moment_defect_series,
                             moment_defect_time, occupation_defect,
                             occupation_defect_series, phi_series,
                             steady_corrections, steady_moment_defect,

@@ -101,7 +101,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_qlog(text: str) -> list[float]:
     try:
         lo, hi, count = text.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(count)))
+        lo, hi = float(lo), float(hi)
+        if np.isinf(lo) or np.isinf(hi):
+            raise ValueError("infinite bound")
+        return list(np.geomspace(lo, hi, int(count)))
     except ValueError as exc:
         raise ConfigError(f"--q-log expects min:max:count, got {text!r}", "q-log") from exc
 
@@ -212,6 +215,14 @@ def _q_values(args) -> list[float]:
     return qs
 
 
+def _defect(nd, q) -> DefectSpec:
+    """DefectSpec(nd, q), a strength it rejects reported as a configuration error."""
+    try:
+        return DefectSpec(nd, q)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "q") from exc
+
+
 def _single_site(args) -> int:
     if not args.nd or len(args.nd) != 1:
         raise ConfigError("exactly one --nd is required here", "nd")
@@ -259,13 +270,13 @@ def run_free(args) -> ResultTable:
     return table
 
 
-def _single_point(spec, nd, q, with_oracle):
-    sysq = build_defect_system(spec, DefectSpec(nd, q))
+def _single_point(sysq, q, with_oracle):
+    spec, nd = sysq.spec, sysq.defect.nd
     prof = single_defect.steady_occupation(sysq).values
     out = []
     for n, v in enumerate(prof):
         out.append(("steady_occupation", q, n, v, "analytic"))
-    out.append(("steady_at_defect", q, nd, float(prof[site_index(nd, spec.N)]), "analytic"))
+    out.append(("steady_at_defect", q, nd, float(prof[nd]), "analytic"))
     out.append(("steady_at_start", q, spec.n0, float(prof[spec.n0]), "analytic"))
     for p in (1, 2):
         name = "mean_displacement_steady" if p == 1 else "msd_steady"
@@ -288,14 +299,14 @@ def _single_point(spec, nd, q, with_oracle):
 def run_single(args) -> ResultTable:
     spec = _lattice(args)
     nd = site_index(_single_site(args), spec.N)
-    qs = _q_values(args)
+    qs = [_defect(nd, q).q for q in _q_values(args)]
     with_oracle = spec.N <= ORACLE_MAX_N
     if not with_oracle:
         _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
     table = ResultTable(meta={"mode": "single", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": nd})
-    for q in qs:
-        for obs, qv, n, v, prov in _single_point(spec, nd, q, with_oracle):
+    for q, (sysq,) in zip(qs, single_defect.defect_systems(spec, [nd], qs)):
+        for obs, qv, n, v, prov in _single_point(sysq, q, with_oracle):
             table.add(obs, v, provenance=prov, N=spec.N, gamma=spec.gamma,
                       q=float(qv), nd=nd, n0=spec.n0, n=n)
     return table
@@ -327,7 +338,7 @@ def run_two(args) -> ResultTable:
     if len(qs) != len(args.nd):
         raise ConfigError(f"one --q per --nd is required ({len(args.nd)} sites, "
                           f"{len(qs)} strengths)", "q")
-    defects = [DefectSpec(nd, q) for nd, q in zip(args.nd, qs)]
+    defects = [_defect(nd, q) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65)
     with_oracle = spec.N <= ORACLE_MAX_N
@@ -364,7 +375,7 @@ def run_oracle_check(args) -> ResultTable:
     for q in qs:
         if len(args.nd) == 1:
             nd = site_index(args.nd[0], spec.N)
-            sysq = build_defect_system(spec, DefectSpec(nd, q), validate=True)
+            sysq = build_defect_system(spec, _defect(nd, q), validate=True)
             dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
             prof = single_defect.steady_occupation(sysq).values
             oprof = time_average_exact(dec, spec.n0)
@@ -379,7 +390,7 @@ def run_oracle_check(args) -> ResultTable:
         else:
             if len(args.nd) != 2:
                 raise ConfigError("oracle-check supports one or two --nd sites", "nd")
-            defects = [DefectSpec(args.nd[0], q), DefectSpec(args.nd[1], q)]
+            defects = [_defect(args.nd[0], q), _defect(args.nd[1], q)]
             system = build_two_defect_system(defects, spec)
             dec = SpectralDecomposition.from_hamiltonian(
                 build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
@@ -449,8 +460,8 @@ def _figure_fig2(panel: str) -> ResultTable:
                       N=50, gamma=1.0, q=q, nd=nd, n0=2, n=n)
             table.add("steady_occupation", float(abs(prof[n] - oprof[n])),
                       provenance="abs_diff", N=50, gamma=1.0, q=q, nd=nd, n0=2, n=n)
-    for q in np.geomspace(0.05, 50.0, 40):
-        sysq = build_defect_system(spec, DefectSpec(nd, float(q)))
+    qs = np.geomspace(0.05, 50.0, 40)
+    for q, (sysq,) in zip(qs, single_defect.defect_systems(spec, [nd], qs)):
         prof = single_defect.steady_occupation(sysq).values
         table.add("steady_at_defect", float(prof[nd]), N=50, gamma=1.0, q=float(q), nd=nd, n0=2)
         table.add("steady_at_start", float(prof[2]), N=50, gamma=1.0, q=float(q), nd=nd, n0=2)
@@ -465,14 +476,14 @@ def _figure_fig3(panel: str) -> ResultTable:
     p = 1 if panel == "fig3a" else 2
     name = "mean_displacement_steady" if p == 1 else "msd_steady"
     table = ResultTable(meta={"mode": "figure", "panel": panel, "N": 200, "n0": 2})
-    qs = list(np.geomspace(0.01, 100.0, 41))
-
+    qs, sites = np.geomspace(0.01, 100.0, 41), (2, 3, 4, 5, 6)
     spec = LatticeSpec(200, 1.0, 2)
-    for nd in (2, 3, 4, 5, 6):
-        for q in qs:
-            sysq = build_defect_system(spec, DefectSpec(nd, q))
-            table.add(name, single_defect.steady_moment_defect(sysq, p),
-                      N=200, gamma=1.0, q=float(q), nd=nd, n0=2)
+    values = np.empty((len(sites), qs.size))
+    for i, systems in enumerate(single_defect.defect_systems(spec, sites, qs)):
+        values[:, i] = [single_defect.steady_moment_defect(sysq, p) for sysq in systems]
+    for nd, row in zip(sites, values):
+        for q, v in zip(qs, row):
+            table.add(name, v, N=200, gamma=1.0, q=float(q), nd=nd, n0=2)
     if panel == "fig3b":
         table.add("msd_steady_infq", strong_defect.steady_moments_infinite_q(2, spec),
                   N=200, gamma=1.0, nd=4, n0=2)

@@ -114,14 +114,6 @@ def fit_ballistic(spec: LatticeSpec, tmax: float | None = None, n: int = 64) -> 
     return float((vals @ t2) / (t2 @ t2))
 
 
-def default_time_grid(spec: LatticeSpec, tmax: float | None = None,
-                      n: int = 2048) -> np.ndarray:
-    """Figure-reproduction grid: n points over [0, 4 N / gamma] by default."""
-    if tmax is None:
-        tmax = 4.0 * spec.N / spec.gamma
-    return np.linspace(0.0, tmax, n)
-
-
 def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01,
                    grid_points: int = 2048) -> float:
     """Earliest time where Delta_2 deviates from 2 gamma^2 t^2 by `threshold`.

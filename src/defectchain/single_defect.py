@@ -9,7 +9,9 @@ eigenvectors v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| (Bunch, Nielsen &
 Sorensen 1978).  Each row g(.; x_j) is one inverse real FFT of 1 / (x_j - c_k),
 the gaps taken as (c_L - c_k) + delta_j from the level L the root was solved
 from and its exact offset delta_j, so a root within rounding of its level
-keeps its digits.  With the weight rows W_jn = v_j(n) v_j(n0),
+keeps its digits.  The rows do not depend on nd (it only rotates them), so a
+sweep (defect_systems) solves all its strengths at once and takes one FFT
+per strength for every site.  With the weight rows W_jn = v_j(n) v_j(n0),
 
     psi(n, t) = sum_j exp(2 i gamma x_j t) W_jn + (G(n, n0, t) - G(n, 2 nd - n0, t)) / 2,
 
@@ -28,6 +30,7 @@ not depend on q.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +68,10 @@ class DefectSpec:
     nd: int
     q: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {self.q}")
+
 
 @dataclass(frozen=True)
 class PhiSeries:
@@ -101,16 +108,31 @@ class DefectSystem:
         return Ibar, Kbar
 
 
-def _weight_rows(gaps: np.ndarray, N: int, n0: int, nd: int) -> np.ndarray:
-    """W_jn = v_j(n) v_j(n0) for the even eigenvectors v_j(n) = g(n - nd; x_j)
-    / ||g(.; x_j)||, from the gaps x_j - c_k (k <= N/2), shape (J, N//2 + 1):
-    one inverse real FFT per block of rows."""
-    W = np.empty((gaps.shape[0], N))
-    d = (n0 - nd) % N
+def _even_rows(gaps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows g(m; x_j), m = 0..N-1, and their squared norms, from the gaps
+    x_j - c_k (k <= N/2), shape (J, N//2 + 1): one inverse real FFT per block
+    of rows.  They do not depend on the defect site."""
+    rows, norms = np.empty((gaps.shape[0], N)), np.empty(gaps.shape[0])
     for b in time_blocks(gaps.shape[0], 2 * N):
-        g = np.fft.irfft(1.0 / gaps[b], N)                 # g(d; x_j), d = 0..N-1
-        g *= (g[:, d] / np.einsum("jn,jn->j", g, g))[:, None]
-        W[b, nd:], W[b, :nd] = g[:, :N - nd], g[:, N - nd:]
+        rows[b] = np.fft.irfft(1.0 / gaps[b], N)
+        norms[b] = np.einsum("jn,jn->j", rows[b], rows[b])
+    return rows, norms
+
+
+def _pole_rows(level: np.ndarray, offset: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """_even_rows at the roots solved from `level` with exact `offset`: the
+    gaps x_j - c_k are (c_L - c_k) + offset_j, so the own level's gap is the
+    offset itself."""
+    return _even_rows(_gaps_theta(2 * level[:, None], 0.0, N) + offset[:, None], N)
+
+
+def _site_weights(rows: np.ndarray, norms: np.ndarray, N: int, n0: int, nd: int) -> np.ndarray:
+    """W_jn = v_j(n) v_j(n0) for the even eigenvectors v_j(n) = g(n - nd; x_j)
+    / ||g(.; x_j)|| of a defect at nd: the rows rotated by nd and scaled."""
+    scale = (rows[:, (n0 - nd) % N] / norms)[:, None]
+    W = np.empty_like(rows)
+    np.multiply(rows[:, :N - nd], scale, out=W[:, nd:])
+    np.multiply(rows[:, N - nd:], scale, out=W[:, :nd])
     return W
 
 
@@ -129,23 +151,50 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
     plus the dense solver's own rounding.
     """
     N = spec.N
-    nd = site_index(defect.nd, N)
-    defect = DefectSpec(nd, float(defect.q))
+    defect = DefectSpec(site_index(defect.nd, N), float(defect.q))
     if defect.q == 0.0:
-        return DefectSystem(spec, defect, np.empty(0), np.empty((0, N)))
+        return _free_system(spec, defect.nd)
     s = defect.q / (2.0 * spec.gamma)
     poles = find_poles(N, s)
     if validate:
         from .oracle import defect_levels
-        dense = defect_levels(spec, nd, defect.q)
+        dense = defect_levels(spec, defect.nd, defect.q)
         mine = np.sort(np.append(poles.x, _odd_levels(N)))
         tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))
         if np.any(np.abs(mine - dense) > tol):
             raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
                                     f"(worst {np.max(np.abs(mine - dense)):.3g})")
-    # x_j - c_k as (c_L - c_k) + offset_j: the own level's gap is the offset itself
-    gaps = _gaps_theta(2 * poles.level[:, None], 0.0, N) + poles.offset[:, None]
-    return DefectSystem(spec, defect, poles.x, _weight_rows(gaps, N, spec.n0, nd))
+    rows, norms = _pole_rows(poles.level, poles.offset, N)
+    return DefectSystem(spec, defect, poles.x, _site_weights(rows, norms, N, spec.n0, defect.nd))
+
+
+def _free_system(spec: LatticeSpec, nd: int) -> DefectSystem:
+    """The q = 0 system: no even levels of its own."""
+    return DefectSystem(spec, DefectSpec(nd, 0.0), np.empty(0), np.empty((0, spec.N)))
+
+
+def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[DefectSystem, ...]]:
+    """For each strength in turn, the systems at every site in `sites`, each
+    equal to build_defect_system(spec, DefectSpec(nd, q)) array for array.
+
+    A sweep shares its work: one find_poles call solves every nonzero
+    strength, each strength takes one gap table and one blocked inverse
+    real FFT for its rows g(m; x_j), and each site only rotates and scales
+    those rows.  A strength's systems are built when it is reached, so a
+    long sweep holds one strength's weight matrices at a time.
+    """
+    N = spec.N
+    sites = [site_index(nd, N) for nd in sites]
+    qs = np.array(strengths, dtype=float).reshape(-1)
+    live = qs != 0.0
+    poles = find_poles(N, qs[live] / (2.0 * spec.gamma)) if live.any() else None
+    for q, r in zip(qs.tolist(), np.cumsum(live) - 1):
+        if q == 0.0:
+            yield tuple(_free_system(spec, nd) for nd in sites)
+            continue
+        rows, norms = _pole_rows(poles.level[r], poles.offset[r], N)
+        yield tuple(DefectSystem(spec, DefectSpec(nd, q), poles.x[r],
+                                 _site_weights(rows, norms, N, spec.n0, nd)) for nd in sites)
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:

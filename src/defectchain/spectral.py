@@ -16,7 +16,8 @@ root lies in (1, 1 + s] for s > 0 and in (-1 - |s|, c_K) for s < 0, K = N//2
 (for odd N that covers both sides of x = -1).  Every root is solved in its
 offset from its level -- theta offset phi in band, x offset u outside -- by
 one element-wise safeguarded Newton, so a root next to its level keeps its
-digits.
+digits.  The roots depend on N and s alone, and the strength is an array
+axis: one solve covers a whole sweep, each row with the bits it gets alone.
 
 The helpers evaluate g and the gaps x - c_k at theta = pi j / N + phi with
 the angle reduced exactly, and are shared with the M-defect engine.
@@ -154,9 +155,13 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
     return root
 
 
-def find_poles(N: int, s: float) -> PoleSet:
+def find_poles(N: int, s) -> PoleSet:
     """The N//2 + 1 roots of 1 = s g(0; x) for one defect of strength
     s = q / 2 gamma, sorted ascending.
+
+    s may also be a 1-d array of nonzero strengths, of either sign: x, level
+    and offset are then (Q, N//2 + 1), and one element-wise solve gives row
+    i the bits that find_poles(N, s[i]) gives alone.
 
     Root i < K = N//2 lies between levels i and i + 1, at theta = theta_L +
     sig phi, 0 < phi < pi / N, from the level L of its half interval; there
@@ -166,47 +171,70 @@ def find_poles(N: int, s: float) -> PoleSet:
     u, L = 0 or K, solved as side u (1/s - g_L(x)) = w_L with g_L the other
     levels' part of g(0; x) and w_L this level's weight: -w_L at u = 0.
     """
-    if s == 0.0:
+    strengths = np.asarray(s, dtype=float)
+    if strengths.ndim > 1:
+        raise ValueError("s must be a number or a 1-d array of strengths")
+    if np.any(strengths == 0.0):
         raise ValueError("q must be nonzero; the defect-free case has no poles to find")
-    K, up = N // 2, s > 0.0
-    sig, side = (-1.0, 1.0) if up else (1.0, -1.0)
-    lev = np.append(np.arange(K) + up, 0 if up else K)
+    if not np.all(np.isfinite(strengths)):
+        raise ValueError(f"strengths must be finite, got {strengths}")
+    K, s = N // 2, np.atleast_1d(strengths)[:, None]      # one row per strength
+    up = s > 0.0
+    sig = np.where(up, -1.0, 1.0)
+    side = -sig
+    lev = np.concatenate([np.arange(K) + up, np.where(up, 0, K)], axis=1)
     c_lev, s_lev = _cos_sin(2 * lev, N)
     k = np.arange(K + 1)
     weight = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
-    w_other = np.where(k == lev[K], 0.0, weight)
-    out_gaps = _gaps_theta(2 * lev[K], 0.0, N)            # c_L - c_k at the outer root's level
+    # at the outer root's level L (0 or K): the gaps c_L - c_k and the other levels' weights
+    out_gaps = _gaps_theta(2 * lev[:, K:], 0.0, N)
+    out_weight = {L: np.where(k == L, 0.0, weight) for L in (0, K)}
 
-    def band(i, phi):
-        """sin and cos of theta = theta_L + sig phi, and sin, cos of N phi / 2."""
-        cp, sp, a = np.cos(phi), np.sin(phi), N * phi / 2.0
-        return (s_lev[i] * cp + sig * c_lev[i] * sp, c_lev[i] * cp - sig * s_lev[i] * sp,
-                np.sin(a), np.cos(a))
-
-    def offset(i, phi):
-        """x - c_L = -2 sin(theta_L + sig phi / 2) sin(sig phi / 2), exactly reduced."""
-        cp, sp = np.cos(phi / 2.0), np.sin(phi / 2.0)
-        return -2.0 * sig * sp * (s_lev[i] * cp + sig * c_lev[i] * sp)
+    shape = lev.shape
+    row, i = np.divmod(np.arange(lev.size), K + 1)         # flat element -> (strength, root)
+    s_f, sig_f, side_f = s[row, 0], sig[row, 0], side[row, 0]
+    c_f, s_lev_f, lev_f = c_lev.ravel(), s_lev.ravel(), lev.ravel()
 
     def secular(idx, z):
         val, slope = np.empty(z.size), np.empty(z.size)
-        b = idx < K
-        sin_t, cos_t, sa, ca = band(idx[b], z[b])
-        val[b] = sig * sin_t * sa + s * ca
-        slope[b] = cos_t * sa + (N / 2.0) * (sig * sin_t * ca - s * sa)
+        b = i[idx] < K
+        e, phi = idx[b], z[b]
+        sg, sv, cl, sl = sig_f[e], s_f[e], c_f[e], s_lev_f[e]
+        cp, sp, a = np.cos(phi), np.sin(phi), N * phi / 2.0
+        sin_t = sl * cp + sg * cl * sp                     # theta = theta_L + sig phi
+        cos_t = cl * cp - sg * sl * sp
+        sa, ca = np.sin(a), np.cos(a)
+        val[b] = sg * sin_t * sa + sv * ca
+        slope[b] = cos_t * sa + (N / 2.0) * (sg * sin_t * ca - sv * sa)
         if not b.all():
-            u = z[~b]
-            inv = 1.0 / (out_gaps + side * u[:, None])
-            rest = 1.0 / s - inv @ w_other
-            val[~b] = side * u * rest - weight[lev[K]]
-            slope[~b] = side * rest + u * ((inv * inv) @ w_other)
+            e, u = idx[~b], z[~b]
+            L = lev_f[e]
+            inv = 1.0 / (out_gaps[row[e]] + side_f[e, None] * u[:, None])
+            inv2 = inv * inv
+            level_sum, slope_sum = np.empty(e.size), np.empty(e.size)
+            for m in range(e.size):     # a (1, K+1) GEMV per strength, as alone: same bits
+                w_other = out_weight[L[m]]
+                level_sum[m] = (inv[m:m + 1] @ w_other)[0]
+                slope_sum[m] = (inv2[m:m + 1] @ w_other)[0]
+            rest = 1.0 / s_f[e] - level_sum
+            val[~b] = side_f[e] * u * rest - weight[L]
+            slope[~b] = side_f[e] * rest + u * slope_sum
         return val, slope
 
-    edge = 1.0 - side * c_lev[K]                          # from the outer level to x = side
-    hi = np.append(np.full(K, np.pi / N), abs(s) + edge)
-    z = _safeguarded_newton(secular, np.zeros(K + 1), hi, np.append(np.full(K, up), False))
+    hi = np.empty(shape)
+    hi[:, :K] = np.pi / N
+    hi[:, K] = np.abs(s[:, 0]) + (1.0 - side[:, 0] * c_lev[:, K])   # from the outer level to x = side
+    pos_lo = np.zeros(shape, dtype=bool)
+    pos_lo[:, :K] = up
+    z = _safeguarded_newton(secular, np.zeros(lev.size), hi.ravel(), pos_lo.ravel()).reshape(shape)
 
-    delta = np.append(offset(np.arange(K), z[:K]), side * z[K])
+    # x - c_L = -2 sin(theta_L + sig phi / 2) sin(sig phi / 2) in band, exactly reduced
+    cp, sp = np.cos(z[:, :K] / 2.0), np.sin(z[:, :K] / 2.0)
+    delta = np.concatenate([-2.0 * sig * sp * (s_lev[:, :K] * cp + sig * c_lev[:, :K] * sp),
+                            side * z[:, K:]], axis=1)
     x = c_lev + delta
-    order = np.argsort(x)
-    return PoleSet(x[order], lev[order], delta[order])
+    order = (np.arange(shape[0])[:, None], np.argsort(x, axis=1))
+    x, lev, delta = x[order], lev[order], delta[order]
+    if strengths.ndim == 0:
+        x, lev, delta = x[0], lev[0], delta[0]
+    return PoleSet(x, lev, delta)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import PhiSeries, _weight_rows, steady_sums
+from .single_defect import PhiSeries, _even_rows, _site_weights, steady_sums
 from .spectral import _gaps_theta
 
 
@@ -80,7 +80,8 @@ def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarra
     if nd == spec.n0:
         raise ValueError("nd = n0 is the full-localization branch; no correction sums")
     j = 2 * np.arange(1, N // 2 + 1) - 1                  # theta_l = pi j / N
-    W = _weight_rows(_gaps_theta(j[:, None], 0.0, N), N, spec.n0, nd)
+    rows, norms = _even_rows(_gaps_theta(j[:, None], 0.0, N), N)
+    W = _site_weights(rows, norms, N, spec.n0, nd)
     return steady_sums(W, N, spec.n0, nd)
 
 

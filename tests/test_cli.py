@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from defectchain.cli import main
+from defectchain.lattice import LatticeSpec
+from defectchain.single_defect import (DefectSpec, build_defect_system,
+                                       steady_moment_defect, steady_occupation)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -129,6 +132,55 @@ def test_single_small_q_and_odd_band_edge(tmp_path, N, n0, nd, q):
     prof = np.array([float(r[8]) for r in rows if r[0] == "steady_occupation" and r[9] == "analytic"])
     assert prof.size == N
     assert np.max(np.abs(prof - _dense_steady(N, n0, nd, q))) < 1e-12
+
+
+def test_non_finite_strength_is_a_config_error(capsys):
+    # each command rejects the strength up front: no NaN roots, no drift, no LinAlgError
+    for args in (["single", "--N", "10", "--nd", "3", "--q", "nan"],
+                 ["single", "--N", "10", "--nd", "3", "--q", "1", "--q-log", "nan:1:3"],
+                 ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "nan", "--q", "1"],
+                 ["oracle-check", "--N", "10", "--nd", "3", "--q", "inf"],
+                 ["oracle-check", "--N", "10", "--nd", "3", "--nd", "7", "--q=-inf"]):
+        assert run_cli(args) == 1, args
+        assert "config error: q must be finite" in capsys.readouterr().err
+    assert run_cli(["single", "--N", "10", "--nd", "3", "--q-log", "1:inf:3"]) == 1
+    assert "config error: --q-log" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_fig3_sweep_rows_equal_point_by_point(tmp_path):
+    # fig3 shares one pole solve and one row FFT per strength across its five sites;
+    # its rows, in nd-major order, are the per-point builds' moments
+    prefix = tmp_path / "p"
+    assert run_cli(["figure", "--panel", "fig3a", "--out", str(prefix)]) == 0
+    spec = LatticeSpec(200, 1.0, 2)
+    want = [(str(nd), repr(float(q)), repr(steady_moment_defect(
+                build_defect_system(spec, DefectSpec(nd, q)), 1)))
+            for nd in (2, 3, 4, 5, 6) for q in np.geomspace(0.01, 100.0, 41)]
+    assert [(r[4], r[3], r[8]) for r in _csv_rows(tmp_path / "p_fig3a.csv")] == want
+
+
+def test_single_sweep_rows_equal_point_by_point(tmp_path):
+    # a free point, a geometric sweep and a negative strength in one call
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["single", "--N", "50", "--n0", "2", "--nd", "4", "--q", "0",
+                    "--q-log", "0.05:50:40", "--q=-3", "--out", str(out)]) == 0
+    spec = LatticeSpec(50, 1.0, 2)
+    want = []
+    for q in [0.0, -3.0, *np.geomspace(0.05, 50.0, 40)]:         # --q values, then --q-log
+        system = build_defect_system(spec, DefectSpec(4, q))
+        prof = steady_occupation(system).values
+        want += [("steady_occupation", repr(float(q)), str(n), repr(float(v))) for n, v in enumerate(prof)]
+        want += [("steady_at_defect", repr(float(q)), "4", repr(float(prof[4]))),
+                 ("steady_at_start", repr(float(q)), "2", repr(float(prof[2])))]
+        want += [(name, repr(float(q)), "", repr(steady_moment_defect(system, p)))
+                 for p, name in ((1, "mean_displacement_steady"), (2, "msd_steady"))]
+    rows = _csv_rows(out)
+    assert [(r[0], r[3], r[6], r[8]) for r in rows if r[9] == "analytic"] == want
+    assert any(r[9] == "oracle" for r in rows)
 
 
 def test_solver_error_exit_two():

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defectchain.homogeneous import (default_time_grid, distance_powers,
-                                     estimate_tstar, fit_ballistic,
-                                     green_profile, green_profiles,
-                                     moment_series, moment_time, occupation,
-                                     steady_moment, steady_profile)
+from defectchain.homogeneous import (distance_powers, estimate_tstar,
+                                     fit_ballistic, green_profile,
+                                     green_profiles, moment_series,
+                                     moment_time, occupation, steady_moment,
+                                     steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import build_hamiltonian
 
@@ -170,10 +170,3 @@ def test_tstar_validation():
         estimate_tstar(LatticeSpec(20, 1.0, 0), threshold=0.7)
     with pytest.raises(ValueError):
         estimate_tstar(LatticeSpec(20, 1.0, 0), threshold=0.0)
-
-
-def test_default_time_grid():
-    spec = LatticeSpec(32, 2.0, 0)
-    grid = default_time_grid(spec)
-    assert grid.size == 2048
-    assert grid[0] == 0.0 and abs(grid[-1] - 4 * 32 / 2.0) < 1e-12

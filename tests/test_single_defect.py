@@ -15,7 +15,8 @@ from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 time_average_exact)
 from defectchain.single_defect import (DefectSpec, amplitude_profile,
                                        amplitude_profiles, build_defect_system,
-                                       corrections, moment_defect_series,
+                                       corrections, defect_systems,
+                                       moment_defect_series,
                                        moment_defect_time, occupation_defect,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
@@ -26,6 +27,34 @@ from parity_dense import dense_occupation, dense_steady_terms, dense_wave_functi
 
 def _system(N, gamma, n0, nd, q, validate=False):
     return build_defect_system(LatticeSpec(N, gamma, n0), DefectSpec(nd, q), validate)
+
+
+@pytest.mark.parametrize("N, n0", [(9, 4), (50, 2), (51, 0), (200, 2)])
+def test_defect_systems_equal_per_point_builder(N, n0):
+    # the sweep shares one pole solve and one row FFT per strength across
+    # sites; every system it yields is the per-point build, array for array
+    spec = LatticeSpec(N, 1.3, n0)
+    sites = [n0, n0 + 1, n0 - 1, n0 + N // 2, n0 + N]
+    strengths = [0.7, 0.0, -2.5, 0.7, 1e-9, -40.0, 0.0, 3e5]
+    count = 0
+    for q, systems in zip(strengths, defect_systems(spec, sites, strengths)):
+        assert len(systems) == len(sites)
+        for nd, got in zip(sites, systems):
+            want = build_defect_system(spec, DefectSpec(nd, q))
+            assert got.defect == want.defect and got.spec == spec
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.weights, want.weights)
+        count += 1
+    assert count == len(strengths)
+    assert list(defect_systems(spec, sites, [])) == []
+
+
+def test_defect_spec_rejects_non_finite_strength():
+    for q in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_defect_system(LatticeSpec(10), DefectSpec(3, q))
+        with pytest.raises(ValueError, match="finite"):
+            list(defect_systems(LatticeSpec(10), [3], [1.0, q]))
 
 
 def test_phi_series_zero_strength_is_empty():

@@ -153,6 +153,34 @@ def test_find_poles_errors(monkeypatch):
                        np.linalg.eigvalsh(_ring_x(5, 2, -0.4)), atol=1e-14)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 50, 51, 200, 2000])
+def test_find_poles_strength_axis_matches_scalar(N):
+    # one batched solve gives every strength the bits it gets alone
+    rng = np.random.default_rng(N)
+    s = rng.choice([-1.0, 1.0], 24) * 10.0 ** rng.uniform(-12.0, 8.0, 24)
+    s = np.concatenate([s, [1e-12, -1e-12, 1e8, -1e8, 0.3, -0.3, 0.3]])
+    if N % 2:
+        s = np.append(s, -2.0 / N)          # the repulsive root on x = -1
+    batch = find_poles(N, s)
+    assert batch.x.shape == batch.level.shape == batch.offset.shape == (s.size, N // 2 + 1)
+    for i, si in enumerate(s):
+        alone = find_poles(N, si)
+        assert np.array_equal(batch.x[i], alone.x)
+        assert np.array_equal(batch.level[i], alone.level)
+        assert np.array_equal(batch.offset[i], alone.offset)
+
+
+def test_find_poles_strength_axis_errors():
+    with pytest.raises(ValueError, match="nonzero"):
+        find_poles(10, np.array([0.5, 0.0, -2.0]))
+    for bad in (np.nan, np.inf, np.array([0.5, -np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            find_poles(10, bad)
+    with pytest.raises(ValueError):
+        find_poles(10, np.ones((2, 2)))
+    assert find_poles(10, np.array([], dtype=float)).x.shape == (0, 6)
+
+
 def test_green_laplace_matches_mode_sum():
     spec = LatticeSpec(10, 1.3, 0)
     rng = np.random.default_rng(17)
