@@ -1,7 +1,7 @@
 """Exact dynamics of a quantum particle on a periodic tight-binding chain
-with one or more on-site energy defects, solved in closed form by pole and
-residue calculus, together with a dense-diagonalization oracle and a
-classical barrier-walk baseline."""
+with one or more on-site energy defects, solved in closed form from the
+roots of a secular equation and their eigenvectors, together with a
+dense-diagonalization oracle and a classical barrier-walk baseline."""
 
 from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      DuplicateDefectSite, NonSimplePole, NormalizationDrift,
@@ -12,19 +12,16 @@ from .homogeneous import (SiteProfile, estimate_tstar, fit_ballistic,
                           steady_profile)
 from .lattice import (LatticeSpec, periodic_distance, periodic_distances,
                       site_index)
-from .multi_defect import (MultiDefectSystem, bromwich_occupation,
-                           build_two_defect_system, two_defect_occupation,
-                           two_defect_occupation_series)
+from .multi_defect import bromwich_occupation, build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition,
                      barrier_walk_steady, build_hamiltonian, evolve_exact,
                      occupation_exact, time_average_exact)
 from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
-                            amplitude_profile, build_defect_system,
-                            corrections, defect_systems, moment_defect_series,
-                            moment_defect_time, occupation_defect,
-                            occupation_defect_series, phi_series,
-                            steady_corrections, steady_moment_defect,
-                            steady_occupation)
+                            amplitude_profiles, build_defect_system,
+                            defect_systems, moment_defect_series,
+                            occupation_defect, occupation_defect_series,
+                            phi_series, steady_corrections,
+                            steady_moment_defect, steady_occupation)
 from .spectral import PoleSet, find_poles, green_laplace
 from .strong_defect import (mirror_site, phi_infinite_q,
                             steady_corrections_infinite_q,

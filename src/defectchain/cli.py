@@ -19,7 +19,7 @@ import numpy as np
 from . import homogeneous, single_defect, strong_defect
 from .errors import ConfigError, DefectChainError, DegeneracyAmbiguity
 from .lattice import LatticeSpec, site_index
-from .multi_defect import build_two_defect_system, two_defect_occupation_series
+from .multi_defect import build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition, barrier_walk_steady,
                      build_hamiltonian, occupation_exact, time_average_exact)
 from .single_defect import DefectSpec, build_defect_system
@@ -88,11 +88,13 @@ class ResultTable:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError, and reads a negative number in exponent form
-    (--q -1e-12) as a value where argparse would take it for an option."""
+    (--q -1e-12), -inf or -nan as a value where argparse would take it for
+    an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -215,12 +217,16 @@ def _q_values(args) -> list[float]:
     return qs
 
 
-def _defect(nd, q) -> DefectSpec:
-    """DefectSpec(nd, q), a strength it rejects reported as a configuration error."""
+def _defect(nd, q, spec) -> DefectSpec:
+    """DefectSpec(nd, q), a strength it rejects, or whose q / 2 gamma on
+    `spec` overflows, reported as a configuration error."""
     try:
-        return DefectSpec(nd, q)
+        defect = DefectSpec(nd, q)
     except ValueError as exc:
         raise ConfigError(str(exc), "q") from exc
+    if not np.isfinite(q / (2.0 * spec.gamma)):
+        raise ConfigError(f"q must be finite in units of 2 gamma, got {q} / {2.0 * spec.gamma}", "q")
+    return defect
 
 
 def _single_site(args) -> int:
@@ -232,8 +238,8 @@ def _single_site(args) -> int:
 def _time_grid(args, spec, default_steps=257):
     tmax = args.tmax if args.tmax is not None else 4.0 * spec.N / spec.gamma
     steps = args.tsteps if args.tsteps is not None else default_steps
-    if tmax <= 0 or steps < 2:
-        raise ConfigError("need tmax > 0 and tsteps >= 2", "tmax/tsteps")
+    if not (np.isfinite(tmax) and tmax > 0) or steps < 2:
+        raise ConfigError("need a finite tmax > 0 and tsteps >= 2", "tmax/tsteps")
     return np.linspace(0.0, tmax, steps)
 
 
@@ -271,7 +277,7 @@ def run_free(args) -> ResultTable:
 
 
 def _single_point(sysq, q, with_oracle):
-    spec, nd = sysq.spec, sysq.defect.nd
+    spec, nd = sysq.spec, sysq.defects[0].nd
     prof = single_defect.steady_occupation(sysq).values
     out = []
     for n, v in enumerate(prof):
@@ -299,7 +305,7 @@ def _single_point(sysq, q, with_oracle):
 def run_single(args) -> ResultTable:
     spec = _lattice(args)
     nd = site_index(_single_site(args), spec.N)
-    qs = [_defect(nd, q).q for q in _q_values(args)]
+    qs = [_defect(nd, q, spec).q for q in _q_values(args)]
     with_oracle = spec.N <= ORACLE_MAX_N
     if not with_oracle:
         _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
@@ -338,7 +344,7 @@ def run_two(args) -> ResultTable:
     if len(qs) != len(args.nd):
         raise ConfigError(f"one --q per --nd is required ({len(args.nd)} sites, "
                           f"{len(qs)} strengths)", "q")
-    defects = [_defect(nd, q) for nd, q in zip(args.nd, qs)]
+    defects = [_defect(nd, q, spec) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65)
     with_oracle = spec.N <= ORACLE_MAX_N
@@ -350,7 +356,7 @@ def run_two(args) -> ResultTable:
             build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
     table = ResultTable(meta={"mode": "two", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": list(args.nd), "q": qs})
-    for t, P in zip(times, two_defect_occupation_series(system, times)):
+    for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
         for n, v in enumerate(P):
             table.add("occupation", v, N=spec.N, gamma=spec.gamma, n0=spec.n0,
                       n=n, t=float(t))
@@ -369,36 +375,29 @@ def run_oracle_check(args) -> ResultTable:
     if not args.nd:
         raise ConfigError("--nd is required", "nd")
     qs = _q_values(args)
+    if len(args.nd) > 2:
+        raise ConfigError("oracle-check supports one or two --nd sites", "nd")
     table = ResultTable(meta={"mode": "oracle-check", "N": spec.N, "gamma": spec.gamma,
                               "n0": spec.n0, "nd": list(args.nd), "tolerance": args.tolerance})
     times = _time_grid(args, spec, default_steps=17)[1:]
     for q in qs:
-        if len(args.nd) == 1:
-            nd = site_index(args.nd[0], spec.N)
-            sysq = build_defect_system(spec, _defect(nd, q), validate=True)
-            dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
-            prof = single_defect.steady_occupation(sysq).values
+        defects = [_defect(site_index(nd, spec.N), q, spec) for nd in args.nd]
+        one = len(defects) == 1
+        system = (build_defect_system(spec, defects[0], validate=True) if one
+                  else build_two_defect_system(defects, spec))
+        dec = SpectralDecomposition.from_hamiltonian(
+            build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+        coords = {"N": spec.N, "gamma": spec.gamma, "q": q, "nd": defects[0].nd if one else None,
+                  "n0": spec.n0}
+        if one:
+            prof = single_defect.steady_occupation(system).values
             oprof = time_average_exact(dec, spec.n0)
             table.add("steady_max_abs_diff", float(np.max(np.abs(prof - oprof))),
-                      provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,
-                      nd=nd, n0=spec.n0)
-            for t, P in zip(times, single_defect.occupation_defect_series(sysq, times)):
-                Po = occupation_exact(dec, spec.n0, float(t))
-                table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
-                          provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,
-                          nd=nd, n0=spec.n0, t=float(t))
-        else:
-            if len(args.nd) != 2:
-                raise ConfigError("oracle-check supports one or two --nd sites", "nd")
-            defects = [_defect(args.nd[0], q), _defect(args.nd[1], q)]
-            system = build_two_defect_system(defects, spec)
-            dec = SpectralDecomposition.from_hamiltonian(
-                build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
-            for t, P in zip(times, two_defect_occupation_series(system, times)):
-                Po = occupation_exact(dec, spec.n0, float(t))
-                table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
-                          provenance="abs_diff", N=spec.N, gamma=spec.gamma, q=q,
-                          n0=spec.n0, t=float(t))
+                      provenance="abs_diff", **coords)
+        for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
+            Po = occupation_exact(dec, spec.n0, float(t))
+            table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
+                      provenance="abs_diff", t=float(t), **coords)
     return table
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic tight-binding chain: N sites, hopping gamma > 0, start site n0."""
+    """Periodic tight-binding chain: N sites, finite hopping gamma > 0, start site n0."""
 
     N: int
     gamma: float = 1.0
@@ -24,8 +24,8 @@ class LatticeSpec:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 3:
             raise ValueError(f"N must be an integer >= 3, got {self.N}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "n0", int(self.n0) % self.N)
 

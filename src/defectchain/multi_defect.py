@@ -13,11 +13,12 @@ keeps its modes that vanish on every defect, and is a root where g_D's
 regular part there, compressed onto the null space of its pole, is singular
 with S^-1.  Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with
 that level's term split off; P_n(t) = |sum_j e^(2 i gamma x_j t) v_j(n) v_j(n0)|^2.
+With fewer than two nonzero strengths the system is single_defect's, so a
+single defect's roots come from spectral.find_poles alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import DuplicateDefectSite, NonSimplePole, NotConverged, PoleCountMismatch
 from .homogeneous import green_profile, time_blocks
 from .lattice import LatticeSpec, periodic_distances, site_index
-from .single_defect import DefectSpec, _check_normalized, eigen_amplitudes
+from .single_defect import (DefectSpec, DefectSystem, _free_system,
+                            build_defect_system, occupation_defect)
 from .spectral import _cos_sin, _gaps_theta, _green_theta, ring_green
 
 RANK_TOL = 1e-8        # rank cut for level modes on the defect sites, relative to sqrt(2/N)
@@ -34,6 +36,8 @@ AMBIGUOUS_TOL = 1000 * np.finfo(float).eps  # and up to here ambiguous, per unit
 MERGE_TOL = 1e-13      # roots this close, relative to their bracket, share null vectors
 NEAR = 1e-2            # finite-branch roots this close to a level (in pi / N) are refined
 CLUSTER_TOL = 1e-1     # roots this close to their level, in (2 pi / N)^2, join its Rayleigh-Ritz group
+
+two_defect_occupation = occupation_defect   # the name the benchmark's time_series workload calls
 
 
 def _regular_green(gaps, ref, N):
@@ -96,28 +100,22 @@ def _rayleigh_ritz(vec, x, group, nd, s):
             vec[members[b]] = (Li.swapaxes(1, 2) @ Y).swapaxes(1, 2) @ V
 
 
-@dataclass(frozen=True)
-class MultiDefectSystem:
-    """A ring with M defects in spectral form: all N levels x_j (x = -E / 2
-    gamma) and the weight rows v_j(n) v_j(n0) of their eigenvectors."""
-
-    spec: LatticeSpec
-    defects: tuple[DefectSpec, ...]
-    x: np.ndarray
-    weights: np.ndarray
-
-
-def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) -> MultiDefectSystem:
-    """Eigen-decomposition of the ring with any number of defects (zero strengths
-    drop out); raises DuplicateDefectSite, NonSimplePole (a level ambiguously a
-    root) or PoleCountMismatch.  F is used as D F D, D_a = (|g(0)| + 1/|s_a|)^-1/2:
-    the same inertia, and O(1) entries for any strengths."""
+def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) -> DefectSystem:
+    """Eigen-decomposition of the ring with any number of defects; raises
+    DuplicateDefectSite, NonSimplePole (a level ambiguously a root) or
+    PoleCountMismatch.  With fewer than two nonzero strengths it returns
+    build_defect_system's system for the live defect, or the free system.
+    F is used as D F D, D_a = (|g(0)| + 1/|s_a|)^-1/2: the same inertia, and
+    O(1) entries for any strengths."""
     N, gamma, n0 = spec.N, spec.gamma, spec.n0
     sites = [site_index(d.nd, N) for d in defects]
     if len(set(sites)) != len(sites):
         raise DuplicateDefectSite(f"defect sites {sites} are not distinct")
+    live = [d for d in defects if d.q != 0.0]
+    if len(live) < 2:
+        return build_defect_system(spec, live[0]) if live else _free_system(spec, tuple(defects))
     nd = np.array([n for n, d in zip(sites, defects) if d.q != 0.0], dtype=int)
-    s = np.array([d.q / (2.0 * gamma) for d in defects if d.q != 0.0])
+    s = np.array([d.q / (2.0 * gamma) for d in live])
     M, K, k = nd.size, N // 2, np.arange(N // 2 + 1)
     diff = (nd[:, None] - nd[None, :]) % N
     uniq, inv = np.unique(np.minimum(diff, N - diff), return_inverse=True)
@@ -235,21 +233,7 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     group[:R] = np.where(near_level, group[:R], iv[roots])
     _rayleigh_ritz(W, x, group, nd, s)
     W *= W[:, n0, None].copy()
-    return MultiDefectSystem(spec, tuple(defects), x, W)
-
-
-def two_defect_occupation_series(system: MultiDefectSystem, times) -> np.ndarray:
-    """P_n(t) rows, shape (len(times), N); NormalizationDrift if a row drifts."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    psi = eigen_amplitudes(system.x, system.weights, system.spec.gamma, times)
-    P = psi.real ** 2 + psi.imag ** 2
-    _check_normalized(P.sum(axis=1), "multi-defect probability", times)
-    return P
-
-
-def two_defect_occupation(system: MultiDefectSystem, t: float) -> np.ndarray:
-    """P_n(t) with several defects at one time."""
-    return two_defect_occupation_series(system, [t])[0]
+    return DefectSystem(spec, tuple(defects), x, W)
 
 
 def bromwich_occupation(defects: Sequence[DefectSpec], spec: LatticeSpec, t: float) -> np.ndarray:

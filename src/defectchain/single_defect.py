@@ -17,6 +17,9 @@ per strength for every site.  With the weight rows W_jn = v_j(n) v_j(n0),
 
 the second term being the odd part of the free propagator: a block of times
 costs one cos and one sin matrix product (eigen_amplitudes) and one FFT.
+DefectSystem and the time series serve any number of defects: with none
+psi is G itself, and the system of two or more (multi_defect) holds all N
+levels as rows, so psi is their sum alone.
 
 No sector holds a degenerate pair, so the time average keeps the square of
 each level's amplitude.  Split as the free steady profile plus corrections,
@@ -25,7 +28,7 @@ each level's amplitude.  Split as the free steady profile plus corrections,
 
 with e_k and o_k the even and odd parts about nd of the free level-k
 propagator; the level sums are closed forms (steady_sums) and Ibar does
-not depend on q.
+not depend on q.  The steady functions take at most one live defect.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NormalizationDrift, PoleCountMismatch
-from .homogeneous import (SiteProfile, distance_powers, green_profile,
-                          green_profiles, steady_moment, steady_profile,
-                          time_blocks)
+from .homogeneous import (SiteProfile, distance_powers, green_profiles,
+                          steady_moment, steady_profile, time_blocks)
 from .lattice import LatticeSpec, site_index
 from .spectral import _gaps_theta, find_poles
 
@@ -90,14 +92,23 @@ class PhiSeries:
 
 @dataclass(frozen=True)
 class DefectSystem:
-    """One (lattice, defect) pair in spectral form: the even levels x_j
-    (x = -E / 2 gamma) and the weight rows W_jn = v_j(n) v_j(n0) of their
-    eigenvectors, fields named as in multi_defect.MultiDefectSystem."""
+    """A ring with on-site defects in spectral form: levels x_j (x = -E / 2
+    gamma) and the weight rows W_jn = v_j(n) v_j(n0) of their eigenvectors.
+
+    The number of live (nonzero-strength) defects fixes the part of the free
+    propagator G that the rows leave out of psi(n, t): with none, all of G
+    (no rows); with one, its odd part about the defect (the rows are the
+    N//2 + 1 even levels); with two or more, nothing (all N levels)."""
 
     spec: LatticeSpec
-    defect: DefectSpec
-    x: np.ndarray            # all N//2 + 1 roots, ascending
-    weights: np.ndarray      # shape (N//2 + 1, N)
+    defects: tuple[DefectSpec, ...]
+    x: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def live(self) -> tuple[DefectSpec, ...]:
+        """The defects of nonzero strength."""
+        return tuple(d for d in self.defects if d.q != 0.0)
 
     @cached_property
     def _steady(self) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +117,15 @@ class DefectSystem:
         Ibar, Kbar = steady_corrections(self)
         Ibar.flags.writeable = Kbar.flags.writeable = False
         return Ibar, Kbar
+
+
+def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
+    """The live defect of a system with at most one, None with none;
+    ValueError with two or more."""
+    live = system.live
+    if len(live) > 1:
+        raise ValueError(f"{what} take at most one defect of nonzero strength, got {len(live)}")
+    return live[0] if live else None
 
 
 def _even_rows(gaps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +173,7 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
     N = spec.N
     defect = DefectSpec(site_index(defect.nd, N), float(defect.q))
     if defect.q == 0.0:
-        return _free_system(spec, defect.nd)
+        return _free_system(spec, (defect,))
     s = defect.q / (2.0 * spec.gamma)
     poles = find_poles(N, s)
     if validate:
@@ -165,12 +185,12 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
             raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
                                     f"(worst {np.max(np.abs(mine - dense)):.3g})")
     rows, norms = _pole_rows(poles.level, poles.offset, N)
-    return DefectSystem(spec, defect, poles.x, _site_weights(rows, norms, N, spec.n0, defect.nd))
+    return DefectSystem(spec, (defect,), poles.x, _site_weights(rows, norms, N, spec.n0, defect.nd))
 
 
-def _free_system(spec: LatticeSpec, nd: int) -> DefectSystem:
-    """The q = 0 system: no even levels of its own."""
-    return DefectSystem(spec, DefectSpec(nd, 0.0), np.empty(0), np.empty((0, spec.N)))
+def _free_system(spec: LatticeSpec, defects: tuple[DefectSpec, ...]) -> DefectSystem:
+    """A system with no live defect: no levels of its own."""
+    return DefectSystem(spec, defects, np.empty(0), np.empty((0, spec.N)))
 
 
 def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[DefectSystem, ...]]:
@@ -190,17 +210,18 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
     poles = find_poles(N, qs[live] / (2.0 * spec.gamma)) if live.any() else None
     for q, r in zip(qs.tolist(), np.cumsum(live) - 1):
         if q == 0.0:
-            yield tuple(_free_system(spec, nd) for nd in sites)
+            yield tuple(_free_system(spec, (DefectSpec(nd, 0.0),)) for nd in sites)
             continue
         rows, norms = _pole_rows(poles.level[r], poles.offset[r], N)
-        yield tuple(DefectSystem(spec, DefectSpec(nd, q), poles.x[r],
+        yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r],
                                  _site_weights(rows, norms, N, spec.n0, nd)) for nd in sites)
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:
-    """Exponential series for Phi(t) = i q psi(nd, t); empty when q = 0."""
-    return PhiSeries(system.x, 1j * system.defect.q * system.weights[:, system.defect.nd],
-                     system.spec.gamma)
+    """Exponential series for Phi(t) = i q psi(nd, t) of the one live
+    defect; empty without one."""
+    defect = _one_defect(system, "Phi(t) series") or DefectSpec(0, 0.0)
+    return PhiSeries(system.x, 1j * defect.q * system.weights[:, defect.nd], system.spec.gamma)
 
 
 def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) -> np.ndarray:
@@ -215,50 +236,39 @@ def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) ->
     return out
 
 
-def _wave_functions(system: DefectSystem, times) -> tuple[np.ndarray, np.ndarray]:
-    """psi(n, t) and the free G(n, n0, t) for a time grid, shape (len(times), N) each."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    spec, nd = system.spec, system.defect.nd
-    G = green_profiles(spec, times)
-    if system.defect.q == 0.0:
-        return G, G
-    mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - nd)) % spec.N]     # G(n, 2 nd - n0, t)
-    return eigen_amplitudes(system.x, system.weights, spec.gamma, times) + 0.5 * (G - mirror), G
+def _wave_functions(system: DefectSystem, times, G=None) -> np.ndarray:
+    """psi(n, t) for a time grid, shape (len(times), N): the weight rows'
+    series plus the part of the free G(n, n0, t) (given, or computed) that
+    the rows leave out (DefectSystem)."""
+    spec, live = system.spec, system.live
+    if len(live) > 1:
+        return eigen_amplitudes(system.x, system.weights, spec.gamma, times)
+    G = green_profiles(spec, times) if G is None else G
+    if not live:
+        return G
+    mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, 2 nd - n0, t)
+    return eigen_amplitudes(system.x, system.weights, spec.gamma, times) + 0.5 * (G - mirror)
 
 
 def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
-    """A(n, nd, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
+    """A(n, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
     (len(times), N): the defect-scattered part of the wave function."""
-    psi, G = _wave_functions(system, times)
-    return psi - G
-
-
-def amplitude_profile(system: DefectSystem, t: float) -> np.ndarray:
-    """A(n, nd, t) for all sites n at one time."""
-    return amplitude_profiles(system, [t])[0]
-
-
-def corrections(system: DefectSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interference and scattered terms (I_n(t), K_n(t)) over all sites."""
-    A = amplitude_profile(system, t)
-    G = green_profile(system.spec, t)
-    I = 2.0 * (np.conj(G) * A).real
-    K = A.real ** 2 + A.imag ** 2
-    return I, K
+    G = green_profiles(system.spec, times)
+    return _wave_functions(system, times, G) - G
 
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
-    """P_n(t) rows for a time grid, shape (len(times), N); each row must
-    stay normalized."""
+    """P_n(t) rows for a time grid, shape (len(times), N), for any number
+    of defects; each row must stay normalized."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    psi = _wave_functions(system, times)[0]
+    psi = _wave_functions(system, times)
     P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)
     return P
 
 
 def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
-    """Site probabilities P_n(t) with the defect at one time."""
+    """Site probabilities P_n(t) at one time."""
     return occupation_defect_series(system, [t])[0]
 
 
@@ -283,11 +293,12 @@ def steady_sums(weights: np.ndarray, N: int, n0: int, nd: int) -> tuple[np.ndarr
 
 def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
     """Long-time averages (Ibar_n, Kbar_n) of the interference and scattered
-    terms, so that Pbar = steady_profile + Ibar + Kbar; zero when q = 0."""
-    spec = system.spec
-    if system.defect.q == 0.0:
+    terms, so that Pbar = steady_profile + Ibar + Kbar; zero with no live
+    defect, ValueError with two or more."""
+    spec, defect = system.spec, _one_defect(system, "steady observables")
+    if defect is None:
         return np.zeros(spec.N), np.zeros(spec.N)
-    return steady_sums(system.weights, spec.N, spec.n0, system.defect.nd)
+    return steady_sums(system.weights, spec.N, spec.n0, defect.nd)
 
 
 def steady_occupation(system: DefectSystem) -> SiteProfile:
@@ -302,10 +313,6 @@ def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:
     """Delta_p^(d)(t) = sum_n [n-n0]^p P_n(t), from the normalization-checked
     occupation series."""
     return occupation_defect_series(system, times) @ distance_powers(system.spec, p)
-
-
-def moment_defect_time(system: DefectSystem, p: int, t: float) -> float:
-    return float(moment_defect_series(system, p, np.array([t]))[0])
 
 
 def steady_moment_defect(system: DefectSystem, p: int) -> float:

@@ -1,5 +1,5 @@
-"""Infinite defect strength: the order-2 residue limit of the response
-series, the exact steady profile with its mirror-site enhancement, the
+"""Infinite defect strength: the limit of the response series over the odd
+nodes, the exact steady profile with its mirror-site enhancement, the
 limit corrections from the node eigenvectors, and the limit moments.
 
 With the particle started on the defect site the limit is complete

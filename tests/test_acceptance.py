@@ -13,12 +13,12 @@ from defectchain.homogeneous import (distance_powers, fit_ballistic,
                                      fit_tstar_scaling, steady_moment,
                                      steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distance, periodic_distances
-from defectchain.multi_defect import build_two_defect_system, two_defect_occupation
+from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_walk_steady, build_hamiltonian,
                                 occupation_exact, time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
-                                       occupation_defect_series,
+                                       occupation_defect, occupation_defect_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
 from defectchain.strong_defect import (mirror_site, steady_moments_infinite_q,
@@ -206,7 +206,7 @@ def test_criterion_08_two_defect_oracle():
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d1, q1), (d2, q2)]))
         for t in rng.uniform(0.0, 20.0 / gamma, size=3):
-            P = two_defect_occupation(system, float(t))
+            P = occupation_defect(system, float(t))
             _track(P)
             worst = max(worst, float(np.max(np.abs(P - occupation_exact(dec, n0, float(t))))))
     # q2 = 0 reduction to the single-defect path
@@ -216,7 +216,7 @@ def test_criterion_08_two_defect_oracle():
     red = 0.0
     for t in (0.7, 3.0, 9.0):
         P1 = occupation_defect_series(single, [t])[0]
-        red = max(red, float(np.max(np.abs(two_defect_occupation(system, t) - P1))))
+        red = max(red, float(np.max(np.abs(occupation_defect(system, t) - P1))))
     elapsed = time.time() - t0
     _report(8, worst < 1e-8 and red < 1e-10, elapsed, 60.0,
             f"25 tuples, max |P - oracle| = {worst:.2e} (< 1e-8); "

@@ -140,11 +140,33 @@ def test_non_finite_strength_is_a_config_error(capsys):
                  ["single", "--N", "10", "--nd", "3", "--q", "1", "--q-log", "nan:1:3"],
                  ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "nan", "--q", "1"],
                  ["oracle-check", "--N", "10", "--nd", "3", "--q", "inf"],
-                 ["oracle-check", "--N", "10", "--nd", "3", "--nd", "7", "--q=-inf"]):
+                 ["oracle-check", "--N", "10", "--nd", "3", "--nd", "7", "--q=-inf"],
+                 ["single", "--N", "10", "--nd", "3", "--q", "-inf"],
+                 ["single", "--N", "10", "--nd", "3", "--q", "1", "--q", "-nan"],
+                 ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "1", "--q", "-Infinity"],
+                 ["single", "--N", "10", "--nd", "3", "--q", "1", "--gamma", "1e-320"],
+                 ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "-1", "--q", "1",
+                  "--gamma", "1e-320"]):
         assert run_cli(args) == 1, args
         assert "config error: q must be finite" in capsys.readouterr().err
     assert run_cli(["single", "--N", "10", "--nd", "3", "--q-log", "1:inf:3"]) == 1
     assert "config error: --q-log" in capsys.readouterr().err
+
+
+def test_non_finite_run_parameters_are_config_errors(capsys):
+    # a NaN or infinite tmax printed NaN rows with exit 0, an infinite gamma
+    # left a ValueError traceback
+    for args in (["free", "--N", "10", "--tmax", "nan"],
+                 ["free", "--N", "10", "--tmax", "inf"],
+                 ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "1", "--q", "1",
+                  "--tmax", "-inf"],
+                 ["free", "--N", "10", "--gamma", "1e-320"]):
+        assert run_cli(args) == 1, args
+        assert "config error: need a finite tmax > 0" in capsys.readouterr().err
+    for args in (["single", "--N", "10", "--nd", "3", "--q", "1", "--gamma", "inf"],
+                 ["free", "--N", "10", "--gamma", "nan"]):
+        assert run_cli(args) == 1, args
+        assert "config error: gamma must be positive and finite" in capsys.readouterr().err
 
 
 def _csv_rows(path):

@@ -9,8 +9,9 @@ from defectchain.lattice import (LatticeSpec, periodic_distance,
 def test_lattice_spec_validation():
     with pytest.raises(ValueError):
         LatticeSpec(2, 1.0, 0)
-    with pytest.raises(ValueError):
-        LatticeSpec(10, -1.0, 0)
+    for gamma in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LatticeSpec(10, gamma, 0)
     spec = LatticeSpec(10, 1.0, 13)
     assert spec.n0 == 3          # reduced at the boundary
 

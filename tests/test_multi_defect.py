@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.errors import DuplicateDefectSite
-from defectchain.homogeneous import occupation
+from defectchain.homogeneous import distance_powers, green_profiles, occupation
 from defectchain.lattice import LatticeSpec
 from defectchain.multi_defect import (_bisect_branch, _green_theta,
                                       bromwich_occupation,
-                                      build_two_defect_system,
-                                      two_defect_occupation,
-                                      two_defect_occupation_series)
+                                      build_two_defect_system)
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 occupation_exact)
-from defectchain.single_defect import (DefectSpec, build_defect_system,
-                                       occupation_defect,
-                                       occupation_defect_series)
+from defectchain.single_defect import (DefectSpec, amplitude_profiles,
+                                       build_defect_system, moment_defect_series,
+                                       occupation_defect, occupation_defect_series,
+                                       phi_series, steady_corrections,
+                                       steady_moment_defect, steady_occupation)
 from defectchain.spectral import green_laplace, ring_green
 
 
@@ -40,7 +40,7 @@ def _dense_occupation(N, gamma, n0, defects, times):
 
 def _engine(N, gamma, n0, defects, times):
     system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, gamma, n0))
-    return two_defect_occupation_series(system, times)
+    return occupation_defect_series(system, times)
 
 
 @pytest.mark.parametrize("N", [200, 800, 1200, 2000])
@@ -69,7 +69,7 @@ def test_roots_on_free_levels_match_dense():
     on_level = np.abs(system.x[:, None] - levels).min(axis=1) < 1e-13
     assert system.x.size == 120 and np.sum(on_level) == 2 * 59
     times = np.linspace(0.0, 400.0, 9)
-    P = two_defect_occupation_series(system, times)
+    P = occupation_defect_series(system, times)
     assert np.max(np.abs(P - _dense_occupation(120, 1.0, 0, [(0, 2.0), (60, -2.0)], times))) < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_degenerate_and_mixed_strength_inputs_match_dense(N, n0, defects):
     # barely shows in P
     system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, 1.0, n0))
     times = np.array([0.0, 0.05, 0.5])
-    P = two_defect_occupation_series(system, times)
+    P = occupation_defect_series(system, times)
     assert np.max(np.abs(P - _dense_occupation(N, 1.0, n0, defects, times))) < 1e-12
     x = _dense(N, 1.0, defects)[0]
     assert np.all(np.abs(np.sort(system.x) - x) <= 5e-13 * (1.0 + np.abs(x)))
@@ -114,8 +114,50 @@ def test_one_defect_matches_single_defect_series():
     spec = LatticeSpec(57, 1.3, 4)
     times = np.linspace(0.0, 60.0, 13)
     single = occupation_defect_series(build_defect_system(spec, DefectSpec(20, -0.8)), times)
-    multi = two_defect_occupation_series(build_two_defect_system([DefectSpec(20, -0.8)], spec), times)
-    assert np.max(np.abs(single - multi)) < 1e-12
+    multi = occupation_defect_series(build_two_defect_system([DefectSpec(20, -0.8)], spec), times)
+    assert np.array_equal(single, multi)
+
+
+@pytest.mark.parametrize("defects", [
+    [(20, -0.8)], [(20, -0.8), (3, 0.0)], [(3, 0.0), (77, -0.8)], [(1, 0.0), (20, -0.8), (40, 0.0)],
+])
+def test_one_live_defect_is_the_one_defect_system(defects):
+    # one nonzero strength, alone or next to zero strengths: the roots come
+    # from find_poles, so x and the weight rows are build_defect_system's
+    spec = LatticeSpec(57, 1.3, 4)
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], spec)
+    single = build_defect_system(spec, DefectSpec(20, -0.8))
+    assert np.array_equal(system.x, single.x)
+    assert np.array_equal(system.weights, single.weights)
+    assert system.live == single.live == (DefectSpec(20, -0.8),)
+
+
+@pytest.mark.parametrize("N, n0, defects", [
+    (40, 3, [(0, 1.0), (20, -0.5)]),
+    (57, 11, [(2, 3.0), (9, -0.4), (30, 25.0)]),
+    (96, 5, [(0, 1.0), (32, 1.0), (64, -0.7)]),
+])
+def test_moment_series_of_several_defects_match_dense(N, n0, defects):
+    spec = LatticeSpec(N, 1.0, n0)
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], spec)
+    times = np.linspace(0.0, 2.0 * N, 7)
+    P = _dense_occupation(N, 1.0, n0, defects, times)
+    for p in (1, 2):
+        want = P @ distance_powers(spec, p)
+        assert np.max(np.abs(moment_defect_series(system, p, times) - want)) < 1e-12 * N ** p
+    psi = amplitude_profiles(system, times) + green_profiles(spec, times)
+    assert np.max(np.abs(np.abs(psi) ** 2 - P)) < 1e-12
+
+
+def test_steady_functions_reject_several_live_defects():
+    spec = LatticeSpec(20, 1.0, 1)
+    system = build_two_defect_system([DefectSpec(3, 1.0), DefectSpec(9, -0.5), DefectSpec(12, 0.0)],
+                                     spec)
+    assert len(system.live) == 2
+    for steady in (steady_corrections, steady_occupation, lambda s: steady_moment_defect(s, 2),
+                   phi_series):
+        with pytest.raises(ValueError, match="at most one defect"):
+            steady(system)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -145,7 +187,7 @@ def test_build_and_series_memory_bounded_at_n2000():
     tracemalloc.start()
     try:
         system = build_two_defect_system([DefectSpec(17, 1.0), DefectSpec(1234, -0.5)], spec)
-        two_defect_occupation_series(system, np.linspace(0.0, 8000.0, 17))
+        occupation_defect_series(system, np.linspace(0.0, 8000.0, 17))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -190,14 +232,18 @@ def test_two_defect_relabeling_symmetry():
     sa = build_two_defect_system([DefectSpec(3, 1.2), DefectSpec(7, -0.8)], spec)
     sb = build_two_defect_system([DefectSpec(7, -0.8), DefectSpec(3, 1.2)], spec)
     for t in (0.8, 3.0):
-        assert np.max(np.abs(two_defect_occupation(sa, t) - two_defect_occupation(sb, t))) < 1e-12
+        assert np.max(np.abs(occupation_defect(sa, t) - occupation_defect(sb, t))) < 1e-12
 
 
 def test_zero_strengths_reduce_to_free_propagation():
+    # the free system, after the duplicate-site check
     spec = LatticeSpec(9, 1.0, 2)
     system = build_two_defect_system([DefectSpec(4, 0.0), DefectSpec(7, 0.0)], spec)
+    assert system.live == () and system.x.size == 0 and system.weights.shape == (0, 9)
     for t in (0.6, 2.2):
-        assert np.max(np.abs(two_defect_occupation(system, t) - occupation(spec, t))) < 1e-12
+        assert np.array_equal(occupation_defect(system, t), occupation(spec, t))
+    with pytest.raises(DuplicateDefectSite):
+        build_two_defect_system([DefectSpec(4, 0.0), DefectSpec(13, 0.0)], spec)
 
 
 def test_second_strength_zero_reduces_to_single_defect():
@@ -205,7 +251,7 @@ def test_second_strength_zero_reduces_to_single_defect():
     system = build_two_defect_system([DefectSpec(5, 2.3), DefectSpec(9, 0.0)], spec)
     single = build_defect_system(spec, DefectSpec(5, 2.3))
     for t in (0.5, 2.0, 7.0):
-        assert np.max(np.abs(two_defect_occupation(system, t)
+        assert np.max(np.abs(occupation_defect(system, t)
                              - occupation_defect(single, t))) < 1e-10
 
 
@@ -214,7 +260,7 @@ def test_time_domain_against_oracle_spec_example():
     system = build_two_defect_system([DefectSpec(2, 2.0), DefectSpec(7, -1.0)], spec)
     dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(2, 2.0), (7, -1.0)]))
     for t in (1.0, 3.0, 10.0):
-        P = two_defect_occupation(system, t)
+        P = occupation_defect(system, t)
         assert np.max(np.abs(P - occupation_exact(dec, 0, t))) < 1e-8
         assert abs(P.sum() - 1.0) < 1e-10
 
@@ -233,7 +279,7 @@ def test_time_domain_random_tuples():
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d1, q1), (d2, q2)]))
         for t in rng.uniform(0.0, 20.0 / gamma, size=2):
-            P = two_defect_occupation(system, float(t))
+            P = occupation_defect(system, float(t))
             assert np.max(np.abs(P - occupation_exact(dec, n0, float(t)))) < 1e-8
 
 
@@ -241,7 +287,7 @@ def test_adjacent_strong_defects_stay_normalized():
     spec = LatticeSpec(10, 1.0, 5)
     system = build_two_defect_system([DefectSpec(1, 8.0), DefectSpec(2, 9.0)], spec)
     times = np.linspace(0.2, 12.0, 9)
-    rows = two_defect_occupation_series(system, times)
+    rows = occupation_defect_series(system, times)
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-10
 
 
@@ -256,7 +302,7 @@ def test_opposite_strength_family_has_double_roots():
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d1, q), (d2, -q)]))
         for t in (0.5, 3.0, 50.0):
-            P = two_defect_occupation(system, t)
+            P = occupation_defect(system, t)
             assert np.max(np.abs(P - occupation_exact(dec, 1, t))) < 1e-8
 
 
@@ -266,7 +312,7 @@ def test_weak_defect_corrections_are_additive():
     eps = 1e-4
     q1, q2 = 1.3 * eps, -0.7 * eps
     t = 2.0
-    P_two = two_defect_occupation(
+    P_two = occupation_defect(
         build_two_defect_system([DefectSpec(4, q1), DefectSpec(9, q2)], spec), t)
     P_free = occupation(spec, t)
     P_a = occupation_defect(build_defect_system(spec, DefectSpec(4, q1)), t)
@@ -285,7 +331,7 @@ def test_three_defects_via_resolvent_and_bromwich():
     t = 1.2
     P = bromwich_occupation(defects, spec, t)
     assert np.max(np.abs(P - occupation_exact(dec, 0, t))) < 5e-3
-    exact = two_defect_occupation(build_two_defect_system(defects, spec), t)
+    exact = occupation_defect(build_two_defect_system(defects, spec), t)
     assert np.max(np.abs(exact - occupation_exact(dec, 0, t))) < 1e-12
 
 
@@ -294,7 +340,7 @@ def test_bromwich_matches_exact_two_defect():
     defects = [DefectSpec(2, 1.0), DefectSpec(4, -0.7)]
     system = build_two_defect_system(defects, spec)
     P = bromwich_occupation(defects, spec, 1.5)
-    assert np.max(np.abs(P - two_defect_occupation(system, 1.5))) < 5e-3
+    assert np.max(np.abs(P - occupation_defect(system, 1.5))) < 5e-3
 
 
 def test_minimum_chain_size_two_defects():
@@ -303,7 +349,7 @@ def test_minimum_chain_size_two_defects():
     dec = SpectralDecomposition.from_hamiltonian(
         build_hamiltonian(spec, [(1, 1.0), (2, -0.6)]))
     for t in (0.5, 3.0):
-        assert np.max(np.abs(two_defect_occupation(system, t)
+        assert np.max(np.abs(occupation_defect(system, t)
                              - occupation_exact(dec, 0, t))) < 1e-10
 
 

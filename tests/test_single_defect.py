@@ -13,11 +13,9 @@ from defectchain.lattice import LatticeSpec
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 evolve_exact, occupation_exact,
                                 time_average_exact)
-from defectchain.single_defect import (DefectSpec, amplitude_profile,
-                                       amplitude_profiles, build_defect_system,
-                                       corrections, defect_systems,
-                                       moment_defect_series,
-                                       moment_defect_time, occupation_defect,
+from defectchain.single_defect import (DefectSpec, amplitude_profiles,
+                                       build_defect_system, defect_systems,
+                                       moment_defect_series, occupation_defect,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
@@ -27,6 +25,18 @@ from parity_dense import dense_occupation, dense_steady_terms, dense_wave_functi
 
 def _system(N, gamma, n0, nd, q, validate=False):
     return build_defect_system(LatticeSpec(N, gamma, n0), DefectSpec(nd, q), validate)
+
+
+def amplitude_profile(system, t):
+    """A(n, t) at one time, the one-row view of amplitude_profiles."""
+    return amplitude_profiles(system, [t])[0]
+
+
+def corrections(system, t):
+    """Interference and scattered terms I_n = 2 Re(conj(G) A), K_n = |A|^2
+    at one time, from amplitude_profiles."""
+    A = amplitude_profile(system, t)
+    return 2.0 * (np.conj(green_profile(system.spec, t)) * A).real, A.real ** 2 + A.imag ** 2
 
 
 @pytest.mark.parametrize("N, n0", [(9, 4), (50, 2), (51, 0), (200, 2)])
@@ -41,7 +51,7 @@ def test_defect_systems_equal_per_point_builder(N, n0):
         assert len(systems) == len(sites)
         for nd, got in zip(sites, systems):
             want = build_defect_system(spec, DefectSpec(nd, q))
-            assert got.defect == want.defect and got.spec == spec
+            assert got.defects == want.defects and got.spec == spec
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.weights, want.weights)
         count += 1
@@ -142,7 +152,7 @@ def test_amplitude_profiles_vectorized():
     times = np.linspace(0.0, 5.0, 9)
     rows = amplitude_profiles(sysq, times)
     for i, t in enumerate(times):
-        assert np.max(np.abs(rows[i] - amplitude_profile(sysq, float(t)))) < 1e-13
+        assert np.max(np.abs(rows[i] - amplitude_profiles(sysq, [float(t)])[0])) < 1e-13
 
 
 def _dense_corrections(spec, nd, q, t):
@@ -304,7 +314,7 @@ def test_moments_zero_strength_and_against_oracle():
     assert abs(steady_moment_defect(sysq, 2) - msd_oracle) < 1e-8
     t = 2.4
     P = occupation_exact(dec, 3, t)
-    assert abs(moment_defect_time(sysq, 2, t) - float(d2 @ P)) < 1e-8
+    assert abs(moment_defect_series(sysq, 2, [t])[0] - float(d2 @ P)) < 1e-8
 
 
 def test_minimum_chain_size():
