@@ -40,4 +40,4 @@ class DegeneracyAmbiguity(DefectChainError):
 
 
 class NotConverged(DefectChainError):
-    """Time integration hit its cap before reaching the stationary state."""
+    """An iteration hit its cap: time integration, or the root finder's sweeps."""

@@ -1,20 +1,20 @@
 """Any number of on-site defects through the free ring Green function.
 
 With x = -E / 2 gamma, levels c_k = cos(2 pi k / N), s_a = q_a / 2 gamma and
-g(d; x) = (1/N) sum_k cos(2 pi k d / N) / (x - c_k), which is
--cos((N/2 - d) theta) / (sin(theta) sin(N theta / 2)) at x = cos theta,
-x off the levels is an eigenvalue iff F(x) = g_D(x) - S^-1 (g on the defect
-sites) is singular.  dg/dx <= 0, so F's sorted eigenvalues fall between
-levels, and a level whose modes have rank r on the defect sites sends r of
-them from -inf to +inf: every root has a known branch in a known interval,
-found by bisection on the branch's sign (after Bunch, Nielsen & Sorensen
-1978 and Gu & Eisenstat 1994) in offsets from the nearest level.  A level
-keeps its modes that vanish on every defect, and is a root where g_D's
-regular part there, compressed onto the null space of its pole, is singular
-with S^-1.  Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with
-that level's term split off; P_n(t) = |sum_j e^(2 i gamma x_j t) v_j(n) v_j(n0)|^2.
-With fewer than two nonzero strengths the system is single_defect's, so a
-single defect's roots come from spectral.find_poles alone.
+g(d; x) = (1/N) sum_k cos(2 pi k d / N) / (x - c_k), x off the levels is an
+eigenvalue iff F(x) = g_D(x) - S^-1 (g on the defect sites) is singular.
+dg/dx <= 0, so F's sorted eigenvalues fall between levels, and a level whose
+modes have rank r on the defect sites sends r of them from -inf to +inf: every
+root has a known branch in a known interval.  Each root is solved by
+spectral._safeguarded_newton in its offset from a level, on a congruent form
+of F with that level's pole split off, the slope being z^T F' z (after Bunch,
+Nielsen & Sorensen 1978 and Gu & Eisenstat 1994).  A level keeps its modes that
+vanish on every defect, and is a root where g_D's regular part there,
+compressed onto the null space of its pole, is singular with S^-1.
+Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with that level's
+term split off, one inverse real FFT each; P_n(t) = |sum_j e^(2 i gamma x_j t)
+v_j(n) v_j(n0)|^2.  With fewer than two nonzero strengths the system is
+single_defect's, so a single defect's roots come from spectral.find_poles alone.
 """
 
 from __future__ import annotations
@@ -28,59 +28,30 @@ from .homogeneous import green_profile, time_blocks
 from .lattice import LatticeSpec, periodic_distances, site_index
 from .single_defect import (DefectSpec, DefectSystem, _free_system,
                             build_defect_system, occupation_defect)
-from .spectral import _cos_sin, _gaps_theta, _green_theta, ring_green
+from .spectral import _cos_sin, _gaps_theta, _safeguarded_newton, ring_green
 
 RANK_TOL = 1e-8        # rank cut for level modes on the defect sites, relative to sqrt(2/N)
 ZERO_TOL = 300 * np.finfo(float).eps        # compressed secular eigenvalue taken as zero,
 AMBIGUOUS_TOL = 1000 * np.finfo(float).eps  # and up to here ambiguous, per unit of `noise`
 MERGE_TOL = 1e-13      # roots this close, relative to their bracket, share null vectors
-NEAR = 1e-2            # finite-branch roots this close to a level (in pi / N) are refined
 CLUSTER_TOL = 1e-1     # roots this close to their level, in (2 pi / N)^2, join its Rayleigh-Ritz group
 
 two_defect_occupation = occupation_defect   # the name the benchmark's time_series workload calls
 
 
-def _regular_green(gaps, ref, N):
-    """g(d; x) for d = 0..N-1 without the term of level `ref`, from x - c_k."""
-    w = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=np.arange(gaps.shape[-1]) != ref)
-    return np.fft.irfft(w, N)
-
-
-def _level_modes(k, n, N):
-    """Orthonormal cosine and sine mode of level k at sites n, shape (..., 2)."""
-    c, s = _cos_sin(2 * np.arange(N), N)
-    single = (k == 0) | (2 * k == N)
-    return np.stack([np.sqrt(np.where(single, 1.0, 2.0) / N) * c[(k * n) % N],
-                     np.where(single, 0.0, np.sqrt(2.0 / N)) * s[(k * n) % N]], axis=-1)
-
-
-def _bisect_branch(secular, m, pos_lo, hi):
-    """Roots u in (0, hi) of eigenvalue m (1-based, ascending) of secular(idx, u),
-    whose sign as u -> 0 is pos_lo: element-wise bisection to the last bit."""
-    lo, hi, active = np.zeros_like(hi), hi.copy(), np.arange(hi.size)
-    for _ in range(200):
-        mid = 0.5 * (lo[active] + hi[active])
-        run = (lo[active] < mid) & (mid < hi[active])
-        active, mid = active[run], mid[run]
-        if not active.size:
-            break
-        up = (np.linalg.eigvalsh(secular(active, mid))[np.arange(active.size), m[active] - 1] > 0.0
-              ) == pos_lo[active]
-        lo[active[up]], hi[active[~up]] = mid[up], mid[~up]
-    return 0.5 * (lo + hi)
-
-
 def _congruent(A, U, sv, r, delta):
-    """T = S U^T F U S and S for F = U diag(sv^2, 0) U^T / delta + A (delta =
-    x - c_ref, A the regular part), S = min(sqrt|delta| / sv, 1) on the r pole
-    columns: same inertia as F (Sylvester), no 1/delta next to the level."""
+    """T = S U^T F U S, S and the pole diagonal d for F = U diag(sv^2, 0) U^T /
+    delta + A (delta = x - c_ref, A the regular part), S = min(sqrt|delta| / sv,
+    1) on the r pole columns: same inertia as F (Sylvester), no 1/delta next to
+    the level, and |d| <= 1."""
     P, M = A.shape[:2]
     sv2, pole = np.zeros((P, M)), np.arange(M) < r[:, None]
     sv2[:, :sv.shape[1]] = sv ** 2
     S = np.where(pole, np.minimum(np.sqrt(np.abs(delta[:, None]) / np.where(pole, sv2, 1.0)), 1.0), 1.0)
     T = S[:, :, None] * (U.swapaxes(1, 2) @ A @ U) * S[:, None, :]
-    T[:, np.arange(M), np.arange(M)] += np.where(pole, S * S * sv2 / delta[:, None], 0.0)
-    return T, S
+    d = np.where(pole, S * S * sv2 / delta[:, None], 0.0)
+    T[:, np.arange(M), np.arange(M)] += d
+    return T, S, d
 
 
 def _rayleigh_ritz(vec, x, group, nd, s):
@@ -118,34 +89,43 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     s = np.array([d.q / (2.0 * gamma) for d in live])
     M, K, k = nd.size, N // 2, np.arange(N // 2 + 1)
     diff = (nd[:, None] - nd[None, :]) % N
-    uniq, inv = np.unique(np.minimum(diff, N - diff), return_inverse=True)
+    uniq, pair = np.unique(np.minimum(diff, N - diff), return_inverse=True)
     weights = lambda g0: 1.0 / np.sqrt(np.abs(g0)[..., None] + 1.0 / np.abs(s))
     scaled = lambda g, D: D[:, :, None] * g * D[:, None, :] - (D * D / s)[:, :, None] * np.eye(M)
-    secular = lambda g: scaled(g[:, inv.reshape(-1)].reshape(-1, M, M), weights(g[:, 0]))
-
-    # Level modes on the defect sites V: rank r, invisible modes (rows r: of
-    # Vh) and pseudo-inverse; the regular part G of g at each level.
-    V = _level_modes(k[:, None], nd[None, :], N)
-    Uv, sv, Vh = np.linalg.svd(V)
-    r, ks = np.sum(sv > RANK_TOL * np.sqrt(2.0 / N), axis=1), sv.shape[1]
+    # g(d; x) = sum_k cos_uniq[k, d] / (x - c_k) at the distinct defect distances, dims[k] modes at level k
     dims = np.where((k == 0) | (2 * k == N), 1, 2)
-    inv_sv = np.where(np.arange(ks) < r[:, None], 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-    pinv = np.einsum("kib,ki,kai->kba", Vh[:, :ks], inv_sv, Uv[:, :, :ks])
-    LG = _gaps_theta(2 * k[:, None], 0.0, N)                            # c_k - c_k'
-    G = _regular_green(LG, k[:, None], N)
+    cos_uniq = (dims / N)[:, None] * _cos_sin((2 * k[:, None] * uniq) % (2 * N), N)[0]
+    # 1 / (x - c_k) from the gaps, without the term of level ref; g on the defect pairs from it
+    regular = lambda gaps, ref: np.divide(1.0, gaps, out=np.zeros_like(gaps), where=k != ref[:, None])
+    on_pairs = lambda inv: (inv @ cos_uniq)[:, pair.reshape(M, M)]
 
-    def congruent_at(g, gaps, lv):
-        """T, S, U (SVD of D V) and D at points with regular part g and gaps."""
-        Dx = weights(g[:, 0])
-        Ux, svx, _ = np.linalg.svd(Dx[:, :, None] * V[lv])
-        return _congruent(scaled(g[:, diff], Dx), Ux, svx, r[lv], gaps[np.arange(lv.size), lv]) + (Ux, Dx)
+    # The orthonormal cosine and sine modes of each level on the defect sites
+    # V: rank r and invisible modes (rows r: of Vh); gaps between levels LG.
+    cos_nd, sin_nd = _cos_sin((2 * k * nd[:, None]) % (2 * N), N)
+    V = np.sqrt(dims / N)[:, None, None] * np.stack([cos_nd.T, sin_nd.T], axis=-1)
+    sv, Vh = np.linalg.svd(V)[1:]
+    r, ks = np.sum(sv > RANK_TOL * np.sqrt(2.0 / N), axis=1), sv.shape[1]
+    LG = _gaps_theta(2 * k[:, None], 0.0, N)                            # c_k - c_k'
+
+    def equilibrated(g, ref):
+        """D and the SVD of D V at points with regular part g on the defect pairs."""
+        Dx = weights(g[:, 0, 0])
+        return (Dx,) + tuple(np.linalg.svd(Dx[:, :, None] * V[ref]))
+
+    def congruent_at(g, delta, ref):
+        """D, the SVD U sv Wh of D V, and T, S, d (see _congruent) at x = c_ref + delta."""
+        Dx, Ux, svx, Wh = equilibrated(g, ref)
+        return (Dx, Ux, svx, Wh) + _congruent(scaled(g, Dx), Ux, svx, r[ref], delta)
 
     # Signs of the compressed regular part at each level, and the roots on it.
-    D = weights(G[:, 0])
-    U, A = np.linalg.svd(D[:, :, None] * V)[0], scaled(G[:, diff], D)
+    inv_LG = regular(LG, k)
+    G = on_pairs(inv_LG)
+    D, U, sv_lev, Wh_lev = equilibrated(G, k)
+    A = scaled(G, D)
     noise = (np.abs(A).max(axis=(1, 2), initial=0.0)     # rounding scale of the compressed values
-             + (D * D).max(axis=1, initial=0.0) * np.abs(1.0 / np.where(LG != 0, LG, np.inf)).sum(axis=1))
-    (neg, zero), lev_z, alpha_z = np.zeros((2, K + 1), int), np.zeros(0, int), np.zeros((0, M))
+             + (D * D).max(axis=1, initial=0.0) * np.abs(inv_LG).sum(axis=1))
+    (neg, zero), lev_z = np.zeros((2, K + 1), int), np.zeros(0, int)
+    alpha_z, c_z = np.zeros((0, M)), np.zeros((0, 2))                  # a level root's alpha and amplitude
     for rank in np.unique(r[r < M]):
         sel = np.nonzero(r == rank)[0]
         U0 = U[sel][:, :, rank:]
@@ -156,8 +136,11 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
                                 f"spectrum (margin {rel[rel > ZERO_TOL].min():.3g})")
         neg[sel], zero[sel] = np.sum((w < 0) & (rel > ZERO_TOL), axis=1), np.sum(rel <= ZERO_TOL, axis=1)
         li, col = np.nonzero(rel <= ZERO_TOL)
-        lev_z, alpha_z = np.append(lev_z, sel[li]), np.concatenate(
-            [alpha_z, D[sel[li]] * (U0[li] @ Y[li, :, col][..., None])[..., 0]])
+        lv, U0y = sel[li], U0[li] @ Y[li, :, col][..., None]
+        # the level's amplitude -pinv(D V) D (G - S^-1) alpha, in D V's singular basis
+        cw = -(U[lv][:, :, :rank].swapaxes(1, 2) @ A[lv] @ U0y)[..., 0] / sv_lev[lv, :rank]
+        lev_z, alpha_z = np.append(lev_z, lv), np.concatenate([alpha_z, D[lv] * U0y[..., 0]])
+        c_z = np.concatenate([c_z, np.einsum("jib,ji->jb", Wh_lev[lv, :rank], cw)])
 
     # Root branches per interval from the branch signs at its two ends:
     # theta in (theta_i, theta_i+1) for i < K, then x > 1, then the bottom.
@@ -168,69 +151,85 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
         raise PoleCountMismatch(f"negative root count in an interval: {counts[counts < 0]}")
     iv = np.repeat(np.arange(counts.size), counts)
     m = lo_m[iv] + np.arange(iv.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    R, pick = iv.size, np.arange(iv.size)
 
-    # In band the midpoint sign picks the half interval, bisected in offsets
-    # from its level; outside, roots are bisected in their offset from level 0
-    # or K, which for an odd ring also covers the stretch between c_K and -1.
-    band, outer = np.nonzero(iv < K)[0], np.nonzero(iv >= K)[0]
-    g_mid = _green_theta(uniq[None, :], 2 * iv[band, None] + 1, 0.0, N)
-    pos_mid = (np.linalg.eigvalsh(secular(g_mid))[np.arange(band.size), m[band] - 1] > 0
-               if band.size else band > 0)
-    j0, sgn = np.where(pos_mid, 2 * iv[band], 2 * iv[band] + 2), np.where(pos_mid, 1.0, -1.0)
-    side, lv_out = np.where(iv[outer] == K, 1.0, -1.0), np.where(iv[outer] == K, 0, K)
+    # Each root is solved in its offset u > 0 from a level, x = c_ref + side u.
+    # In band the branch sign at the odd node between levels i and i + 1 picks
+    # the half interval; outside, the level is 0 (x > 1) or K (the bottom,
+    # which for an odd ring also covers the stretch between c_K and -1).
+    band, ib = iv < K, iv[iv < K]
+    sin_half = lambda j: np.sin(np.pi * np.minimum(j, 2 * N - j) / (2 * N))  # sin(pi j / 2N)
+    node = -2.0 * np.sin(np.pi / (2 * N)) * sin_half(4 * ib + 1)             # x_node - c_i
+    lower = np.linalg.eigvalsh(congruent_at(on_pairs(regular(LG[ib] + node[:, None], ib)), node, ib)[4])[
+        pick[:ib.size], m[band] - 1] > 0                                       # root next to level i
+    ref, side, hi = np.where(iv == K, 0, K), np.where(iv == K, 1.0, -1.0), np.full(R, 2.0 + np.abs(s).max())
+    ref[band], side[band] = np.where(lower, ib, ib + 1), np.where(lower, -1.0, 1.0)
+    hi[band] = 2.0 * np.sin(np.pi / (2 * N)) * sin_half(np.where(lower, 4 * ib + 1, 4 * ib + 3))
+    # A branch runs like a + b / u where it has its pole at the level, and
+    # so does any branch once every pole term is past its knee (|d| < 1/2):
+    # there the Newton step is taken on u lambda_m, a rational step exact for
+    # that form.  Elsewhere the branch runs like a + b u.
+    pole = np.where(side < 0, m <= r[ref], m > M - r[ref])
+    last_u, last_sign = np.full(R, np.nan), np.zeros(R)
 
-    # Families theta = pi j0 / N + sgn u and x = c_ref + side u: closed-form g,
-    # gaps, level, merge key, below the level, sign as u -> 0, bracket.  Roots
-    # on a finite branch next to their level are bisected again on the exact
-    # congruent form (the closed form holds them to eps |pole| / delta), and
-    # (nearly) multiple roots are put on one point, for one factorization.
-    families = [
-        (band, lambda d, i, u: _green_theta(d, j0[i], sgn[i] * u, N),
-         lambda i, u: _gaps_theta(j0[i], sgn[i] * u, N), j0 // 2, 2 * j0 + (sgn > 0), sgn > 0,
-         ~pos_mid, np.pi / N),
-        (outer, None, lambda i, u: side[i] * u + LG[lv_out[i[:, 0]]], lv_out, side, side < 0, side > 0,
-         2.0 + np.abs(s).max(initial=0.0))]
-    roots, ref, gaps, m_root = [], [], [], []
-    for idx, green, gaps_at, lv, key, below, pos, hi in families:
-        mf, u, near = m[idx], np.zeros(idx.size), np.arange(idx.size)
-        if green is not None:
-            u = _bisect_branch(lambda i, v, g=green: secular(g(uniq, i[:, None], v[:, None])),
-                               mf, pos, np.full(idx.size, hi))
-            near = np.flatnonzero(~np.where(below, mf <= r[lv], mf > M - r[lv]) & (u < NEAR * hi))
-        exact = lambda i, v, w=near, g=gaps_at, lv=lv: congruent_at(
-            _regular_green(gp := g(w[i, None], v[:, None]), lv[w[i], None], N), gp, lv[w[i]])[0]
-        u[near] = _bisect_branch(exact, mf[near], pos[near], np.full(near.size, hi))
-        same = np.append(False, (np.diff(key) == 0) & (np.abs(np.diff(u)) <= MERGE_TOL * hi))
-        u = u[np.maximum.accumulate(np.where(same, 0, np.arange(u.size)))]
-        roots.append(idx), ref.append(lv), m_root.append(mf)
-        gaps.append(gaps_at(np.arange(idx.size)[:, None], u[:, None]))
+    def secular(idx, u):
+        """lambda_m(T) at x = c_ref + side u (times u on a rational step) and
+        its slope from z^T F' z, exact at the root (Hellmann-Feynman), with
+        z = D U S y for T's eigenvector y."""
+        delta, ri = side[idx] * u, ref[idx]
+        inv = regular(LG[ri] + delta[:, None], ri)
+        Dx, Ux, _, _, T, S, d = congruent_at(on_pairs(inv), delta, ri)
+        lam, Y = np.linalg.eigh(T)
+        lam, y = lam[pick[:idx.size], m[idx] - 1], Y[pick[:idx.size], :, m[idx] - 1]
+        z = Dx * (Ux @ (S * y)[..., None])[..., 0]
+        slope = side[idx] * (-np.einsum("pa,pab,pb->p", z, on_pairs(inv * inv), z)
+                             - np.sum(d * y * y, axis=1) / delta)
+        rational = pole[idx] | np.all(np.abs(d) < 0.5, axis=1)
+        scale = np.where(rational, u, 1.0)
+        val, slope = scale * lam, scale * slope + np.where(rational, lam, 0.0)
+        # A value within its rounding (eigh's, and g's along z) is a root.
+        noise = np.sqrt(np.einsum("pab,pab->p", T, T)) + np.abs(z).sum(axis=1) ** 2 * (np.abs(inv) @ dims) / N
+        val = np.where(np.abs(lam) <= np.finfo(float).eps * noise, 0.0, val)
+        # A step across the level carries no scale: go to u / 256 instead.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(u - val / slope <= 0.0, val / (u - u / 256.0), slope)
+        # After a sign change, a step that would not halve the bracket bisects it.
+        stall = (np.sign(val) * last_sign[idx] < 0) & (np.abs(val) > 0.5 * np.abs(slope * (u - last_u[idx])))
+        last_u[idx], last_sign[idx] = u, np.sign(val)
+        return val, np.where(stall, 0.0, slope)
+
+    u = _safeguarded_newton(secular, np.zeros(R), hi, side > 0, tol=0.0)
+    # (nearly) multiple roots from one side of one level share one point
+    same = np.append(False, (np.diff(2 * ref + (side > 0)) == 0) & (np.abs(np.diff(u)) <= MERGE_TOL * hi[1:]))
+    u = u[np.maximum.accumulate(np.where(same, 0, pick))]
+
+    # Each root's alpha = D U S y and its level's amplitude V^T alpha / delta =
+    # Wh^T sv S y / delta (no cancellation in D V's singular basis); then the
+    # level roots, and the invisible modes (alpha = 0).
+    delta = side * u
+    Dx, Ux, svx, Wh, T, S, _ = congruent_at(on_pairs(regular(LG[ref] + delta[:, None], ref)), delta, ref)
+    y = S * np.linalg.eigh(T)[1][pick, :, m - 1]
+    cw = np.where(np.arange(ks) < r[ref, None], svx * y[:, :ks] / delta[:, None], 0.0)
     inv_lev, inv_col = np.nonzero((np.arange(2) >= r[:, None]) & (np.arange(2) < dims[:, None]))
-    roots, m_root = np.concatenate(roots), np.concatenate(m_root)
-    R, J, ref = roots.size, roots.size + lev_z.size, np.concatenate(ref + [lev_z])
-    gaps = np.concatenate(gaps + [LG[lev_z]])
-    x = np.concatenate([1.0 + gaps[:, 0], 1.0 + LG[inv_lev, 0]])              # x - c_0, c_0 = 1
+    ref = np.concatenate([ref, lev_z, inv_lev])
+    delta = np.concatenate([delta, np.zeros(ref.size - R)])
+    alpha = np.concatenate([Dx * (Ux @ y[..., None])[..., 0], alpha_z, np.zeros((inv_lev.size, M))])
+    c = np.concatenate([np.einsum("jib,ji->jb", Wh[:, :ks], cw), c_z, Vh[inv_lev, inv_col]])
+    x = 1.0 + (LG[ref, 0] + delta)                                                 # x - c_0, c_0 = 1
 
-    # v = sum_a alpha_a g_reg(n - nd_a) + E_ref(n) c with c = -pinv(V) (g_reg,D
-    # - S^-1) alpha, the level's amplitude; then the invisible modes, one
-    # Rayleigh-Ritz step per interval or level (roots next to a level join
-    # it), and the weights v_j(n) v_j(n0) in place.
-    alpha = np.concatenate([np.zeros((R, M)), alpha_z])
-    W = np.empty((N, N))
-    for b in time_blocks(J, N * (M + 3)):
-        g = _regular_green(gaps[b], ref[b, None], N)
-        own = b.start + np.flatnonzero(np.arange(J)[b] < R)
-        T, S, Ux, Dx = congruent_at(g[own - b.start], gaps[own], ref[own])
-        z = S * np.linalg.eigh(T)[1][np.arange(own.size), :, m_root[own] - 1]
-        alpha[own] = Dx * (Ux @ z[..., None])[..., 0]
-        c = -np.einsum("jbc,jcd,jd->jb", pinv[ref[b]], g[:, diff] - np.diag(1.0 / s), alpha[b])
-        W[:J][b] = (np.einsum("jan,ja->jn", g[:, (np.arange(N) - nd[:, None]) % N], alpha[b])
-                    + np.einsum("jnb,jb->jn", _level_modes(ref[b, None], np.arange(N), N), c))
-    for b in time_blocks(inv_lev.size, 2 * N):
-        W[J:][b] = np.einsum("jnb,jb->jn", _level_modes(inv_lev[b, None], np.arange(N), N),
-                             Vh[inv_lev[b], inv_col[b]])
-    near_level = np.abs(gaps[np.arange(R), ref[:R]]) < CLUSTER_TOL * (2.0 * np.pi / N) ** 2
-    group = K + 2 + np.append(ref, inv_lev)
-    group[:R] = np.where(near_level, group[:R], iv[roots])
+    # v = sum_a alpha_a g_reg(n - nd_a) + E_ref(n) c, one inverse real FFT of
+    # its Fourier coefficients; then one Rayleigh-Ritz step per interval or
+    # level (roots next to a level join it), and the weights v_j(n) v_j(n0).
+    shift = cos_nd - 1j * sin_nd                                   # e^(-2 pi i k nd / N), a shift by nd
+    mode = np.sqrt(N / dims)[:, None] * np.array([1.0, -1j])       # a level's mode amplitudes in irfft terms
+    W = np.empty((ref.size, N))
+    for b in time_blocks(ref.size, 3 * N):
+        coef = regular(LG[ref[b]] + delta[b, None], ref[b]) * (alpha[b] @ shift)
+        coef[np.arange(coef.shape[0]), ref[b]] = (mode[ref[b]] * c[b]).sum(axis=1)
+        W[b] = np.fft.irfft(coef, N)
+    near_level = np.abs(delta[:R]) < CLUSTER_TOL * (2.0 * np.pi / N) ** 2
+    group = K + 2 + ref
+    group[:R] = np.where(near_level, group[:R], iv)
     _rayleigh_ritz(W, x, group, nd, s)
     W *= W[:, n0, None].copy()
     return DefectSystem(spec, tuple(defects), x, W)

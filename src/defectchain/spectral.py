@@ -19,8 +19,9 @@ one element-wise safeguarded Newton, so a root next to its level keeps its
 digits.  The roots depend on N and s alone, and the strength is an array
 axis: one solve covers a whole sweep, each row with the bits it gets alone.
 
-The helpers evaluate g and the gaps x - c_k at theta = pi j / N + phi with
-the angle reduced exactly, and are shared with the M-defect engine.
+_cos_sin and _gaps_theta (the gaps x - c_k at theta = pi j / N + phi, the
+angle reduced exactly) are shared with the M-defect engine, and so is the root
+finder _safeguarded_newton.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotConverged
 from .lattice import LatticeSpec, periodic_distance
 
 
@@ -37,18 +39,6 @@ def _cos_sin(m, den):
     a = np.pi * m / den
     return (np.where((2 * m) % (2 * den) == den, 0.0, np.cos(a)),
             np.where(m % den == 0, 0.0, np.sin(a)))
-
-
-def _green_theta(d, j, phi, N):
-    """g(d; cos theta) at theta = pi j / N + phi, |phi| < pi / N, with phi first
-    moved to the nearest multiple of pi / N (exactly, by Sterbenz)."""
-    shift = np.rint(phi * (N / np.pi)).astype(int)
-    j, phi = j + shift, phi - shift * (np.pi / N)
-    cm, sm = _cos_sin((j * (N - 2 * d)) % (4 * N), 2 * N)
-    cr, sr = _cos_sin(j, N)
-    y, half = (N / 2.0 - d) * phi, N * phi / 2.0
-    sin_half = np.where(j % 2 == 0, np.sin(half), np.cos(half)) * np.where(j % 4 >= 2, -1.0, 1.0)
-    return -(cm * np.cos(y) - sm * np.sin(y)) / ((sr * np.cos(phi) + cr * np.sin(phi)) * sin_half)
 
 
 def _gaps_theta(j, phi, N):
@@ -123,11 +113,14 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
     fn(idx, z) returns the values and slopes of the elements idx at z.
     Every element runs its own Newton iteration from its bracket midpoint:
     the bracket shrinks to the side that keeps the sign change, a step
-    leaving it is replaced by bisection, and the element stops when fn is
-    exactly zero there or its Newton or bisection step falls below
-    tol * max(1, |z|), a converged Newton step being taken even where it
-    touches the bracket.  Each sweep evaluates fn once on the elements
-    still running, so a batch gives every root the bits it gets alone.
+    leaving it (a zero slope included) is replaced by bisection, and the
+    element stops when fn is exactly zero there or its Newton or bisection
+    step falls below tol * max(1, |z|), a converged Newton step being taken
+    even where it touches the bracket; tol = 0 runs to the last bit.  Each
+    sweep evaluates fn once on the elements still running, so where fn's
+    rows do not depend on the batch, a batch gives every root the bits it
+    gets alone.  NotConverged if any element is still running after
+    max_iter sweeps.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     positive = np.array(pos_lo, dtype=bool)
@@ -151,7 +144,8 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
                 run = ~stop
                 idx, lo, hi, cand, positive = idx[run], lo[run], hi[run], cand[run], positive[run]
             z = cand
-    root[idx] = z
+    if idx.size:
+        raise NotConverged(f"{idx.size} roots still bracketed after {max_iter} sweeps")
     return root
 
 

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectchain.errors import DuplicateDefectSite
+from defectchain.errors import DuplicateDefectSite, NonSimplePole
 from defectchain.homogeneous import distance_powers, green_profiles, occupation
 from defectchain.lattice import LatticeSpec
-from defectchain.multi_defect import (_bisect_branch, _green_theta,
-                                      bromwich_occupation,
-                                      build_two_defect_system)
+from defectchain.multi_defect import bromwich_occupation, build_two_defect_system
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 occupation_exact)
 from defectchain.single_defect import (DefectSpec, amplitude_profiles,
@@ -18,7 +16,7 @@ from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        occupation_defect, occupation_defect_series,
                                        phi_series, steady_corrections,
                                        steady_moment_defect, steady_occupation)
-from defectchain.spectral import green_laplace, ring_green
+from defectchain.spectral import green_laplace
 
 
 def _dense(N, gamma, defects):
@@ -97,6 +95,9 @@ def test_far_bound_state_matches_dense():
     (106, 33, [(31, 1.2595), (84, -1.2595), (85, 0.0149)]),        # a root next to a level root
     (265, 229, [(227, 1326.7338), (228, -1326.7338), (229, 1326.7338)]),
     (50, 1, [(3, 1e-12), (20, -1e-12)]),                        # a level root of size ~5e-13
+    (200, 0, [(3, 4.5), (71, 7.0)]),                            # in-band half cells from every level
+    (57, 0, [(10, -6.0), (30, -0.3)]),
+    (80, 0, [(5, 3.0), (6, -9.0)]),                             # both sides off the band
 ])
 def test_degenerate_and_mixed_strength_inputs_match_dense(N, n0, defects):
     # short times, where the dense reference itself keeps its digits; the
@@ -108,6 +109,29 @@ def test_degenerate_and_mixed_strength_inputs_match_dense(N, n0, defects):
     assert np.max(np.abs(P - _dense_occupation(N, 1.0, n0, defects, times))) < 1e-12
     x = _dense(N, 1.0, defects)[0]
     assert np.all(np.abs(np.sort(system.x) - x) <= 5e-13 * (1.0 + np.abs(x)))
+
+
+def test_strong_defect_beside_two_tiny_ones_matches_dense():
+    # P_n(t) only: dense eigh is itself 1.3e-12 (1 + |x|) off at q ~ 1.5e5.
+    # The roots next to the tiny defects sit 3e-17 to 1e-16 from their levels,
+    # so their offsets need relative, not absolute, precision.
+    defects = [(35, 152509.6364360297), (11, -1.0959113621347225e-12), (15, 1.204652925958832e-12)]
+    times = np.array([0.0, 0.05, 0.5])
+    assert np.max(np.abs(_engine(139, 1.0, 29, defects, times)
+                         - _dense_occupation(139, 1.0, 29, defects, times))) < 1e-12
+
+
+@pytest.mark.xfail(raises=NonSimplePole, strict=True, reason=(
+    "the level test's noise scale ignores the conditioning of D V's null space: compressed "
+    "values that should be exact zeros reach 3-4.5e2 eps, inside the ambiguous band"))
+@pytest.mark.parametrize("N, nd, q", [
+    (540, (183, 453, 454), (1.05e-12, -1.05e-12, 0.234)),
+    (1172, (0, 293, 586), (0.0754, -0.0754, -1.3e-11)),
+])
+def test_tiny_antipodal_pair_beside_a_third_defect(N, nd, q):
+    defects, times = list(zip(nd, q)), np.array([0.0, 0.05, 0.5])
+    assert np.max(np.abs(_engine(N, 1.0, 0, defects, times)
+                         - _dense_occupation(N, 1.0, 0, defects, times))) < 1e-12
 
 
 def test_one_defect_matches_single_defect_series():
@@ -163,9 +187,9 @@ def test_steady_functions_reject_several_live_defects():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(N=st.integers(3, 150), data=st.data(), gamma=st.sampled_from([0.7, 1.0, 1.3]))
 def test_spectrum_equals_eigvalsh(N, data, gamma):
-    M = data.draw(st.integers(2, min(3, N)))
+    M = data.draw(st.integers(2, min(6, N)))
     sites = data.draw(st.lists(st.integers(0, N - 1), min_size=M, max_size=M, unique=True))
-    mags = data.draw(st.lists(st.floats(-3.0, 4.0), min_size=M, max_size=M))
+    mags = data.draw(st.lists(st.floats(-12.0, 8.0), min_size=M, max_size=M))
     signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=M, max_size=M))
     defects = [(n, sg * 10.0 ** e) for n, sg, e in zip(sites, signs, mags)]
     system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(N, gamma, 0))
@@ -357,46 +381,3 @@ def test_duplicate_two_defect_sites_rejected():
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(DuplicateDefectSite):
         build_two_defect_system([DefectSpec(3, 1.0), DefectSpec(11, 2.0)], spec)
-
-
-def _secular(N, sites, qs, green):
-    """D g_D D - sign(S) at points green(d, idx, u), as the engine bisects it."""
-    s = np.array(qs) / 2.0
-    D = np.sqrt(np.abs(s))
-    d = np.abs(np.subtract.outer(sites, sites)) % N
-    d = np.minimum(d, N - d)
-    return lambda idx, u: (D[:, None] * green(d.reshape(-1), idx[:, None], u[:, None])
-                           .reshape(-1, len(sites), len(sites)) * D - np.diag(np.sign(s)))
-
-
-@pytest.mark.parametrize("N, nd, q", [(200, (3, 71), (4.5, 7.0)), (57, (10, 30), (-6.0, -0.3)),
-                                      (80, (5, 6), (3.0, -9.0))])
-def test_batched_bisection_equals_one_bracket_at_a_time(N, nd, q):
-    # in-band half cells from every level and both sides off the band: the
-    # element-wise bisection gives each element the bits it gets alone
-    K = N // 2
-    j = np.repeat(2 * np.arange(K), 2)
-    m = np.tile([1, 2], K)
-    side = np.array([1.0, 1.0, -1.0, -1.0])
-    cases = [(_secular(N, nd, q, lambda d, i, u: _green_theta(d, j[i], u, N)), m,
-              np.full(2 * K, np.pi / N)),
-             (_secular(N, nd, q, lambda d, i, u: ring_green(d, side[i] * (1.0 + u), N).real),
-              np.array([1, 2, 1, 2]), np.full(4, 3.0))]
-    for secular, branch, hi in cases:
-        pos_lo = np.linalg.eigvalsh(secular(np.arange(hi.size), 1e-9 * hi))[
-            np.arange(hi.size), branch - 1] > 0
-        batch = _bisect_branch(secular, branch, pos_lo, hi)
-        sample = np.unique(np.linspace(0, hi.size - 1, 12).astype(int))
-        alone = [_bisect_branch(lambda i, u, e=e: secular(i + e, u), branch[e:e + 1],
-                                pos_lo[e:e + 1], hi[e:e + 1])[0] for e in sample]
-        assert np.array_equal(batch[sample], np.array(alone))
-
-
-def test_batched_bisection_exact_zero_stops_one_element():
-    # element 0's branch is exactly zero at its first midpoint and ends there;
-    # element 1 bisects on with the bits it gets alone
-    secular = lambda idx, u: (u - 0.25)[:, None, None]
-    lo_sign = np.array([False, False])
-    batch = _bisect_branch(secular, np.array([1, 1]), lo_sign, np.array([0.5, 0.3]))
-    assert abs(batch[0] - 0.25) <= np.spacing(0.25)
-    assert batch[1] == _bisect_branch(secular, np.array([1]), lo_sign[:1], np.array([0.3]))[0]

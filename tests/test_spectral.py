@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from defectchain.errors import PoleCountMismatch
+from defectchain.errors import NotConverged, PoleCountMismatch
 from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import defect_levels
 from defectchain.single_defect import DefectSpec, build_defect_system
@@ -233,6 +233,15 @@ def test_batched_newton_stop_rules_per_element():
     single = [_safeguarded_newton(fn, lo[i:i + 1], hi[i:i + 1], pos[i:i + 1])[0] for i in range(3)]
     assert np.array_equal(batch, np.array(single))
     assert batch[0] == 0.5 and abs(batch[1] - 2.7) < 1e-14 and abs(batch[2] - 20.0 ** 0.5) < 1e-14
+
+
+def test_batched_newton_raises_for_a_root_still_running_after_max_iter():
+    # Newton on z^2 - 2 from the midpoint of (0, 10) needs six sweeps, not three
+    fn = lambda idx, z: (z * z - 2.0, 2.0 * z)
+    lo, hi, pos = np.zeros(2), np.full(2, 10.0), np.zeros(2, dtype=bool)
+    with pytest.raises(NotConverged, match="2 roots"):
+        _safeguarded_newton(fn, lo, hi, pos, max_iter=3)
+    assert np.allclose(_safeguarded_newton(fn, lo, hi, pos), np.sqrt(2.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("N", [3, 9, 129, 301])
