@@ -2,14 +2,18 @@
 oracle cross-checks, and CSV/JSON output.
 
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 an
-oracle-check difference exceeded its tolerance.  No environment variable
-is consulted.  Output is data only; plotting belongs to external tools.
+oracle-check difference exceeded its tolerance.  When the reader closes
+stdout early (`| head`), output stops quietly and the exit code stays the
+one the run would have had: 0, or 3 for an oracle-check over tolerance.
+No environment variable is consulted.  Output is data only; plotting
+belongs to external tools.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -536,7 +540,15 @@ def main(argv=None) -> int:
     if args.mode == "figure" and out is not None:
         ext = "csv" if args.format == "csv" else "json"
         out = f"{out}_{args.panel}.{ext}"
-    table.write(out, args.format)
+    try:
+        table.write(out, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
     if args.mode == "oracle-check" and table.max_abs_diff() > args.tolerance:
         print(f"oracle-check: max difference {table.max_abs_diff():.3e} exceeds "

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +331,27 @@ def test_infq_moments_outside_closed_form_domain(tmp_path, capsys):
                    - sum(dist[n] ** 2 * v for n, v in prof.items())) < 1e-12
         assert abs(moments["mean_displacement_steady_infq"]
                    - sum(dist[n] * v for n, v in prof.items())) < 1e-12
+
+
+@pytest.mark.parametrize("argv, lines, code", [
+    (["figure", "--panel", "fig1"], 1, 0),
+    # a table small enough for the pipe's buffer: close before it is written
+    (["oracle-check", "--N", "12", "--nd", "3", "--q", "1.0", "--tolerance", "0"], 0, 3),
+])
+def test_closed_stdout_stops_quietly(argv, lines, code):
+    # `defectchain ... | head -n 1`: no traceback, and the exit code the run
+    # would have had with its reader still there
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "defectchain.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == code, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def _readme_blocks(section):

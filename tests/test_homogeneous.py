@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from defectchain.errors import NotReached
 from defectchain.homogeneous import (distance_powers, estimate_tstar,
                                      fit_ballistic, green_profile,
                                      green_profiles, moment_series,
@@ -163,6 +165,63 @@ def test_tstar_regression_fixture():
     # frozen output of the bisection search on the implemented Delta_2(t)
     ts = estimate_tstar(LatticeSpec(100, 1.0, 50), 0.01)
     assert abs(ts - 25.139800919987465) < 1e-6
+
+
+def _tstar_full_grid_scan(spec, threshold, grid_points):
+    """The t* search evaluating Delta_2 on the whole grid before taking its
+    first crossing; estimate_tstar must give the same bits."""
+    N, gamma = spec.N, spec.gamma
+    tmax = 2.0 * N / gamma
+    times = np.linspace(0.0, tmax, grid_points + 1)[1:]
+    d2 = moment_series(2, times, spec)
+    ball = 2.0 * gamma ** 2 * times ** 2
+    above = np.nonzero(np.abs(d2 - ball) / ball > threshold)[0]
+    if above.size == 0:
+        raise NotReached(f"no deviation above {threshold} up to t = {tmax}")
+    i = int(above[0])
+    lo = times[i - 1] if i > 0 else times[0] * 1e-6
+    hi = times[i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        b = 2.0 * gamma ** 2 * mid * mid
+        if abs(moment_time(2, mid, spec) - b) / b > threshold:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * tmax:
+            break
+    return 0.5 * (lo + hi)
+
+
+# grid_points 0: an empty grid never crosses (NotReached); 4: the crossing
+# is the first grid time; 100: the last slice of the scan is partial
+@pytest.mark.parametrize("N, gamma, threshold, grid_points",
+                         [(N, gamma, threshold, 2048) for N in (7, 51, 256)
+                          for gamma in (0.5, 2.0) for threshold in (0.001, 0.01, 0.49)]
+                         + [(51, 1.0, 0.01, g) for g in (0, 4, 100)])
+def test_tstar_equals_full_grid_scan(N, gamma, threshold, grid_points):
+    for n0 in (0, N // 3):
+        spec = LatticeSpec(N, gamma, n0)
+        try:
+            want = _tstar_full_grid_scan(spec, threshold, grid_points)
+        except NotReached as exc:
+            with pytest.raises(NotReached, match=re.escape(str(exc))):
+                estimate_tstar(spec, threshold, grid_points)
+        else:
+            assert estimate_tstar(spec, threshold, grid_points) == want
+
+
+def test_tstar_memory_stays_small():
+    # the scan stops at the first crossing and holds one slice of times;
+    # the whole 2048-time grid at N=2000 would take 64 MiB
+    spec = LatticeSpec(2000, 1.0, 1000)
+    tracemalloc.start()
+    try:
+        estimate_tstar(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_tstar_validation():
