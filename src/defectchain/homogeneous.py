@@ -1,11 +1,15 @@
 """Defect-free dynamics on the periodic chain.
 
-The free propagator G(n, n0, t) is a plain mode sum, evaluated for all
-sites at once by one FFT per time.  Occupation moments are site sums over
-it, Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2, taken over blocks of
-times whose temporaries stay below BLOCK_ELEMENTS array elements.
-Steady-state quantities are closed forms, never numeric time averages
-(those live in the tests).
+The free propagator is a mode sum over the N//2 + 1 distinct levels c_k =
+cos(2 pi k / N) (k and N - k share one).  In the frame m = n - n0 its real
+and imaginary parts are the inverse real FFTs of cos and sin of
+2 gamma t c_k, one batched transform for a block of times.  Occupation
+moments are sums over that frame, Delta_p(t) = sum_m [m]^p |G|^2, with no
+complex propagator and no rotation; each time's value has the bits it gets
+alone, so the t* search can evaluate any slice of its grid or single times
+with one level table.  Blocks of times keep their temporaries below
+BLOCK_ELEMENTS array elements.  Steady-state quantities are closed forms,
+never numeric time averages (those live in the tests).
 """
 
 from __future__ import annotations
@@ -44,13 +48,45 @@ class SiteProfile:
     mirror_collision: bool = False
 
 
+def _finite_times(times) -> np.ndarray:
+    """Times as a 1-d float array; ValueError on a non-finite one."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    return times
+
+
+def _levels(N: int) -> np.ndarray:
+    """The N//2 + 1 distinct free levels c_k = cos(2 pi k / N), k <= N/2."""
+    return np.cos(2.0 * np.pi * np.arange(N // 2 + 1) / N)
+
+
+def _green_frame(levels: np.ndarray, gamma: float, N: int, times: np.ndarray) -> np.ndarray:
+    """Re G and Im G at m = n - n0 for m = 0..N-1, shape (2, len(times), N):
+    one inverse real FFT of cos and sin of 2 gamma t c_k."""
+    phase = 2.0 * gamma * times[:, None] * levels
+    spectra = np.zeros((2,) + phase.shape, dtype=complex)   # complex in: no cast inside irfft
+    np.cos(phase, out=spectra.real[0])
+    np.sin(phase, out=spectra.real[1])
+    return np.fft.irfft(spectra, N)
+
+
+def _moments(levels: np.ndarray, gamma: float, dpow: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_m dpow_m |G(m, t)|^2 over blocks of times, for the ring distance
+    powers dpow of the frame m = n - n0; a row's bits do not depend on the
+    other times."""
+    N = dpow.size
+    out = np.empty(times.size)
+    for block in time_blocks(times.size, 2 * N):
+        re, im = _green_frame(levels, gamma, N, times[block])
+        out[block] = np.einsum("tm,m->t", re * re + im * im, dpow)
+    return out
+
+
 def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
     """Free amplitudes G(n, n0, t), shape (len(times), N)."""
-    N, gamma = spec.N, spec.gamma
-    k = np.arange(N)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases = np.exp(2j * gamma * times[:, None] * np.cos(2.0 * np.pi * k / N))
-    return np.roll(np.fft.ifft(phases, axis=1), spec.n0, axis=1)
+    re, im = _green_frame(_levels(spec.N), spec.gamma, spec.N, _finite_times(times))
+    return np.roll(re + 1j * im, spec.n0, axis=1)
 
 
 def green_profile(spec: LatticeSpec, t: float) -> np.ndarray:
@@ -79,13 +115,8 @@ def steady_profile(spec: LatticeSpec) -> SiteProfile:
 
 def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    dpow = distance_powers(spec, p)
-    out = np.empty(times.size)
-    for block in time_blocks(times.size, spec.N):
-        G = green_profiles(spec, times[block])
-        out[block] = (G.real ** 2 + G.imag ** 2) @ dpow
-    return out
+    return _moments(_levels(spec.N), spec.gamma, periodic_distances(spec.N).astype(float) ** p,
+                    _finite_times(times))
 
 
 def moment_time(p: int, t: float, spec: LatticeSpec) -> float:
@@ -113,6 +144,10 @@ def fit_ballistic(spec: LatticeSpec, tmax: float | None = None, n: int = 64) -> 
     """Least-squares D from Delta_2(t) ~ D t^2 on t in (0, tmax]."""
     if tmax is None:
         tmax = 0.05 / spec.gamma
+    if not (np.isfinite(tmax) and tmax > 0):
+        raise ValueError(f"tmax must be finite and > 0, got {tmax}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     ts = np.linspace(0.0, tmax, n + 1)[1:]
     vals = moment_series(2, ts, spec)
     t2 = ts * ts
@@ -125,18 +160,23 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01,
 
     Scans a dense grid up to 2 N / gamma in consecutive slices of
     TSTAR_SLICE times and stops at the first slice holding a crossing, then
-    bisects.  The fitted prefactor in t* = a N / gamma depends on the
-    threshold; the linear-in-N scaling does not.
+    bisects.  The level table and the squared distances are built once and
+    serve every slice and bisection step, with the bits moment_series gives
+    the same times.  The fitted prefactor in t* = a N / gamma depends on
+    the threshold; the linear-in-N scaling does not.
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
+    if grid_points < 0:
+        raise ValueError(f"grid_points must be >= 0, got {grid_points}")
     N, gamma = spec.N, spec.gamma
+    levels, d2 = _levels(N), periodic_distances(N).astype(float) ** 2
     tmax = 2.0 * N / gamma
     times = np.linspace(0.0, tmax, grid_points + 1)[1:]
     for start in range(0, times.size, TSTAR_SLICE):
         ts = times[start:start + TSTAR_SLICE]
         ball = 2.0 * gamma ** 2 * ts ** 2
-        dev = np.abs(moment_series(2, ts, spec) - ball) / ball
+        dev = np.abs(_moments(levels, gamma, d2, ts) - ball) / ball
         above = np.nonzero(dev > threshold)[0]
         if above.size:
             break
@@ -148,7 +188,7 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01,
 
     def deviation(t: float) -> float:
         b = 2.0 * gamma ** 2 * t * t
-        return abs(moment_time(2, t, spec) - b) / b
+        return abs(_moments(levels, gamma, d2, np.array([t]))[0] - b) / b
 
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -128,32 +128,27 @@ def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
     return live[0] if live else None
 
 
-def _even_rows(gaps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows g(m; x_j), m = 0..N-1, and their squared norms, from the gaps
-    x_j - c_k (k <= N/2), shape (J, N//2 + 1): one inverse real FFT per block
-    of rows.  They do not depend on the defect site."""
-    rows, norms = np.empty((gaps.shape[0], N)), np.empty(gaps.shape[0])
-    for b in time_blocks(gaps.shape[0], 2 * N):
-        rows[b] = np.fft.irfft(1.0 / gaps[b], N)
-        norms[b] = np.einsum("jn,jn->j", rows[b], rows[b])
-    return rows, norms
+def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> list[np.ndarray]:
+    """W_jn = v_j(n) v_j(n0) of a defect at each nd in `sites`, for the even
+    eigenvectors v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| at the roots
+    x = cos(pi j / N) + offset (one entry of j and offset per root).
 
-
-def _pole_rows(level: np.ndarray, offset: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """_even_rows at the roots solved from `level` with exact `offset`: the
-    gaps x_j - c_k are (c_L - c_k) + offset_j, so the own level's gap is the
-    offset itself."""
-    return _even_rows(_gaps_theta(2 * level[:, None], 0.0, N) + offset[:, None], N)
-
-
-def _site_weights(rows: np.ndarray, norms: np.ndarray, N: int, n0: int, nd: int) -> np.ndarray:
-    """W_jn = v_j(n) v_j(n0) for the even eigenvectors v_j(n) = g(n - nd; x_j)
-    / ||g(.; x_j)|| of a defect at nd: the rows rotated by nd and scaled."""
-    scale = (rows[:, (n0 - nd) % N] / norms)[:, None]
-    W = np.empty_like(rows)
-    np.multiply(rows[:, :N - nd], scale, out=W[:, nd:])
-    np.multiply(rows[:, N - nd:], scale, out=W[:, :nd])
-    return W
+    The gaps x - c_k (k <= N/2) are (cos(pi j / N) - c_k) + offset, so a root
+    solved from a level keeps its offset as its own gap.  Each block of roots
+    takes its gap rows and one inverse real FFT for the rows g(m; x), m =
+    0..N-1, which do not depend on the site; each site rotates them by nd
+    and scales them straight into its weights, the only (J, N) arrays."""
+    weights = [np.empty((j.size, N)) for _ in sites]
+    for b in time_blocks(j.size, 8 * N):       # small blocks beside the weights
+        spectra = np.zeros((j[b].size, N // 2 + 1), dtype=complex)   # complex in: no cast in irfft
+        np.divide(1.0, _gaps_theta(j[b, None], 0.0, N) + offset[b, None], out=spectra.real)
+        rows = np.fft.irfft(spectra, N)
+        norms = np.einsum("jn,jn->j", rows, rows)
+        for nd, W in zip(sites, weights):
+            scale = (rows[:, (n0 - nd) % N] / norms)[:, None]
+            np.multiply(rows[:, :N - nd], scale, out=W[b, nd:])
+            np.multiply(rows[:, N - nd:], scale, out=W[b, :nd])
+    return weights
 
 
 def _odd_levels(N: int) -> np.ndarray:
@@ -184,8 +179,8 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
         if np.any(np.abs(mine - dense) > tol):
             raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
                                     f"(worst {np.max(np.abs(mine - dense)):.3g})")
-    rows, norms = _pole_rows(poles.level, poles.offset, N)
-    return DefectSystem(spec, (defect,), poles.x, _site_weights(rows, norms, N, spec.n0, defect.nd))
+    W, = _weight_rows(2 * poles.level, poles.offset, N, spec.n0, [defect.nd])
+    return DefectSystem(spec, (defect,), poles.x, W)
 
 
 def _free_system(spec: LatticeSpec, defects: tuple[DefectSpec, ...]) -> DefectSystem:
@@ -198,10 +193,10 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
     equal to build_defect_system(spec, DefectSpec(nd, q)) array for array.
 
     A sweep shares its work: one find_poles call solves every nonzero
-    strength, each strength takes one gap table and one blocked inverse
-    real FFT for its rows g(m; x_j), and each site only rotates and scales
-    those rows.  A strength's systems are built when it is reached, so a
-    long sweep holds one strength's weight matrices at a time.
+    strength, each strength takes one blocked inverse real FFT for its rows
+    g(m; x_j), and each site only rotates and scales each block of them
+    into its weights.  A strength's systems are built when it is reached,
+    so a long sweep holds one strength's weight matrices at a time.
     """
     N = spec.N
     sites = [site_index(nd, N) for nd in sites]
@@ -212,9 +207,9 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
         if q == 0.0:
             yield tuple(_free_system(spec, (DefectSpec(nd, 0.0),)) for nd in sites)
             continue
-        rows, norms = _pole_rows(poles.level[r], poles.offset[r], N)
-        yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r],
-                                 _site_weights(rows, norms, N, spec.n0, nd)) for nd in sites)
+        weights = _weight_rows(2 * poles.level[r], poles.offset[r], N, spec.n0, sites)
+        yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r], W)
+                    for nd, W in zip(sites, weights))
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:

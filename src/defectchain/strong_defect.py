@@ -21,8 +21,7 @@ import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import PhiSeries, _even_rows, _site_weights, steady_sums
-from .spectral import _gaps_theta
+from .single_defect import PhiSeries, _weight_rows, steady_sums
 
 
 def mirror_site(spec: LatticeSpec, nd: int) -> int:
@@ -80,8 +79,7 @@ def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarra
     if nd == spec.n0:
         raise ValueError("nd = n0 is the full-localization branch; no correction sums")
     j = 2 * np.arange(1, N // 2 + 1) - 1                  # theta_l = pi j / N
-    rows, norms = _even_rows(_gaps_theta(j[:, None], 0.0, N), N)
-    W = _site_weights(rows, norms, N, spec.n0, nd)
+    W, = _weight_rows(j, np.zeros(j.size), N, spec.n0, [nd])
     return steady_sums(W, N, spec.n0, nd)
 
 

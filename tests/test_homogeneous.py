@@ -50,6 +50,50 @@ def test_green_translation_invariance_exact():
     assert ga[7] == gb[0]                         # G(7, 3) == G(12, 8), site 12 = 0
 
 
+@pytest.mark.parametrize("N", range(3, 13))
+def test_green_profiles_match_dense_propagation(N):
+    # both parities, every start site, times up to the wrap-around N / gamma
+    for gamma in (0.7, 1.0, 1.9):
+        for n0 in range(N):
+            spec = LatticeSpec(N, gamma, n0)
+            times = np.linspace(0.0, N / gamma, 33)
+            E, V = np.linalg.eigh(build_hamiltonian(spec))
+            dense = (V @ (np.exp(-1j * np.outer(E, times)) * V[n0, :, None])).T
+            assert np.max(np.abs(green_profiles(spec, times) - dense)) < 1e-14
+
+
+@pytest.mark.parametrize("N, n0", [(3, 1), (8, 0), (51, 17), (200, 100), (401, 3)])
+def test_moment_series_rows_do_not_depend_on_the_batch(N, n0):
+    # the t* scan and its bisection evaluate slices and single times of a
+    # grid; each row must have the bits it gets alone
+    spec = LatticeSpec(N, 1.3, n0)
+    times = np.linspace(0.0, 2.0 * N / spec.gamma, 97)
+    for p in (1, 2):
+        rows = moment_series(p, times, spec)
+        for i in range(times.size):
+            assert moment_series(p, times[i:i + 1], spec)[0] == rows[i]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_free_chain_rejects_non_finite_times(bad):
+    spec = LatticeSpec(12, 1.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        green_profiles(spec, [0.5, bad])
+    with pytest.raises(ValueError, match="finite"):
+        moment_series(2, [bad, 1.0], spec)
+    with pytest.raises(ValueError, match="finite"):
+        moment_time(1, bad, spec)
+
+
+def test_fit_ballistic_validation():
+    spec = LatticeSpec(20, 1.0, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        fit_ballistic(spec, n=0)
+    for tmax in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tmax"):
+            fit_ballistic(spec, tmax=tmax)
+
+
 def test_steady_profile_values():
     p50 = steady_profile(LatticeSpec(50, 1.0, 2)).values
     assert abs(p50[2] - 0.0392) < 1e-15
@@ -229,3 +273,8 @@ def test_tstar_validation():
         estimate_tstar(LatticeSpec(20, 1.0, 0), threshold=0.7)
     with pytest.raises(ValueError):
         estimate_tstar(LatticeSpec(20, 1.0, 0), threshold=0.0)
+
+
+def test_tstar_rejects_negative_grid_points():
+    with pytest.raises(ValueError, match="grid_points must be >= 0, got -4"):
+        estimate_tstar(LatticeSpec(20, 1.0, 0), grid_points=-4)

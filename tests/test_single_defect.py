@@ -59,6 +59,28 @@ def test_defect_systems_equal_per_point_builder(N, n0):
     assert list(defect_systems(spec, sites, [])) == []
 
 
+def test_build_memory_is_the_weights_and_small_blocks():
+    # at N = 2000 the 1001 weight rows take 15.3 MiB; each block of rows goes
+    # straight into them, with no second (J, N) array of unrotated rows
+    spec = LatticeSpec(2000, 1.0, 3)
+    build_defect_system(spec, DefectSpec(700, 0.8))
+    tracemalloc.start()
+    try:
+        system = build_defect_system(spec, DefectSpec(700, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.weights.shape == (1001, 2000)
+    assert peak < 24 * 2 ** 20
+
+
+def test_series_rejects_non_finite_times():
+    system = _system(12, 1.0, 3, 7, 0.9)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            occupation_defect_series(system, [0.5, bad])
+
+
 def test_defect_spec_rejects_non_finite_strength():
     for q in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
