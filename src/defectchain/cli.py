@@ -1,6 +1,11 @@
 """Command-line front end: parameter sweeps, figure-data reproduction,
 oracle cross-checks, and CSV/JSON output.
 
+Each subcommand takes --config, --out, --format and the flags its run
+reads (`_MODES`).  A config file's `key = value` lines become its flags,
+placed before the command line's own, which win; a repeatable flag given
+on the command line replaces the file's comma-separated list.
+
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 an
 oracle-check difference exceeded its tolerance.  When the reader closes
 stdout early (`| head`), output stops quietly and the exit code stays the
@@ -12,11 +17,13 @@ belongs to external tools.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,61 +40,35 @@ COLUMNS = ("observable", "N", "gamma", "q", "nd", "n0", "n", "t", "value", "prov
 SCHEMA_VERSION = 1
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-@dataclass
 class ResultTable:
-    """Column-oriented records with fixed key order for reproducible output."""
+    """Records as tuples in COLUMNS order; `fixed` holds the coordinates
+    shared by every row, which `add` may override.  Coordinates are ints,
+    Python floats or None, so CSV fields are their str()."""
 
-    records: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, meta: dict, **fixed):
+        self.meta = meta
+        self.fixed = fixed
+        self.records: list[tuple] = []
 
     def add(self, observable, value, provenance="analytic", **coords):
-        rec = {c: None for c in COLUMNS}
-        rec["observable"] = observable
-        rec["value"] = float(value)
-        rec["provenance"] = provenance
-        for k, v in coords.items():
-            if k not in rec:
-                raise KeyError(f"unknown column {k}")
-            rec[k] = v
-        self.records.append(rec)
-
-    def extend(self, other: "ResultTable"):
-        self.records.extend(other.records)
-
-    def write_csv(self, fh):
-        fh.write(",".join(COLUMNS) + "\n")
-        for rec in self.records:
-            fh.write(",".join(_fmt(rec[c]) for c in COLUMNS) + "\n")
-
-    def write_json(self, fh):
-        payload = {"schema_version": SCHEMA_VERSION, "meta": self.meta,
-                   "records": self.records}
-        json.dump(payload, fh, indent=1, default=float)
-        fh.write("\n")
+        c = {**self.fixed, **coords}
+        self.records.append((observable, *map(c.get, COLUMNS[1:8]), float(value), provenance))
 
     def write(self, path: str | None, fmt: str):
-        if path is None:
-            self.write_csv(sys.stdout) if fmt == "csv" else self.write_json(sys.stdout)
-            return
-        with open(path, "w", newline="\n") as fh:
-            self.write_csv(fh) if fmt == "csv" else self.write_json(fh)
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", newline="\n")) as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(COLUMNS)
+                writer.writerows(self.records)
+                return
+            payload = {"schema_version": SCHEMA_VERSION, "meta": self.meta,
+                       "records": [dict(zip(COLUMNS, rec)) for rec in self.records]}
+            json.dump(payload, fh, indent=1, default=float)
+            fh.write("\n")
 
     def max_abs_diff(self) -> float:
-        worst = 0.0
-        for rec in self.records:
-            if rec["provenance"] == "abs_diff":
-                worst = max(worst, abs(rec["value"]))
-        return worst
+        return max((abs(rec[8]) for rec in self.records if rec[9] == "abs_diff"), default=0.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +96,8 @@ def _parse_qlog(text: str) -> list[float]:
         raise ConfigError(f"--q-log expects min:max:count, got {text!r}", "q-log") from exc
 
 
-def _load_config(path: str) -> dict:
+def _config_flags(path: str, mode: str) -> list[str]:
+    """The config file's `key = value` lines as `--key=value` flags of `mode`."""
     values = {}
     try:
         with open(path) as fh:
@@ -129,85 +111,21 @@ def _load_config(path: str) -> dict:
                 values[key.replace("-", "_")] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}", "config") from exc
-    if values.get("schema_version") != str(SCHEMA_VERSION):
+    if values.pop("schema_version", None) != str(SCHEMA_VERSION):
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}", "schema_version")
-    return values
-
-
-def build_parser() -> _Parser:
-    p = _Parser(prog="defectchain",
-                description="Exact defect dynamics on a periodic tight-binding chain.")
-    sub = p.add_subparsers(dest="mode", required=True)
-
-    def common(sp, need_defect=False):
-        sp.add_argument("--config", help="key = value file supplying defaults")
-        sp.add_argument("--N", type=int, help="chain size")
-        sp.add_argument("--gamma", type=float, default=None, help="hopping strength (default 1)")
-        sp.add_argument("--n0", type=int, default=None, help="initial site (default 0)")
-        sp.add_argument("--out", help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--tolerance", type=float, default=1e-8,
-                        help="oracle-check failure threshold")
-        sp.add_argument("--tmax", type=float, default=None)
-        sp.add_argument("--tsteps", type=int, default=None)
-        if need_defect:
-            sp.add_argument("--nd", type=int, action="append",
-                            help="defect site (repeat for several defects)")
-            sp.add_argument("--q", type=float, action="append",
-                            help="defect strength (repeatable for sweeps)")
-            sp.add_argument("--q-log", dest="q_log",
-                            help="geometric strength sweep min:max:count")
-        return sp
-
-    common(sub.add_parser("free", help="defect-free moments and spreading"))
-    common(sub.add_parser("single", help="one defect: steady profiles and moments"), True)
-    common(sub.add_parser("infq", help="infinite-strength defect limit"), True)
-    common(sub.add_parser("two", help="two or more defects: time-resolved occupation"), True)
-    common(sub.add_parser("oracle-check", help="analytic vs dense diagonalization"), True)
-    cl = common(sub.add_parser("classical", help="permeable-barrier walk baseline"))
-    cl.add_argument("--F", type=float, default=None, help="bulk hop rate (default 1)")
-    cl.add_argument("--f", type=float, action="append", help="barrier rate (repeatable)")
-    cl.add_argument("--r", type=int, default=0, help="barrier bond index")
-    fig = common(sub.add_parser("figure", help="reproduce a figure panel's data"))
-    fig.add_argument("--panel", required=True,
-                     choices=("fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b"))
-    return p
-
-
-def _apply_config(args):
-    if getattr(args, "config", None):
-        conf = _load_config(args.config)
-        casts = {"N": int, "gamma": float, "n0": int, "tmax": float, "tsteps": int,
-                 "tolerance": float, "F": float, "r": int,
-                 "out": str, "format": str, "panel": str}
-        for key, raw in conf.items():
-            if key == "schema_version":
-                continue
-            if key in ("q", "f"):
-                vals = [float(v) for v in raw.split(",")]
-                if getattr(args, key, None) is None:
-                    setattr(args, key, vals)
-            elif key == "nd":
-                if getattr(args, "nd", None) is None:
-                    args.nd = [int(v) for v in raw.split(",")]
-            elif key in casts:
-                if getattr(args, key, None) is None:
-                    setattr(args, key, casts[key](raw))
-            elif key == "q_log":
-                if getattr(args, "q_log", None) is None:
-                    args.q_log = raw
-            else:
-                raise ConfigError(f"unknown config key {key!r}", key)
-    return args
+    flags = []
+    for key, raw in values.items():
+        name = key.replace("_", "-")
+        if name not in ("out", "format", *_MODES[mode][2].split()):
+            raise ConfigError(f"unknown config key {key!r}", key)
+        items = raw.split(",") if name in _REPEATABLE else [raw]
+        flags += [f"--{name}={v.strip()}" for v in items]
+    return flags
 
 
 def _lattice(args) -> LatticeSpec:
-    if args.N is None:
-        raise ConfigError("--N is required", "N")
-    gamma = 1.0 if args.gamma is None else args.gamma
-    n0 = 0 if args.n0 is None else args.n0
     try:
-        return LatticeSpec(args.N, gamma, n0)
+        return LatticeSpec(args.N, args.gamma, args.n0)
     except ValueError as exc:
         raise ConfigError(str(exc), "N/gamma/n0") from exc
 
@@ -247,8 +165,11 @@ def _time_grid(args, spec, default_steps=257):
     return np.linspace(0.0, tmax, steps)
 
 
-def _notice(msg: str):
-    print(msg, file=sys.stderr)
+def _with_oracle(spec) -> bool:
+    if spec.N <= ORACLE_MAX_N:
+        return True
+    print(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped", file=sys.stderr)
+    return False
 
 
 # -- mode implementations ----------------------------------------------------
@@ -256,87 +177,66 @@ def _notice(msg: str):
 def run_free(args) -> ResultTable:
     spec = _lattice(args)
     times = _time_grid(args, spec)
-    table = ResultTable(meta={"mode": "free", "N": spec.N, "gamma": spec.gamma, "n0": spec.n0})
-    for p in (1, 2):
-        vals = homogeneous.moment_series(p, times, spec)
-        name = "mean_displacement" if p == 1 else "msd"
-        for t, v in zip(times, vals):
-            table.add(name, v, N=spec.N, gamma=spec.gamma, n0=spec.n0, t=float(t))
-        table.add(name + "_steady", homogeneous.steady_moment(p, spec),
-                  N=spec.N, gamma=spec.gamma, n0=spec.n0)
-    table.add("ballistic_coefficient", homogeneous.fit_ballistic(spec),
-              N=spec.N, gamma=spec.gamma, n0=spec.n0)
-    table.add("tstar", homogeneous.estimate_tstar(spec),
-              N=spec.N, gamma=spec.gamma, n0=spec.n0)
-    if spec.N <= ORACLE_MAX_N:
+    coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
+    table = ResultTable({"mode": "free", **coords}, **coords)
+    for p, name in ((1, "mean_displacement"), (2, "msd")):
+        for t, v in zip(times, homogeneous.moment_series(p, times, spec)):
+            table.add(name, v, t=float(t))
+        table.add(name + "_steady", homogeneous.steady_moment(p, spec))
+    table.add("ballistic_coefficient", homogeneous.fit_ballistic(spec))
+    table.add("tstar", homogeneous.estimate_tstar(spec))
+    if _with_oracle(spec):
         dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec))
         d2 = homogeneous.distance_powers(spec, 2)
         for t in times[:: max(1, times.size // 16)]:
-            v = float(d2 @ occupation_exact(dec, spec.n0, float(t)))
-            table.add("msd", v, provenance="oracle",
-                      N=spec.N, gamma=spec.gamma, n0=spec.n0, t=float(t))
-    else:
-        _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
+            table.add("msd", d2 @ occupation_exact(dec, spec.n0, float(t)),
+                      provenance="oracle", t=float(t))
     return table
-
-
-def _single_point(sysq, q, with_oracle):
-    spec, nd = sysq.spec, sysq.defects[0].nd
-    prof = single_defect.steady_occupation(sysq).values
-    out = []
-    for n, v in enumerate(prof):
-        out.append(("steady_occupation", q, n, v, "analytic"))
-    out.append(("steady_at_defect", q, nd, float(prof[nd]), "analytic"))
-    out.append(("steady_at_start", q, spec.n0, float(prof[spec.n0]), "analytic"))
-    for p in (1, 2):
-        name = "mean_displacement_steady" if p == 1 else "msd_steady"
-        out.append((name, q, None, single_defect.steady_moment_defect(sysq, p), "analytic"))
-    if with_oracle:
-        try:
-            dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
-        except DegeneracyAmbiguity as exc:
-            # the oracle cannot class the levels split by the defect; the
-            # analytic rows do not depend on it
-            _notice(f"q={q}: oracle columns skipped ({type(exc).__name__})")
-            return out
-        oprof = time_average_exact(dec, spec.n0)
-        for n, v in enumerate(oprof):
-            out.append(("steady_occupation", q, n, float(v), "oracle"))
-            out.append(("steady_occupation", q, n, float(abs(v - prof[n])), "abs_diff"))
-    return out
 
 
 def run_single(args) -> ResultTable:
     spec = _lattice(args)
     nd = site_index(_single_site(args), spec.N)
-    qs = [_defect(nd, q, spec).q for q in _q_values(args)]
-    with_oracle = spec.N <= ORACLE_MAX_N
-    if not with_oracle:
-        _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
-    table = ResultTable(meta={"mode": "single", "N": spec.N, "gamma": spec.gamma,
-                              "n0": spec.n0, "nd": nd})
+    qs = [float(_defect(nd, q, spec).q) for q in _q_values(args)]
+    with_oracle = _with_oracle(spec)
+    coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0, "nd": nd}
+    table = ResultTable({"mode": "single", **coords}, **coords)
     for q, (sysq,) in zip(qs, single_defect.defect_systems(spec, [nd], qs)):
-        for obs, qv, n, v, prov in _single_point(sysq, q, with_oracle):
-            table.add(obs, v, provenance=prov, N=spec.N, gamma=spec.gamma,
-                      q=float(qv), nd=nd, n0=spec.n0, n=n)
+        prof = single_defect.steady_occupation(sysq).values
+        for n, v in enumerate(prof):
+            table.add("steady_occupation", v, q=q, n=n)
+        table.add("steady_at_defect", prof[nd], q=q, n=nd)
+        table.add("steady_at_start", prof[spec.n0], q=q, n=spec.n0)
+        for p, name in ((1, "mean_displacement_steady"), (2, "msd_steady")):
+            table.add(name, single_defect.steady_moment_defect(sysq, p), q=q)
+        if not with_oracle:
+            continue
+        try:
+            dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
+        except DegeneracyAmbiguity as exc:
+            # the oracle cannot class the levels split by the defect; the
+            # analytic rows do not depend on it
+            print(f"q={q}: oracle columns skipped ({type(exc).__name__})", file=sys.stderr)
+            continue
+        oprof = time_average_exact(dec, spec.n0)
+        for n, v in enumerate(oprof):
+            table.add("steady_occupation", v, provenance="oracle", q=q, n=n)
+            table.add("steady_occupation", abs(v - prof[n]), provenance="abs_diff", q=q, n=n)
     return table
 
 
 def run_infq(args) -> ResultTable:
     spec = _lattice(args)
     nd = site_index(_single_site(args), spec.N)
-    table = ResultTable(meta={"mode": "infq", "N": spec.N, "gamma": spec.gamma,
-                              "n0": spec.n0, "nd": nd})
+    coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0, "nd": nd}
+    table = ResultTable({"mode": "infq", **coords}, **coords)
     prof = strong_defect.steady_profile_infinite_q(spec, nd)
     for n, v in enumerate(prof.values):
-        table.add("steady_occupation_infq", v, N=spec.N, gamma=spec.gamma,
-                  nd=nd, n0=spec.n0, n=n)
+        table.add("steady_occupation_infq", v, n=n)
     if prof.mirror_collision:
-        _notice("mirror site coincides with n0 or nd (collision geometry)")
-    for p in (1, 2):
-        name = "mean_displacement_steady_infq" if p == 1 else "msd_steady_infq"
-        value = float(homogeneous.distance_powers(spec, p) @ prof.values)
-        table.add(name, value, N=spec.N, gamma=spec.gamma, nd=nd, n0=spec.n0)
+        print("mirror site coincides with n0 or nd (collision geometry)", file=sys.stderr)
+    for p, name in ((1, "mean_displacement_steady_infq"), (2, "msd_steady_infq")):
+        table.add(name, homogeneous.distance_powers(spec, p) @ prof.values)
     return table
 
 
@@ -351,24 +251,20 @@ def run_two(args) -> ResultTable:
     defects = [_defect(nd, q, spec) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65)
-    with_oracle = spec.N <= ORACLE_MAX_N
-    if not with_oracle:
-        _notice(f"N={spec.N} > {ORACLE_MAX_N}: oracle columns skipped")
     dec = None
-    if with_oracle:
+    if _with_oracle(spec):
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
-    table = ResultTable(meta={"mode": "two", "N": spec.N, "gamma": spec.gamma,
-                              "n0": spec.n0, "nd": list(args.nd), "q": qs})
+    coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
+    table = ResultTable({"mode": "two", **coords, "nd": list(args.nd), "q": qs}, **coords)
     for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
+        t = float(t)
         for n, v in enumerate(P):
-            table.add("occupation", v, N=spec.N, gamma=spec.gamma, n0=spec.n0,
-                      n=n, t=float(t))
+            table.add("occupation", v, n=n, t=t)
         if dec is not None:
-            Po = occupation_exact(dec, spec.n0, float(t))
-            table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
-                      provenance="abs_diff", N=spec.N, gamma=spec.gamma,
-                      n0=spec.n0, t=float(t))
+            Po = occupation_exact(dec, spec.n0, t)
+            table.add("occupation_max_abs_diff", np.max(np.abs(P - Po)),
+                      provenance="abs_diff", t=t)
     return table
 
 
@@ -381,8 +277,9 @@ def run_oracle_check(args) -> ResultTable:
     qs = _q_values(args)
     if len(args.nd) > 2:
         raise ConfigError("oracle-check supports one or two --nd sites", "nd")
-    table = ResultTable(meta={"mode": "oracle-check", "N": spec.N, "gamma": spec.gamma,
-                              "n0": spec.n0, "nd": list(args.nd), "tolerance": args.tolerance})
+    coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
+    table = ResultTable({"mode": "oracle-check", **coords, "nd": list(args.nd),
+                         "tolerance": args.tolerance}, **coords)
     times = _time_grid(args, spec, default_steps=17)[1:]
     for q in qs:
         defects = [_defect(site_index(nd, spec.N), q, spec) for nd in args.nd]
@@ -391,57 +288,49 @@ def run_oracle_check(args) -> ResultTable:
                   else build_two_defect_system(defects, spec))
         dec = SpectralDecomposition.from_hamiltonian(
             build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
-        coords = {"N": spec.N, "gamma": spec.gamma, "q": q, "nd": defects[0].nd if one else None,
-                  "n0": spec.n0}
+        point = {"q": float(q), "nd": defects[0].nd if one else None}
         if one:
             prof = single_defect.steady_occupation(system).values
             oprof = time_average_exact(dec, spec.n0)
-            table.add("steady_max_abs_diff", float(np.max(np.abs(prof - oprof))),
-                      provenance="abs_diff", **coords)
+            table.add("steady_max_abs_diff", np.max(np.abs(prof - oprof)),
+                      provenance="abs_diff", **point)
         for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
             Po = occupation_exact(dec, spec.n0, float(t))
-            table.add("occupation_max_abs_diff", float(np.max(np.abs(P - Po))),
-                      provenance="abs_diff", t=float(t), **coords)
+            table.add("occupation_max_abs_diff", np.max(np.abs(P - Po)),
+                      provenance="abs_diff", t=float(t), **point)
     return table
 
 
 def run_classical(args) -> ResultTable:
-    if args.N is None:
-        raise ConfigError("--N is required", "N")
-    F = 1.0 if getattr(args, "F", None) is None else args.F
-    fs = args.f or [0.5 * F]
-    n0 = 0 if args.n0 is None else args.n0
-    table = ResultTable(meta={"mode": "classical", "N": args.N, "F": F, "r": args.r, "n0": n0})
-    for f in fs:
+    table = ResultTable({"mode": "classical", "N": args.N, "F": args.F, "r": args.r,
+                         "n0": args.n0}, N=args.N, gamma=args.F, n0=args.n0)
+    for f in args.f or [0.5 * args.F]:
         try:
-            bspec = BarrierWalkSpec(args.N, F, f, args.r, n0)
+            bspec = BarrierWalkSpec(args.N, args.F, f, args.r, args.n0)
         except ValueError as exc:
             raise ConfigError(str(exc), "f/F") from exc
         res = barrier_walk_steady(bspec)
-        table.add("msd_steady_time_integrated", res.msd_time_integrated,
-                  N=args.N, gamma=F, q=f, n0=n0)
-        table.add("msd_steady_laplace", res.msd_laplace,
-                  provenance="analytic", N=args.N, gamma=F, q=f, n0=n0)
+        table.add("msd_steady_time_integrated", res.msd_time_integrated, q=f)
+        table.add("msd_steady_laplace", res.msd_laplace, q=f)
         for n, v in enumerate(res.profile):
-            table.add("steady_occupation", float(v), N=args.N, gamma=F, q=f, n0=n0, n=n)
+            table.add("steady_occupation", v, q=f, n=n)
     return table
 
 
 # -- figure bundles ----------------------------------------------------------
 
-def _figure_fig1(args) -> ResultTable:
-    table = ResultTable(meta={"mode": "figure", "panel": "fig1"})
+def _figure_fig1(panel: str) -> ResultTable:
+    table = ResultTable({"mode": "figure", "panel": panel})
     for N, n0 in ((150, 75), (200, 100)):
         spec = LatticeSpec(N, 1.0, n0)
         times = np.linspace(0.0, 2.0 * N, 1025)
-        vals = homogeneous.moment_series(2, times, spec)
-        for t, v in zip(times, vals):
+        for t, v in zip(times, homogeneous.moment_series(2, times, spec)):
             table.add("msd", v, N=N, gamma=1.0, n0=n0, t=float(t))
         table.add("msd_steady", homogeneous.steady_moment(2, spec), N=N, gamma=1.0, n0=n0)
     Ns = (50, 100, 150, 200, 300, 400)
     slope, intercept, r2, tstars = homogeneous.fit_tstar_scaling(Ns, 1.0)
     for N, ts in zip(Ns, tstars):
-        table.add("tstar", float(ts), N=N, gamma=1.0)
+        table.add("tstar", ts, N=N, gamma=1.0)
     table.add("tstar_fit_slope", slope)
     table.add("tstar_fit_intercept", intercept)
     table.add("tstar_fit_r2", r2)
@@ -451,34 +340,34 @@ def _figure_fig1(args) -> ResultTable:
 def _figure_fig2(panel: str) -> ResultTable:
     nd = 2 if panel == "fig2a" else 4
     spec = LatticeSpec(50, 1.0, 2)
-    table = ResultTable(meta={"mode": "figure", "panel": panel, "N": 50, "n0": 2, "nd": nd})
+    table = ResultTable({"mode": "figure", "panel": panel, "N": 50, "n0": 2, "nd": nd},
+                        N=50, gamma=1.0, nd=nd, n0=2)
     for q in (0.3, 0.5, 1.5, 10.0, 20.0):
         sysq = build_defect_system(spec, DefectSpec(nd, q))
         prof = single_defect.steady_occupation(sysq).values
         dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
         oprof = time_average_exact(dec, spec.n0)
         for n in range(spec.N):
-            table.add("steady_occupation", prof[n], N=50, gamma=1.0, q=q, nd=nd, n0=2, n=n)
-            table.add("steady_occupation", float(oprof[n]), provenance="oracle",
-                      N=50, gamma=1.0, q=q, nd=nd, n0=2, n=n)
-            table.add("steady_occupation", float(abs(prof[n] - oprof[n])),
-                      provenance="abs_diff", N=50, gamma=1.0, q=q, nd=nd, n0=2, n=n)
+            table.add("steady_occupation", prof[n], q=q, n=n)
+            table.add("steady_occupation", oprof[n], provenance="oracle", q=q, n=n)
+            table.add("steady_occupation", abs(prof[n] - oprof[n]), provenance="abs_diff", q=q, n=n)
     qs = np.geomspace(0.05, 50.0, 40)
     for q, (sysq,) in zip(qs, single_defect.defect_systems(spec, [nd], qs)):
         prof = single_defect.steady_occupation(sysq).values
-        table.add("steady_at_defect", float(prof[nd]), N=50, gamma=1.0, q=float(q), nd=nd, n0=2)
-        table.add("steady_at_start", float(prof[2]), N=50, gamma=1.0, q=float(q), nd=nd, n0=2)
+        table.add("steady_at_defect", prof[nd], q=float(q))
+        table.add("steady_at_start", prof[2], q=float(q))
     if panel == "fig2b":
         limit = strong_defect.steady_profile_infinite_q(spec, nd).values
-        table.add("steady_at_defect_infq", float(limit[nd]), N=50, gamma=1.0, nd=nd, n0=2)
-        table.add("steady_at_start_infq", float(limit[2]), N=50, gamma=1.0, nd=nd, n0=2)
+        table.add("steady_at_defect_infq", limit[nd])
+        table.add("steady_at_start_infq", limit[2])
     return table
 
 
 def _figure_fig3(panel: str) -> ResultTable:
     p = 1 if panel == "fig3a" else 2
     name = "mean_displacement_steady" if p == 1 else "msd_steady"
-    table = ResultTable(meta={"mode": "figure", "panel": panel, "N": 200, "n0": 2})
+    table = ResultTable({"mode": "figure", "panel": panel, "N": 200, "n0": 2},
+                        N=200, gamma=1.0, n0=2)
     qs, sites = np.geomspace(0.01, 100.0, 41), (2, 3, 4, 5, 6)
     spec = LatticeSpec(200, 1.0, 2)
     values = np.empty((len(sites), qs.size))
@@ -486,49 +375,100 @@ def _figure_fig3(panel: str) -> ResultTable:
         values[:, i] = [single_defect.steady_moment_defect(sysq, p) for sysq in systems]
     for nd, row in zip(sites, values):
         for q, v in zip(qs, row):
-            table.add(name, v, N=200, gamma=1.0, q=float(q), nd=nd, n0=2)
+            table.add(name, v, q=float(q), nd=nd)
     if panel == "fig3b":
-        table.add("msd_steady_infq", strong_defect.steady_moments_infinite_q(2, spec),
-                  N=200, gamma=1.0, nd=4, n0=2)
+        table.add("msd_steady_infq", strong_defect.steady_moments_infinite_q(2, spec), nd=4)
     return table
 
 
 def _figure_fig4(panel: str) -> ResultTable:
-    if panel == "fig4a":
-        N, nd, n0s = 50, 25, (22, 15)
-    else:
-        N, nd, n0s = 55, 25, (30, 40)
-    table = ResultTable(meta={"mode": "figure", "panel": panel, "N": N, "nd": nd})
+    N, nd, n0s = (50, 25, (22, 15)) if panel == "fig4a" else (55, 25, (30, 40))
+    table = ResultTable({"mode": "figure", "panel": panel, "N": N, "nd": nd},
+                        N=N, gamma=1.0, nd=nd)
     for n0 in n0s:
-        spec = LatticeSpec(N, 1.0, n0)
-        prof = strong_defect.steady_profile_infinite_q(spec, nd)
+        prof = strong_defect.steady_profile_infinite_q(LatticeSpec(N, 1.0, n0), nd)
         for n, v in enumerate(prof.values):
-            table.add("steady_occupation_infq", v, N=N, gamma=1.0, nd=nd, n0=n0, n=n)
+            table.add("steady_occupation_infq", v, n0=n0, n=n)
     return table
 
 
+_PANELS = {"fig1": _figure_fig1, "fig2a": _figure_fig2, "fig2b": _figure_fig2,
+           "fig3a": _figure_fig3, "fig3b": _figure_fig3, "fig4a": _figure_fig4,
+           "fig4b": _figure_fig4}
+
+
 def run_figure(args) -> ResultTable:
-    panel = args.panel
-    if panel == "fig1":
-        return _figure_fig1(args)
-    if panel in ("fig2a", "fig2b"):
-        return _figure_fig2(panel)
-    if panel in ("fig3a", "fig3b"):
-        return _figure_fig3(panel)
-    return _figure_fig4(panel)
+    return _PANELS[args.panel](args.panel)
 
 
-_RUNNERS = {"free": run_free, "single": run_single, "infq": run_infq, "two": run_two,
-            "oracle-check": run_oracle_check, "classical": run_classical,
-            "figure": run_figure}
+# -- command line ------------------------------------------------------------
+
+# every flag once; a subcommand takes `_COMMON` plus the flags its run reads
+_FLAGS = {
+    "config": dict(help="key = value file of this subcommand's flags (the command line wins)"),
+    "out": dict(help="output path (stdout when omitted)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "N": dict(type=int, help="chain size"),
+    "gamma": dict(type=float, default=1.0, help="hopping strength (default 1)"),
+    "n0": dict(type=int, default=0, help="initial site (default 0)"),
+    "nd": dict(type=int, action="append", help="defect site (repeat for several defects)"),
+    "q": dict(type=float, action="append", help="defect strength (repeatable for sweeps)"),
+    "q-log": dict(help="geometric strength sweep min:max:count"),
+    "tmax": dict(type=float),
+    "tsteps": dict(type=int),
+    "tolerance": dict(type=float, default=1e-8, help="oracle-check failure threshold"),
+    "F": dict(type=float, default=1.0, help="bulk hop rate (default 1)"),
+    "f": dict(type=float, action="append", help="barrier rate (repeatable)"),
+    "r": dict(type=int, default=0, help="barrier bond index"),
+    "panel": dict(required=True, choices=tuple(_PANELS)),
+}
+_COMMON = ("config", "out", "format")
+_REPEATABLE = tuple(name for name, kw in _FLAGS.items() if kw.get("action") == "append")
+
+_MODES = {
+    "free": (run_free, "defect-free moments and spreading", "N gamma n0 tmax tsteps"),
+    "single": (run_single, "one defect: steady profiles and moments", "N gamma n0 nd q q-log"),
+    "infq": (run_infq, "infinite-strength defect limit", "N gamma n0 nd"),
+    "two": (run_two, "two or more defects: time-resolved occupation",
+            "N gamma n0 nd q tmax tsteps"),
+    "oracle-check": (run_oracle_check, "analytic vs dense diagonalization",
+                     "N gamma n0 nd q q-log tmax tsteps tolerance"),
+    "classical": (run_classical, "permeable-barrier walk baseline", "N n0 F f r"),
+    "figure": (run_figure, "reproduce a figure panel's data", "panel"),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser, built once per process; nothing may change it."""
+    p = _Parser(prog="defectchain",
+                description="Exact defect dynamics on a periodic tight-binding chain.")
+    sub = p.add_subparsers(dest="mode", required=True)
+    for mode, (_, help_text, flags) in _MODES.items():
+        sp = sub.add_parser(mode, help=help_text)
+        for name in (*_COMMON, *flags.split()):
+            sp.add_argument(f"--{name}", **_FLAGS[name])
+    return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The command line, with the --config file's flags placed before its own."""
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
+    merged = build_parser().parse_args([argv[0], *_config_flags(args.config, args.mode), *argv[1:]])
+    for name in _REPEATABLE:
+        if getattr(args, name, None) is not None:
+            setattr(merged, name, getattr(args, name))
+    return merged
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args)
-        table = _RUNNERS[args.mode](args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if getattr(args, "N", 0) is None:
+            raise ConfigError("--N is required", "N")
+        table = _MODES[args.mode][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -538,8 +478,7 @@ def main(argv=None) -> int:
 
     out = args.out
     if args.mode == "figure" and out is not None:
-        ext = "csv" if args.format == "csv" else "json"
-        out = f"{out}_{args.panel}.{ext}"
+        out = f"{out}_{args.panel}.{args.format}"
     try:
         table.write(out, args.format)
         sys.stdout.flush()

@@ -290,6 +290,101 @@ def test_config_file(tmp_path):
     assert run_cli(["single", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("mode, lines", [
+    ("single", "N = abc"),                       # an uncaught ValueError before
+    ("single", "q = 1.5, x"),
+    ("single", "format = xml"),                  # accepted before
+    ("single", "F = 2"),                         # a classical flag, accepted before
+    ("single", "tolerance = 1e-30"),             # an oracle-check flag, ignored before
+    ("single", "r = 5"),
+    ("single", "config = other.conf"),
+    ("single", "tol = 1e-8"),                    # keys are whole flag names
+    ("classical", "gamma = 2"),
+])
+def test_config_faults_exit_one(tmp_path, capsys, mode, lines):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"schema_version = 1\nN = 10\nnd = 3\nq = 1\n{lines}\n"
+                    if mode == "single" else f"schema_version = 1\nN = 10\n{lines}\n")
+    assert run_cli([mode, "--config", str(conf)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_values_with_defaults_take_effect(tmp_path, capsys):
+    # format, tolerance and r have non-None defaults, and a file's value was
+    # ignored for them
+    conf = tmp_path / "c.conf"
+    conf.write_text("schema_version = 1\nN = 10\nnd = 3\nq = 1\nformat = json\n")
+    assert run_cli(["single", "--config", str(conf)]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["mode"] == "single"
+    conf.write_text("schema_version = 1\nN = 10\nnd = 3\nq = 1\ntolerance = 1e-30\n")
+    assert run_cli(["oracle-check", "--config", str(conf), "--tsteps", "3"]) == 3
+    capsys.readouterr()
+    conf.write_text("schema_version = 1\nN = 20\nr = 5\n")
+    assert run_cli(["classical", "--config", str(conf)]) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(["classical", "--N", "20", "--r", "5"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert run_cli(["classical", "--N", "20"]) == 0
+    assert capsys.readouterr().out != from_file
+
+
+def test_command_line_beats_config_file(tmp_path, capsys):
+    # a single-valued flag overrides the file's value, a repeatable one
+    # replaces the file's list
+    conf = tmp_path / "c.conf"
+    conf.write_text("schema_version = 1\nN = 10\nnd = 3\nq = 1, 2\nformat = json\n")
+    assert run_cli(["single", "--config", str(conf), "--N", "12", "--q", "5",
+                    "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {(r[1], r[3]) for r in rows} == {("12", "5.0")}
+
+
+def test_config_format_does_not_outlive_its_run(tmp_path, capsys):
+    # the parser is built once per process; a config file must not change it
+    conf = tmp_path / "c.conf"
+    conf.write_text("schema_version = 1\nformat = json\n")
+    assert run_cli(["infq", "--N", "10", "--nd", "3", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert run_cli(["infq", "--N", "10", "--nd", "3"]) == 0
+    assert capsys.readouterr().out.startswith("observable,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--panel", "fig1", "--N", "5"],
+    ["infq", "--N", "10", "--nd", "3", "--q", "1"],
+    ["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "1", "--q", "1", "--q-log", "1:2:2"],
+    ["single", "--N", "10", "--nd", "3", "--q", "1", "--tsteps", "5"],
+    ["classical", "--N", "20", "--gamma", "2"],
+])
+def test_flag_the_mode_ignores_is_a_config_error(capsys, argv):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["free", "--N", "12", "--tsteps", "5"],
+    ["single", "--N", "10", "--nd", "3", "--q", "1", "--q-log", "0.1:10:3"],
+    ["infq", "--N", "10", "--nd", "3", "--n0", "1"],
+    ["two", "--N", "8", "--nd", "2", "--nd", "5", "--q", "1", "--q", "-0.5", "--tsteps", "3"],
+    ["oracle-check", "--N", "10", "--nd", "3", "--q", "1", "--tsteps", "3"],
+    ["classical", "--N", "12", "--f", "0.2"],
+    ["figure", "--panel", "fig2b"],
+])
+def test_csv_and_json_hold_the_same_records(capsys, argv):
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert run_cli(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == 1
+    assert payload["meta"]["mode"] == argv[0]
+    header = lines[0].split(",")
+    assert [list(rec) for rec in payload["records"]] == [header] * (len(lines) - 1)
+    # a JSON value prints as its CSV field: an int coordinate stays an int
+    as_csv = [",".join("" if v is None else str(v) for v in rec.values())
+              for rec in payload["records"]]
+    assert as_csv == lines[1:]
+
+
 def test_figure_panel_writes_file(tmp_path):
     prefix = tmp_path / "panel"
     assert run_cli(["figure", "--panel", "fig4a", "--out", str(prefix)]) == 0
@@ -337,6 +432,7 @@ def test_infq_moments_outside_closed_form_domain(tmp_path, capsys):
     (["figure", "--panel", "fig1"], 1, 0),
     # a table small enough for the pipe's buffer: close before it is written
     (["oracle-check", "--N", "12", "--nd", "3", "--q", "1.0", "--tolerance", "0"], 0, 3),
+    (["figure", "--panel", "fig1", "--format", "json"], 1, 0),
 ])
 def test_closed_stdout_stops_quietly(argv, lines, code):
     # `defectchain ... | head -n 1`: no traceback, and the exit code the run
