@@ -8,7 +8,9 @@ modes have rank r on the defect sites sends r of them from -inf to +inf: every
 root has a known branch in a known interval.  Each root is solved by
 spectral._safeguarded_newton in its offset from a level, on a congruent form
 of F with that level's pole split off, the slope being z^T F' z (after Bunch,
-Nielsen & Sorensen 1978 and Gu & Eisenstat 1994).  A level keeps its modes that
+Nielsen & Sorensen 1978 and Gu & Eisenstat 1994).  The equilibration D and the
+SVD of D V are held for a root's whole solve: its level's in band, and those
+at its bracket midpoint outside the band.  A level keeps its modes that
 vanish on every defect, and is a root where g_D's regular part there,
 compressed onto the null space of its pole, is singular with S^-1.
 Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with that level's
@@ -77,7 +79,9 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     PoleCountMismatch.  With fewer than two nonzero strengths it returns
     build_defect_system's system for the live defect, or the free system.
     F is used as D F D, D_a = (|g(0)| + 1/|s_a|)^-1/2: the same inertia, and
-    O(1) entries for any strengths."""
+    O(1) entries for any strengths.  D is fixed per root, with g(0) taken at
+    its level in band and at its bracket midpoint outside the band, so the
+    SVD of D V is taken once per level and once per outer root."""
     N, gamma, n0 = spec.N, spec.gamma, spec.n0
     sites = [site_index(d.nd, N) for d in defects]
     if len(set(sites)) != len(sites):
@@ -95,9 +99,14 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     # g(d; x) = sum_k cos_uniq[k, d] / (x - c_k) at the distinct defect distances, dims[k] modes at level k
     dims = np.where((k == 0) | (2 * k == N), 1, 2)
     cos_uniq = (dims / N)[:, None] * _cos_sin((2 * k[:, None] * uniq) % (2 * N), N)[0]
-    # 1 / (x - c_k) from the gaps, without the term of level ref; g on the defect pairs from it
-    regular = lambda gaps, ref: np.divide(1.0, gaps, out=np.zeros_like(gaps), where=k != ref[:, None])
     on_pairs = lambda inv: (inv @ cos_uniq)[:, pair.reshape(M, M)]
+
+    def regular(gaps, ref):
+        """1 / (x - c_k) in place of the gaps x - c_k, without the term of level ref."""
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, gaps, out=gaps)
+        gaps[np.arange(ref.size), ref] = 0.0
+        return gaps
 
     # The orthonormal cosine and sine modes of each level on the defect sites
     # V: rank r and invisible modes (rows r: of Vh); gaps between levels LG.
@@ -105,25 +114,21 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     V = np.sqrt(dims / N)[:, None, None] * np.stack([cos_nd.T, sin_nd.T], axis=-1)
     sv, Vh = np.linalg.svd(V)[1:]
     r, ks = np.sum(sv > RANK_TOL * np.sqrt(2.0 / N), axis=1), sv.shape[1]
-    LG = _gaps_theta(2 * k[:, None], 0.0, N)                            # c_k - c_k'
+    LG = _gaps_theta(2 * k, N)                                           # c_k - c_k'
 
     def equilibrated(g, ref):
         """D and the SVD of D V at points with regular part g on the defect pairs."""
         Dx = weights(g[:, 0, 0])
         return (Dx,) + tuple(np.linalg.svd(Dx[:, :, None] * V[ref]))
 
-    def congruent_at(g, delta, ref):
-        """D, the SVD U sv Wh of D V, and T, S, d (see _congruent) at x = c_ref + delta."""
-        Dx, Ux, svx, Wh = equilibrated(g, ref)
-        return (Dx, Ux, svx, Wh) + _congruent(scaled(g, Dx), Ux, svx, r[ref], delta)
-
     # Signs of the compressed regular part at each level, and the roots on it.
-    inv_LG = regular(LG, k)
+    inv_LG = regular(LG.copy(), k)
     G = on_pairs(inv_LG)
     D, U, sv_lev, Wh_lev = equilibrated(G, k)
     A = scaled(G, D)
     noise = (np.abs(A).max(axis=(1, 2), initial=0.0)     # rounding scale of the compressed values
              + (D * D).max(axis=1, initial=0.0) * np.abs(inv_LG).sum(axis=1))
+    del inv_LG                                           # (K+1)^2, not needed past here
     (neg, zero), lev_z = np.zeros((2, K + 1), int), np.zeros(0, int)
     alpha_z, c_z = np.zeros((0, M)), np.zeros((0, 2))                  # a level root's alpha and amplitude
     for rank in np.unique(r[r < M]):
@@ -160,11 +165,19 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     band, ib = iv < K, iv[iv < K]
     sin_half = lambda j: np.sin(np.pi * np.minimum(j, 2 * N - j) / (2 * N))  # sin(pi j / 2N)
     node = -2.0 * np.sin(np.pi / (2 * N)) * sin_half(4 * ib + 1)             # x_node - c_i
-    lower = np.linalg.eigvalsh(congruent_at(on_pairs(regular(LG[ib] + node[:, None], ib)), node, ib)[4])[
-        pick[:ib.size], m[band] - 1] > 0                                       # root next to level i
+    at_node = _congruent(scaled(on_pairs(regular(LG[ib] + node[:, None], ib)), D[ib]), U[ib], sv_lev[ib], r[ib], node)
+    lower = np.linalg.eigvalsh(at_node[0])[pick[:ib.size], m[band] - 1] > 0  # root next to level i
     ref, side, hi = np.where(iv == K, 0, K), np.where(iv == K, 1.0, -1.0), np.full(R, 2.0 + np.abs(s).max())
     ref[band], side[band] = np.where(lower, ib, ib + 1), np.where(lower, -1.0, 1.0)
     hi[band] = 2.0 * np.sin(np.pi / (2 * N)) * sin_half(np.where(lower, 4 * ib + 1, 4 * ib + 3))
+    # D and the SVD U sv Wh of D V are held for a root's whole solve: its
+    # level's in band, and outside it those at its bracket midpoint, where a
+    # far bound state's g(0) is nothing like its level's.  D F D keeps F's
+    # inertia for any fixed D, so the branch index m holds.
+    Dr, Ur, svr, Whr = D[ref], U[ref], sv_lev[ref], Wh_lev[ref]
+    out, mid = ~band, side[~band] * (0.5 * hi[~band])
+    Dr[out], Ur[out], svr[out], Whr[out] = equilibrated(
+        on_pairs(regular(LG[ref[out]] + mid[:, None], ref[out])), ref[out])
     # A branch runs like a + b / u where it has its pole at the level, and
     # so does any branch once every pole term is past its knee (|d| < 1/2):
     # there the Newton step is taken on u lambda_m, a rational step exact for
@@ -176,9 +189,9 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
         """lambda_m(T) at x = c_ref + side u (times u on a rational step) and
         its slope from z^T F' z, exact at the root (Hellmann-Feynman), with
         z = D U S y for T's eigenvector y."""
-        delta, ri = side[idx] * u, ref[idx]
+        delta, ri, Dx, Ux = side[idx] * u, ref[idx], Dr[idx], Ur[idx]
         inv = regular(LG[ri] + delta[:, None], ri)
-        Dx, Ux, _, _, T, S, d = congruent_at(on_pairs(inv), delta, ri)
+        T, S, d = _congruent(scaled(on_pairs(inv), Dx), Ux, svr[idx], r[ri], delta)
         lam, Y = np.linalg.eigh(T)
         lam, y = lam[pick[:idx.size], m[idx] - 1], Y[pick[:idx.size], :, m[idx] - 1]
         z = Dx * (Ux @ (S * y)[..., None])[..., 0]
@@ -203,30 +216,40 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     same = np.append(False, (np.diff(2 * ref + (side > 0)) == 0) & (np.abs(np.diff(u)) <= MERGE_TOL * hi[1:]))
     u = u[np.maximum.accumulate(np.where(same, 0, pick))]
 
+    # Every eigenvector's 1 / (x - c_k), its level's term split off: the R
+    # roots', then the level roots' and the invisible modes' (delta = 0).
+    delta = side * u
+    inv_lev, inv_col = np.nonzero((np.arange(2) >= r[:, None]) & (np.arange(2) < dims[:, None]))
+    ref = np.concatenate([ref, lev_z, inv_lev])
+    inv = LG[ref]
+    inv[:R] += delta[:, None]
+    regular(inv, ref)
     # Each root's alpha = D U S y and its level's amplitude V^T alpha / delta =
     # Wh^T sv S y / delta (no cancellation in D V's singular basis); then the
     # level roots, and the invisible modes (alpha = 0).
-    delta = side * u
-    Dx, Ux, svx, Wh, T, S, _ = congruent_at(on_pairs(regular(LG[ref] + delta[:, None], ref)), delta, ref)
+    T, S, _ = _congruent(scaled(on_pairs(inv[:R]), Dr), Ur, svr, r[ref[:R]], delta)
     y = S * np.linalg.eigh(T)[1][pick, :, m - 1]
-    cw = np.where(np.arange(ks) < r[ref, None], svx * y[:, :ks] / delta[:, None], 0.0)
-    inv_lev, inv_col = np.nonzero((np.arange(2) >= r[:, None]) & (np.arange(2) < dims[:, None]))
-    ref = np.concatenate([ref, lev_z, inv_lev])
+    cw = np.where(np.arange(ks) < r[ref[:R], None], svr * y[:, :ks] / delta[:, None], 0.0)
+    alpha = np.concatenate([Dr * (Ur @ y[..., None])[..., 0], alpha_z, np.zeros((inv_lev.size, M))])
+    c = np.concatenate([np.einsum("jib,ji->jb", Whr[:, :ks], cw), c_z, Vh[inv_lev, inv_col]])
     delta = np.concatenate([delta, np.zeros(ref.size - R)])
-    alpha = np.concatenate([Dx * (Ux @ y[..., None])[..., 0], alpha_z, np.zeros((inv_lev.size, M))])
-    c = np.concatenate([np.einsum("jib,ji->jb", Wh[:, :ks], cw), c_z, Vh[inv_lev, inv_col]])
     x = 1.0 + (LG[ref, 0] + delta)                                                 # x - c_0, c_0 = 1
 
     # v = sum_a alpha_a g_reg(n - nd_a) + E_ref(n) c, one inverse real FFT of
-    # its Fourier coefficients; then one Rayleigh-Ritz step per interval or
-    # level (roots next to a level join it), and the weights v_j(n) v_j(n0).
-    shift = cos_nd - 1j * sin_nd                                   # e^(-2 pi i k nd / N), a shift by nd
-    mode = np.sqrt(N / dims)[:, None] * np.array([1.0, -1j])       # a level's mode amplitudes in irfft terms
+    # its Fourier coefficients alpha e^(-2 pi i k nd / N) / (x - c_k) (two real
+    # GEMMs) and, at its level, the mode amplitudes; then one Rayleigh-Ritz
+    # step per interval or level (roots next to a level join it), and the
+    # weights v_j(n) v_j(n0).
+    mode = np.sqrt(N / dims)                                       # a level's mode amplitudes in irfft terms
     W = np.empty((ref.size, N))
-    for b in time_blocks(ref.size, 3 * N):
-        coef = regular(LG[ref[b]] + delta[b, None], ref[b]) * (alpha[b] @ shift)
-        coef[np.arange(coef.shape[0]), ref[b]] = (mode[ref[b]] * c[b]).sum(axis=1)
-        W[b] = np.fft.irfft(coef, N)
+    for b in time_blocks(ref.size, 8 * N):      # small blocks beside W and inv
+        coef = np.empty((inv[b].shape[0], K + 1), dtype=complex)
+        np.multiply(inv[b], alpha[b] @ cos_nd, out=coef.real)
+        np.multiply(inv[b], alpha[b] @ -sin_nd, out=coef.imag)
+        own = (np.arange(coef.shape[0]), ref[b])
+        coef.real[own], coef.imag[own] = mode[ref[b]] * c[b, 0], -mode[ref[b]] * c[b, 1]
+        np.fft.irfft(coef, N, out=W[b])
+    del inv                                              # before Rayleigh-Ritz's blocks
     near_level = np.abs(delta[:R]) < CLUSTER_TOL * (2.0 * np.pi / N) ** 2
     group = K + 2 + ref
     group[:R] = np.where(near_level, group[:R], iv)

@@ -141,7 +141,7 @@ def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> l
     weights = [np.empty((j.size, N)) for _ in sites]
     for b in time_blocks(j.size, 8 * N):       # small blocks beside the weights
         spectra = np.zeros((j[b].size, N // 2 + 1), dtype=complex)   # complex in: no cast in irfft
-        np.divide(1.0, _gaps_theta(j[b, None], 0.0, N) + offset[b, None], out=spectra.real)
+        np.divide(1.0, _gaps_theta(j[b], N) + offset[b, None], out=spectra.real)
         rows = np.fft.irfft(spectra, N)
         norms = np.einsum("jn,jn->j", rows, rows)
         for nd, W in zip(sites, weights):

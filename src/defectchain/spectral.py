@@ -19,8 +19,8 @@ one element-wise safeguarded Newton, so a root next to its level keeps its
 digits.  The roots depend on N and s alone, and the strength is an array
 axis: one solve covers a whole sweep, each row with the bits it gets alone.
 
-_cos_sin and _gaps_theta (the gaps x - c_k at theta = pi j / N + phi, the
-angle reduced exactly) are shared with the M-defect engine, and so is the root
+_cos_sin and _gaps_theta (the gaps x - c_k at theta = pi j / N, the angle
+reduced exactly) are shared with the M-defect engine, and so is the root
 finder _safeguarded_newton.
 """
 
@@ -41,22 +41,24 @@ def _cos_sin(m, den):
             np.where(m % den == 0, 0.0, np.sin(a)))
 
 
-def _gaps_theta(j, phi, N):
-    """x - c_k for every level k <= N/2 at x = cos(pi j / N + phi), as
-    -2 sin(pi r / 2N + phi / 2) over r = j + 2k and r = j - 2k, each r first
-    reduced exactly (mod 4N, then sin(pi - a) = sin(a)) to |r| <= N: a gap
-    next to a zero of its sine keeps its relative accuracy."""
-    r = np.arange(-N, 5 * N + 1)                          # j mod 4N + 2k and j mod 4N - 2k
+def _gaps_theta(j, N):
+    """x - c_k for every level k <= N/2 at x = cos(pi j / N), shape
+    j.shape + (N//2 + 1,), as -2 sin(pi (j + 2k) / 2N) sin(pi (j - 2k) / 2N),
+    each angle first reduced exactly (mod 4N, then sin(pi - a) = sin(a)) to
+    |a| <= pi / 2: a gap next to a zero of its sine keeps its relative
+    accuracy.  Over k both factors are stride-2 windows of one table of
+    sines spanning j - 2k to j + 2k, forward from j and backward from it, so
+    each row is two strided copies."""
+    K, jm = N // 2, np.asarray(j) % (4 * N)
+    lo, hi = (int(jm.min()), int(jm.max())) if jm.size else (0, 0)
+    r = np.arange(lo - 2 * K, hi + 2 * K + 1)             # j mod 4N - 2k to j mod 4N + 2k
     r = np.where(r > 2 * N, r - 4 * N, r)
-    flip = np.abs(r) > N
-    a = np.pi * np.where(flip, np.sign(r) * 2 * N - r, r) / (2 * N)
-    jm, k2 = np.asarray(j) % (4 * N) + N, 2 * np.arange(N // 2 + 1)
-    hi, lo = jm + k2, jm - k2
-    if not np.any(phi):                                   # the same bits, one table of sines
-        sin_a = np.sin(a)
-        return -2.0 * sin_a[hi] * sin_a[lo]
-    half = np.where(flip, -0.5, 0.5)
-    return -2.0 * np.sin(a[hi] + half[hi] * phi) * np.sin(a[lo] + half[lo] * phi)
+    r = np.where(np.abs(r) > N, np.sign(r) * 2 * N - r, r)
+    sin_r = np.sin(np.pi * r / (2 * N))
+    step = sin_r.itemsize                                 # rows[i, k] = sin_r[i + 2k]
+    rows = np.ndarray((sin_r.size - 2 * K, K + 1), buffer=sin_r, strides=(step, 2 * step))
+    at = jm - lo + 2 * K                                  # the row from angle j
+    return -2.0 * rows[at] * rows[at - 2 * K, ::-1]
 
 
 def ring_green(d, x, N: int):
@@ -110,7 +112,8 @@ def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):
     """Roots z in (lo, hi), one per element of the 1-d arrays lo, hi and
     pos_lo (whether fn is positive at lo).
 
-    fn(idx, z) returns the values and slopes of the elements idx at z.
+    fn(idx, z) returns the values and slopes of the elements idx (ascending)
+    at z.
     Every element runs its own Newton iteration from its bracket midpoint:
     the bracket shrinks to the side that keeps the sign change, a step
     leaving it (a zero slope included) is replaced by bisection, and the
@@ -168,66 +171,65 @@ def find_poles(N: int, s) -> PoleSet:
     strengths = np.asarray(s, dtype=float)
     if strengths.ndim > 1:
         raise ValueError("s must be a number or a 1-d array of strengths")
-    if np.any(strengths == 0.0):
+    if (strengths == 0.0).any():
         raise ValueError("q must be nonzero; the defect-free case has no poles to find")
-    if not np.all(np.isfinite(strengths)):
+    if not np.isfinite(strengths).all():
         raise ValueError(f"strengths must be finite, got {strengths}")
-    K, s = N // 2, np.atleast_1d(strengths)[:, None]      # one row per strength
-    up = s > 0.0
-    sig = np.where(up, -1.0, 1.0)
-    side = -sig
+    K, s = N // 2, strengths.reshape(-1, 1)               # one row per strength
+    up, side = s > 0.0, np.sign(s)
+    sig = -side
     lev = np.concatenate([np.arange(K) + up, np.where(up, 0, K)], axis=1)
     c_lev, s_lev = _cos_sin(2 * lev, N)
     k = np.arange(K + 1)
     weight = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
     # at the outer root's level L (0 or K): the gaps c_L - c_k and the other levels' weights
-    out_gaps = _gaps_theta(2 * lev[:, K:], 0.0, N)
-    out_weight = {L: np.where(k == L, 0.0, weight) for L in (0, K)}
+    out_gaps = _gaps_theta(2 * lev[:, K], N)
+    out_weight = {L: np.where(k == L, 0.0, weight) for L in set(lev[:, K].tolist())}
 
-    shape = lev.shape
-    row, i = np.divmod(np.arange(lev.size), K + 1)         # flat element -> (strength, root)
-    s_f, sig_f, side_f = s[row, 0], sig[row, 0], side[row, 0]
-    c_f, s_lev_f, lev_f = c_lev.ravel(), s_lev.ravel(), lev.ravel()
+    # flat elements: the Q K band roots strength by strength, then the Q outer roots
+    Q = s.shape[0]
+    nb, side_q = Q * K, side[:, 0]
+    sig_f, s_f = np.repeat(sig[:, 0], K), np.repeat(s[:, 0], K)
+    c_f, s_lev_f = c_lev[:, :K].ravel(), s_lev[:, :K].ravel()
 
     def secular(idx, z):
         val, slope = np.empty(z.size), np.empty(z.size)
-        b = i[idx] < K
-        e, phi = idx[b], z[b]
+        b = np.searchsorted(idx, nb)                       # idx[:b] in band, idx[b:] outside
+        e, phi = idx[:b], z[:b]
         sg, sv, cl, sl = sig_f[e], s_f[e], c_f[e], s_lev_f[e]
         cp, sp, a = np.cos(phi), np.sin(phi), N * phi / 2.0
         sin_t = sl * cp + sg * cl * sp                     # theta = theta_L + sig phi
         cos_t = cl * cp - sg * sl * sp
         sa, ca = np.sin(a), np.cos(a)
-        val[b] = sg * sin_t * sa + sv * ca
-        slope[b] = cos_t * sa + (N / 2.0) * (sg * sin_t * ca - sv * sa)
-        if not b.all():
-            e, u = idx[~b], z[~b]
-            L = lev_f[e]
-            inv = 1.0 / (out_gaps[row[e]] + side_f[e, None] * u[:, None])
+        val[:b] = sg * sin_t * sa + sv * ca
+        slope[:b] = cos_t * sa + (N / 2.0) * (sg * sin_t * ca - sv * sa)
+        if b < idx.size:
+            r, u = idx[b:] - nb, z[b:]                     # strength rows
+            L, sd = lev[r, K], side_q[r]
+            inv = 1.0 / (out_gaps[r] + (sd * u)[:, None])
             inv2 = inv * inv
-            level_sum, slope_sum = np.empty(e.size), np.empty(e.size)
-            for m in range(e.size):     # a (1, K+1) GEMV per strength, as alone: same bits
+            level_sum, slope_sum = np.empty(r.size), np.empty(r.size)
+            for m in range(r.size):     # a (1, K+1) GEMV per strength, as alone: same bits
                 w_other = out_weight[L[m]]
                 level_sum[m] = (inv[m:m + 1] @ w_other)[0]
                 slope_sum[m] = (inv2[m:m + 1] @ w_other)[0]
-            rest = 1.0 / s_f[e] - level_sum
-            val[~b] = side_f[e] * u * rest - weight[L]
-            slope[~b] = side_f[e] * rest + u * slope_sum
+            rest = 1.0 / s[r, 0] - level_sum
+            val[b:] = sd * u * rest - weight[L]
+            slope[b:] = sd * rest + u * slope_sum
         return val, slope
 
-    hi = np.empty(shape)
-    hi[:, :K] = np.pi / N
-    hi[:, K] = np.abs(s[:, 0]) + (1.0 - side[:, 0] * c_lev[:, K])   # from the outer level to x = side
-    pos_lo = np.zeros(shape, dtype=bool)
-    pos_lo[:, :K] = up
-    z = _safeguarded_newton(secular, np.zeros(lev.size), hi.ravel(), pos_lo.ravel()).reshape(shape)
+    hi = np.concatenate([np.full(nb, np.pi / N),
+                         np.abs(s[:, 0]) + (1.0 - side_q * c_lev[:, K])])   # from the outer level to x = side
+    pos_lo = np.concatenate([np.repeat(up[:, 0], K), np.zeros(Q, dtype=bool)])
+    z = _safeguarded_newton(secular, np.zeros(nb + Q), hi, pos_lo)
+    z_band, z_out = z[:nb].reshape(Q, K), z[nb:, None]
 
     # x - c_L = -2 sin(theta_L + sig phi / 2) sin(sig phi / 2) in band, exactly reduced
-    cp, sp = np.cos(z[:, :K] / 2.0), np.sin(z[:, :K] / 2.0)
+    cp, sp = np.cos(z_band / 2.0), np.sin(z_band / 2.0)
     delta = np.concatenate([-2.0 * sig * sp * (s_lev[:, :K] * cp + sig * c_lev[:, :K] * sp),
-                            side * z[:, K:]], axis=1)
+                            side * z_out], axis=1)
     x = c_lev + delta
-    order = (np.arange(shape[0])[:, None], np.argsort(x, axis=1))
+    order = (np.arange(Q)[:, None], np.argsort(x, axis=1))
     x, lev, delta = x[order], lev[order], delta[order]
     if strengths.ndim == 0:
         x, lev, delta = x[0], lev[0], delta[0]

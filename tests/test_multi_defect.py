@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from defectchain.errors import DuplicateDefectSite, NonSimplePole
 from defectchain.homogeneous import distance_powers, green_profiles, occupation
 from defectchain.lattice import LatticeSpec
+from defectchain import multi_defect
 from defectchain.multi_defect import bromwich_occupation, build_two_defect_system
 from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
                                 occupation_exact)
@@ -49,6 +50,41 @@ def test_opposite_sites_mixed_strengths_match_dense(N):
     times = np.array([0.0, 1.0, 10.0, 100.0])
     assert np.max(np.abs(_engine(N, 1.0, 3, defects, times)
                          - _dense_occupation(N, 1.0, 3, defects, times))) < 1e-12
+
+
+@pytest.mark.parametrize("N, defects", [
+    (800, [(0, 1.0), (400, -0.5), (266, 0.7)]),
+    (800, [(3, 2.5), (417, -0.3), (571, 40.0), (11, -1e-3)]),
+    (2000, [(0, 1.0), (1000, 1.0), (666, -0.5), (400, 0.7)]),
+])
+def test_three_and_four_defects_match_dense_at_large_N(N, defects):
+    # more than two defects past N = 265: each root's D and SVD of D V are
+    # held from its level (in band) or its bracket midpoint (outside)
+    times = np.array([0.0, 1.0, 10.0, 100.0])
+    assert np.max(np.abs(_engine(N, 1.0, 7, defects, times)
+                         - _dense_occupation(N, 1.0, 7, defects, times))) < 1e-12
+
+
+@pytest.mark.parametrize("defects, most", [
+    ([(0, 1.0), (400, 1.0)], 5.23),
+    ([(0, 1.0), (400, -0.5), (266, 0.7)], 6.27),
+])
+def test_newton_sweeps_per_root_stay_pinned(monkeypatch, defects, most):
+    # secular evaluations per root at N = 800, counted through the root
+    # finder; the bounds are the counts with D re-equilibrated at every
+    # point (5.2269 and 6.2691 with one BLAS thread)
+    counts, newton = [], multi_defect._safeguarded_newton
+
+    def counting(fn, *args, **kw):
+        def counted(idx, z):
+            counts.append(idx.size)
+            return fn(idx, z)
+        return newton(counted, *args, **kw)
+
+    monkeypatch.setattr(multi_defect, "_safeguarded_newton", counting)
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], LatticeSpec(800, 1.0, 1))
+    roots = counts[0]
+    assert system.x.size == 800 and 0 < roots and sum(counts) / roots <= most
 
 
 def test_equal_strengths_on_opposite_sites_match_dense():

@@ -271,16 +271,34 @@ def test_odd_N_band_edge_matches_eigvalsh(N, edge):
 
 @pytest.mark.parametrize("N", [3, 4, 7, 50, 51, 200])
 def test_gaps_theta_keep_relative_accuracy(N):
-    # x - c_k at x = cos(pi j / N + phi), against mpmath: each gap, the own
-    # level's too, to a few ulps of itself (a zero gap is exactly zero); at N = 50, s = 5e-10 the root next
-    # to level 25 (x = -1) sits at phi = 4.47e-6, where an unreduced angle
-    # pi + phi / 2 lost 7e-11 of the own-level gap
+    # x - c_k at x = cos(pi j / N), against mpmath: each gap, the own
+    # level's too, to a few ulps of itself (a zero gap is exactly zero)
     import mpmath
     mpmath.mp.dps = 40
     k = np.arange(N // 2 + 1)
     for j in (0, 1, N - 1, N, N + 1, 2 * N - 1, 2 * N, 3 * N + 2, -N):
-        for phi in (0.0, 4.47e-6, -4.47e-6, 1e-12, 0.3 / N):
-            got = _gaps_theta(j, phi, N)
-            x = mpmath.cos(mpmath.pi * j / N + mpmath.mpf(phi))
-            want = np.array([float(x - mpmath.cos(2 * mpmath.pi * int(kk) / N)) for kk in k])
-            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want) + 1e-30), (j, phi)
+        got = _gaps_theta(j, N)
+        x = mpmath.cos(mpmath.pi * j / N)
+        want = np.array([float(x - mpmath.cos(2 * mpmath.pi * int(kk) / N)) for kk in k])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want) + 1e-30), j
+
+
+def _gaps_gathered(j, N):
+    """The gap table by element-wise gathers from the reduced sine table:
+    -2 sin(pi (j + 2k) / 2N) sin(pi (j - 2k) / 2N), j a column."""
+    r = np.arange(-N, 5 * N + 1)
+    r = np.where(r > 2 * N, r - 4 * N, r)
+    sin_a = np.sin(np.pi * np.where(np.abs(r) > N, np.sign(r) * 2 * N - r, r) / (2 * N))
+    jm, k2 = np.asarray(j) % (4 * N) + N, 2 * np.arange(N // 2 + 1)
+    return -2.0 * sin_a[jm + k2] * sin_a[jm - k2]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 50, 199, 200, 799, 800, 2000])
+def test_gaps_theta_rows_equal_the_gathered_table(N):
+    # the strided windows are the gathered entries, bit for bit, for the
+    # level table, odd j and j outside [0, 2N), in a batch and alone
+    k = np.arange(N // 2 + 1)
+    for j in (2 * k, np.arange(-3 * N - 1, 9 * N, 7)):
+        got = _gaps_theta(j, N)
+        assert got.shape == (j.size, k.size) and np.array_equal(got, _gaps_gathered(j[:, None], N))
+        assert all(np.array_equal(_gaps_theta(jj, N), got[i]) for i, jj in enumerate(j[:5].tolist()))
