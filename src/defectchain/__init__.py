@@ -7,22 +7,22 @@ from .errors import (ConfigError, DefectChainError, DegeneracyAmbiguity,
                      DuplicateDefectSite, NonSimplePole, NormalizationDrift,
                      NotConverged, NotReached, PoleCountMismatch)
 from .homogeneous import (SiteProfile, estimate_tstar, fit_ballistic,
-                          fit_tstar_scaling, green_profile, moment_series,
-                          moment_time, occupation, steady_moment,
-                          steady_profile)
+                          fit_tstar_scaling, green_profiles, moment_series,
+                          steady_moment, steady_profile)
 from .lattice import (LatticeSpec, periodic_distance, periodic_distances,
                       site_index)
-from .multi_defect import bromwich_occupation, build_two_defect_system
+from .multi_defect import build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition,
-                     barrier_walk_steady, build_hamiltonian, evolve_exact,
-                     occupation_exact, time_average_exact)
+                     barrier_walk_steady, bromwich_occupation,
+                     build_hamiltonian, defect_decomposition, evolve_exact,
+                     green_laplace, occupation_exact, time_average_exact)
 from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             amplitude_profiles, build_defect_system,
                             defect_systems, moment_defect_series,
                             occupation_defect, occupation_defect_series,
                             phi_series, steady_corrections,
                             steady_moment_defect, steady_occupation)
-from .spectral import PoleSet, find_poles, green_laplace
+from .spectral import PoleSet, find_poles
 from .strong_defect import (mirror_site, phi_infinite_q,
                             steady_corrections_infinite_q,
                             steady_moments_infinite_q,

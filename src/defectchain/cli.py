@@ -28,11 +28,12 @@ import sys
 import numpy as np
 
 from . import homogeneous, single_defect, strong_defect
-from .errors import ConfigError, DefectChainError, DegeneracyAmbiguity
+from .errors import ConfigError, DefectChainError
 from .lattice import LatticeSpec, site_index
 from .multi_defect import build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition, barrier_walk_steady,
-                     build_hamiltonian, occupation_exact, time_average_exact)
+                     build_hamiltonian, defect_decomposition, occupation_exact,
+                     time_average_exact)
 from .single_defect import DefectSpec, build_defect_system
 
 ORACLE_MAX_N = 128
@@ -211,14 +212,7 @@ def run_single(args) -> ResultTable:
             table.add(name, single_defect.steady_moment_defect(sysq, p), q=q)
         if not with_oracle:
             continue
-        try:
-            dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
-        except DegeneracyAmbiguity as exc:
-            # the oracle cannot class the levels split by the defect; the
-            # analytic rows do not depend on it
-            print(f"q={q}: oracle columns skipped ({type(exc).__name__})", file=sys.stderr)
-            continue
-        oprof = time_average_exact(dec, spec.n0)
+        oprof = time_average_exact(defect_decomposition(spec, nd, q), spec.n0)
         for n, v in enumerate(oprof):
             table.add("steady_occupation", v, provenance="oracle", q=q, n=n)
             table.add("steady_occupation", abs(v - prof[n]), provenance="abs_diff", q=q, n=n)
@@ -286,8 +280,9 @@ def run_oracle_check(args) -> ResultTable:
         one = len(defects) == 1
         system = (build_defect_system(spec, defects[0], validate=True) if one
                   else build_two_defect_system(defects, spec))
-        dec = SpectralDecomposition.from_hamiltonian(
-            build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+        dec = (defect_decomposition(spec, defects[0].nd, q) if one else
+               SpectralDecomposition.from_hamiltonian(
+                   build_hamiltonian(spec, [(d.nd, d.q) for d in defects])))
         point = {"q": float(q), "nd": defects[0].nd if one else None}
         if one:
             prof = single_defect.steady_occupation(system).values
@@ -345,8 +340,7 @@ def _figure_fig2(panel: str) -> ResultTable:
     for q in (0.3, 0.5, 1.5, 10.0, 20.0):
         sysq = build_defect_system(spec, DefectSpec(nd, q))
         prof = single_defect.steady_occupation(sysq).values
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
-        oprof = time_average_exact(dec, spec.n0)
+        oprof = time_average_exact(defect_decomposition(spec, nd, q), spec.n0)
         for n in range(spec.N):
             table.add("steady_occupation", prof[n], q=q, n=n)
             table.add("steady_occupation", oprof[n], provenance="oracle", q=q, n=n)

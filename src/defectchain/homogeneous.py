@@ -89,17 +89,6 @@ def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
     return np.roll(re + 1j * im, spec.n0, axis=1)
 
 
-def green_profile(spec: LatticeSpec, t: float) -> np.ndarray:
-    """Free amplitudes G(n, n0, t) for all sites n at one time."""
-    return green_profiles(spec, [t])[0]
-
-
-def occupation(spec: LatticeSpec, t: float) -> np.ndarray:
-    """Site probabilities |G|^2 at time t."""
-    g = green_profile(spec, t)
-    return (g.real ** 2 + g.imag ** 2)
-
-
 def steady_profile(spec: LatticeSpec) -> SiteProfile:
     """Long-time averaged occupation: flat except at n0 (and its antipode for even N)."""
     N = spec.N
@@ -117,11 +106,6 @@ def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times."""
     return _moments(_levels(spec.N), spec.gamma, periodic_distances(spec.N).astype(float) ** p,
                     _finite_times(times))
-
-
-def moment_time(p: int, t: float, spec: LatticeSpec) -> float:
-    """Displacement moment Delta_p(t) about the start site."""
-    return float(moment_series(p, np.array([t]), spec)[0])
 
 
 def steady_moment(p: int, spec: LatticeSpec) -> float:

@@ -17,6 +17,7 @@ Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with that level's
 term split off, one inverse real FFT each; P_n(t) = |sum_j e^(2 i gamma x_j t)
 v_j(n) v_j(n0)|^2.  With fewer than two nonzero strengths the system is
 single_defect's, so a single defect's roots come from spectral.find_poles alone.
+Its referees, the dense ring and the Bromwich inverter, are in oracle.py.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateDefectSite, NonSimplePole, NotConverged, PoleCountMismatch
-from .homogeneous import green_profile, time_blocks
-from .lattice import LatticeSpec, periodic_distances, site_index
+from .errors import DuplicateDefectSite, NonSimplePole, PoleCountMismatch
+from .homogeneous import time_blocks
+from .lattice import LatticeSpec, site_index
 from .single_defect import (DefectSpec, DefectSystem, _free_system,
                             build_defect_system, occupation_defect)
-from .spectral import _cos_sin, _gaps_theta, _safeguarded_newton, ring_green
+from .spectral import _cos_sin, _gaps_theta, _safeguarded_newton
 
 RANK_TOL = 1e-8        # rank cut for level modes on the defect sites, relative to sqrt(2/N)
 ZERO_TOL = 300 * np.finfo(float).eps        # compressed secular eigenvalue taken as zero,
@@ -256,24 +257,3 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     _rayleigh_ritz(W, x, group, nd, s)
     W *= W[:, n0, None].copy()
     return DefectSystem(spec, tuple(defects), x, W)
-
-
-def bromwich_occupation(defects: Sequence[DefectSpec], spec: LatticeSpec, t: float) -> np.ndarray:
-    """Referee: the defect correction psi - G (decaying like 1/s^2) inverted by
-    the trapezoid rule on Re s = gamma / 2, |Im s| <= 600 gamma + 20 max|q|, for
-    any defect count; NotConverged on a non-finite profile."""
-    N, gamma = spec.N, spec.gamma
-    omega_max = 600.0 * gamma + 20.0 * max(abs(d.q) for d in defects)
-    omega = np.linspace(-omega_max, omega_max, 2 * int(omega_max / min(0.05, 0.5 / max(t, 1e-9)) / 2) + 1)
-    s = 0.5 * gamma + 1j * omega
-    q, ring = np.array([d.q for d in defects]), np.array([periodic_distances(N, d.nd) for d in defects])
-    G = ring_green(np.arange(N // 2 + 1), s[:, None] / (2j * gamma), N) / (2j * gamma)
-    psi_d = np.linalg.solve(np.eye(q.size) - 1j * q * G[:, ring[:, [site_index(d.nd, N) for d in defects]]],
-                            G[:, ring[:, spec.n0], None])[..., 0]
-    coef = np.exp(s * t)[:, None] * 1j * q * psi_d / (2.0 * np.pi)
-    psi = green_profile(spec, t) + sum(np.trapezoid(coef[:, a, None] * G, omega, axis=0)[ring[a]]
-                                       for a in range(q.size))
-    P = psi.real ** 2 + psi.imag ** 2
-    if not np.all(np.isfinite(P)):
-        raise NotConverged(f"Bromwich inversion gave a non-finite profile at t={t}")
-    return P

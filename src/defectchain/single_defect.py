@@ -151,19 +151,14 @@ def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> l
     return weights
 
 
-def _odd_levels(N: int) -> np.ndarray:
-    """The free levels c_k, 0 < k < N/2, that keep one mode odd about nd."""
-    return np.cos(2.0 * np.pi * np.arange(1, (N - 1) // 2 + 1) / N)
-
-
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
                         validate: bool = False) -> DefectSystem:
     """Find the even levels of one defect and their weight rows.
 
-    validate=True checks that the roots plus the odd free levels are the
-    eigenvalues of the dense defected Hamiltonian, and raises
-    PoleCountMismatch where one differs by more than LEVEL_TOL (1 + |x|)
-    plus the dense solver's own rounding.
+    validate=True checks the roots one to one against the levels of the
+    dense even sector about nd (oracle.defect_decomposition; the odd sector
+    is the free ring's), and raises PoleCountMismatch where one differs by
+    more than LEVEL_TOL (1 + |x|) plus the dense solver's own rounding.
     """
     N = spec.N
     defect = DefectSpec(site_index(defect.nd, N), float(defect.q))
@@ -172,13 +167,12 @@ def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
     s = defect.q / (2.0 * spec.gamma)
     poles = find_poles(N, s)
     if validate:
-        from .oracle import defect_levels
-        dense = defect_levels(spec, defect.nd, defect.q)
-        mine = np.sort(np.append(poles.x, _odd_levels(N)))
+        from .oracle import defect_decomposition
+        dense = defect_decomposition(spec, defect.nd, defect.q).eigenvalues[N // 2::-1] / (-2.0 * spec.gamma)
         tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))
-        if np.any(np.abs(mine - dense) > tol):
-            raise PoleCountMismatch("roots and odd free levels disagree with the dense spectrum "
-                                    f"(worst {np.max(np.abs(mine - dense)):.3g})")
+        if np.any(np.abs(poles.x - dense) > tol):
+            raise PoleCountMismatch("roots disagree with the dense even sector "
+                                    f"(worst {np.max(np.abs(poles.x - dense)):.3g})")
     W, = _weight_rows(2 * poles.level, poles.offset, N, spec.n0, [defect.nd])
     return DefectSystem(spec, (defect,), poles.x, W)
 

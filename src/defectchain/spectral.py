@@ -21,7 +21,7 @@ axis: one solve covers a whole sweep, each row with the bits it gets alone.
 
 _cos_sin and _gaps_theta (the gaps x - c_k at theta = pi j / N, the angle
 reduced exactly) are shared with the M-defect engine, and so is the root
-finder _safeguarded_newton.
+finder _safeguarded_newton.  The Green function off the band is oracle.py's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .lattice import LatticeSpec, periodic_distance
 
 
 def _cos_sin(m, den):
@@ -59,27 +58,6 @@ def _gaps_theta(j, N):
     rows = np.ndarray((sin_r.size - 2 * K, K + 1), buffer=sin_r, strides=(step, 2 * step))
     at = jm - lo + 2 * K                                  # the row from angle j
     return -2.0 * rows[at] * rows[at - 2 * K, ::-1]
-
-
-def ring_green(d, x, N: int):
-    """Free ring Green function g(d; x) = (1/N) sum_k cos(2 pi k d / N) / (x - c_k)
-    off the real band, in the overflow-free form
-
-        g = (z^d + z^(N-d)) / ((1 - z^N) w),  w = sqrt(x - 1) sqrt(x + 1),  z = x - w,
-
-    where |z| < 1; d and x broadcast, d in [0, N]."""
-    x = np.asarray(x, dtype=complex)
-    w = np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
-    z = 1.0 / (x + w)
-    return (z ** d + z ** (N - d)) / ((1.0 - z ** N) * w)
-
-
-def green_laplace(spec: LatticeSpec, a: int, b: int, eps):
-    """Laplace-domain free propagator between sites a and b,
-    G(a, b, eps) = g(d; x) / (2 i gamma) with x = eps / (2 i gamma) and d the
-    ring distance between a and b (see ring_green)."""
-    x = np.asarray(eps) / (2j * spec.gamma)
-    return ring_green(periodic_distance(a, b, spec.N), x, spec.N) / (2j * spec.gamma)
 
 
 @dataclass(frozen=True)

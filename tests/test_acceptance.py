@@ -16,7 +16,8 @@ from defectchain.lattice import LatticeSpec, periodic_distance, periodic_distanc
 from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_walk_steady, build_hamiltonian,
-                                occupation_exact, time_average_exact)
+                                defect_decomposition, occupation_exact,
+                                time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        occupation_defect, occupation_defect_series,
                                        steady_corrections, steady_moment_defect,
@@ -54,7 +55,7 @@ def test_criterion_01_time_resolved_single_defect_oracle():
         n0, nd = int(rng.integers(0, N)), int(rng.integers(0, N))
         spec = LatticeSpec(N, gamma, n0)
         system = build_defect_system(spec, DefectSpec(nd, q))
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
+        dec = defect_decomposition(spec, nd, q)
         times = rng.uniform(0.0, 50.0 / gamma, size=20)
         rows = occupation_defect_series(system, times)
         for i, t in enumerate(times):
@@ -79,7 +80,7 @@ def test_criterion_02_steady_single_defect_oracle():
         prof = steady_occupation(system)
         _, Kbar = steady_corrections(system)
         _track(prof.values, Kbar)
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
+        dec = defect_decomposition(spec, nd, q)
         worst = max(worst, float(np.max(np.abs(prof.values - time_average_exact(dec, n0)))))
     elapsed = time.time() - t0
     _report(2, worst < 1e-8, elapsed, 30.0,

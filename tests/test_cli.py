@@ -11,6 +11,7 @@ import pytest
 
 from defectchain.cli import main
 from defectchain.lattice import LatticeSpec
+from defectchain.oracle import defect_decomposition, time_average_exact
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_moment_defect, steady_occupation)
 
@@ -101,40 +102,32 @@ def test_two_mode_large_ring_symmetric_pair(tmp_path):
                     "--out", str(tmp_path / "big.csv")]) == 0
 
 
-def _dense_steady(N, n0, nd, q):
-    """Long-time average of P_n from a dense eigh of the ring, one block per
-    parity under the reflection n -> 2 nd - n: the defect's levels sit ~q/N
-    from the free ones of the other parity, closer than eigh can resolve
-    the eigenvectors of one matrix, while every level of a block is simple."""
-    n, m = np.arange(N), np.arange(N // 2 + 1)
-    H = np.zeros((N, N))
-    H[n, (n + 1) % N] = H[(n + 1) % N, n] = 1.0
-    H[nd, nd] += q
-    out = np.zeros(N)
-    for parity in (1.0, -1.0):
-        B = np.zeros((N, m.size))
-        B[(nd + m) % N, m] += 1.0
-        B[(nd - m) % N, m] += parity
-        norm = np.linalg.norm(B, axis=0)
-        B = B[:, norm > 0] / norm[norm > 0]
-        V = B @ np.linalg.eigh(B.T @ H @ B)[1]
-        out += ((V * V[n0]) ** 2).sum(axis=1)
-    return out
-
-
 @pytest.mark.parametrize("N, n0, nd, q", [(50, 2, 4, 1e-7), (5, 0, 2, -0.8), (51, 3, 10, -1e-12),
                                           (400, 5, 100, 1e-11)])
 def test_single_small_q_and_odd_band_edge(tmp_path, N, n0, nd, q):
     # small |q| drifted off normalization (C_k = gamma (c_k - x_j) cancelled next
-    # to a level; at N=50, q=1e-7 the oracle columns are skipped, DegeneracyAmbiguity),
-    # and q / 2 gamma = -2/N on an odd ring raised NonSimplePole
+    # to a level), and q / 2 gamma = -2/N on an odd ring raised NonSimplePole
     out = tmp_path / "single.csv"
     assert run_cli(["single", "--N", str(N), "--n0", str(n0), "--nd", str(nd),
                     f"--q={q!r}", "--out", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
     prof = np.array([float(r[8]) for r in rows if r[0] == "steady_occupation" and r[9] == "analytic"])
     assert prof.size == N
-    assert np.max(np.abs(prof - _dense_steady(N, n0, nd, q))) < 1e-12
+    dense = time_average_exact(defect_decomposition(LatticeSpec(N, 1.0, n0), nd, q), n0)
+    assert np.max(np.abs(prof - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("q", ["1e-7", "1e-9"])
+def test_single_oracle_columns_where_levels_split_by_q_over_N(tmp_path, capsys, q):
+    # the full-ring oracle merged level pairs split by ~q/N: it skipped these
+    # columns at q=1e-7 (DegeneracyAmbiguity) and was 0.010 off at q=1e-9
+    out = tmp_path / "single.csv"
+    assert run_cli(["single", "--N", "50", "--n0", "2", "--nd", "4", f"--q={q}",
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    diffs = [float(r[8]) for r in rows if r[9] == "abs_diff"]
+    assert len(diffs) == 50 and max(diffs) <= 1e-14
 
 
 def test_non_finite_strength_is_a_config_error(capsys):
@@ -248,6 +241,14 @@ def test_oracle_check_weak_defect(tmp_path, q):
     # is rounding noise of a nearly degenerate pair (exit 2)
     assert run_cli(["oracle-check", "--N", "100", "--nd", "1", "--q", q,
                     "--tsteps", "3", "--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "50", "--nd", "16", "--n0", "1", "--q", "1e8"],   # full ring 3.0e-8 off (exit 3)
+    ["--N", "50", "--nd", "4", "--n0", "2", "--q", "1e-7"],   # DegeneracyAmbiguity (exit 2)
+])
+def test_oracle_check_one_defect_by_parity_sector(tmp_path, argv):
+    assert run_cli(["oracle-check", *argv, "--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_oracle_check_residue_cuts_cannot_disagree(tmp_path):

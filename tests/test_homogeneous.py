@@ -6,17 +6,22 @@ import pytest
 
 from defectchain.errors import NotReached
 from defectchain.homogeneous import (distance_powers, estimate_tstar,
-                                     fit_ballistic, green_profile,
-                                     green_profiles, moment_series,
-                                     moment_time, occupation, steady_moment,
+                                     fit_ballistic, green_profiles,
+                                     moment_series, steady_moment,
                                      steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import build_hamiltonian
 
 
+def _occupation(spec, t):
+    """|G(n, n0, t)|^2 at one time."""
+    g = green_profiles(spec, [t])[0]
+    return g.real ** 2 + g.imag ** 2
+
+
 def test_green_delta_initial_condition():
     spec = LatticeSpec(11, 1.0, 4)
-    g = green_profile(spec, 0.0)
+    g = green_profiles(spec, [0.0])[0]
     expect = np.zeros(11)
     expect[4] = 1.0
     assert np.max(np.abs(g - expect)) < 1e-14
@@ -25,8 +30,8 @@ def test_green_delta_initial_condition():
 def test_green_three_site_closed_form():
     spec = LatticeSpec(3, 1.0, 0)
     for t in (0.0, 0.37, 1.9, 12.3):
-        assert abs(occupation(spec, t)[0] - (5 + 4 * np.cos(3 * t)) / 9) < 1e-13
-        g = green_profile(spec, t)[0]
+        assert abs(_occupation(spec, t)[0] - (5 + 4 * np.cos(3 * t)) / 9) < 1e-13
+        g = green_profiles(spec, [t])[0][0]
         expect = (np.exp(2j * t) + 2 * np.exp(-1j * t)) / 3
         assert abs(g - expect) < 1e-13
 
@@ -37,14 +42,14 @@ def test_green_unitarity_random():
         N = int(rng.integers(3, 80))
         spec = LatticeSpec(N, float(rng.uniform(0.5, 2.0)), int(rng.integers(0, N)))
         t = float(rng.uniform(0.0, 100.0))
-        assert abs(occupation(spec, t).sum() - 1.0) < 1e-12
+        assert abs(_occupation(spec, t).sum() - 1.0) < 1e-12
 
 
 def test_green_translation_invariance_exact():
     spec_a = LatticeSpec(12, 1.0, 3)
     spec_b = LatticeSpec(12, 1.0, 8)
     t = 2.7
-    ga, gb = green_profile(spec_a, t), green_profile(spec_b, t)
+    ga, gb = green_profiles(spec_a, [t])[0], green_profiles(spec_b, [t])[0]
     # same amplitudes, shifted: G(n+s, n0+s) == G(n, n0)
     assert np.all(np.roll(ga, 5) == gb)
     assert ga[7] == gb[0]                         # G(7, 3) == G(12, 8), site 12 = 0
@@ -81,8 +86,6 @@ def test_free_chain_rejects_non_finite_times(bad):
         green_profiles(spec, [0.5, bad])
     with pytest.raises(ValueError, match="finite"):
         moment_series(2, [bad, 1.0], spec)
-    with pytest.raises(ValueError, match="finite"):
-        moment_time(1, bad, spec)
 
 
 def test_fit_ballistic_validation():
@@ -127,7 +130,7 @@ def test_moment_matches_naive_triple_sum(N):
         osc = np.cos(beta * t)
         for p in (1, 2):
             naive = float(np.einsum("ab,abn,n->", osc, chi, d ** p)) / N ** 2
-            fast = moment_time(p, t, spec)
+            fast = moment_series(p, [t], spec)[0]
             assert abs(naive - fast) <= 1e-10 * max(1.0, abs(naive))
 
 
@@ -156,9 +159,9 @@ def test_moment_series_memory_stays_small():
 
 def test_moment_zero_at_t0_and_ballistic():
     spec = LatticeSpec(24, 1.0, 5)
-    assert abs(moment_time(2, 0.0, spec)) < 1e-12
+    assert abs(moment_series(2, [0.0], spec)[0]) < 1e-12
     t = 0.02
-    assert abs(moment_time(2, t, spec) - 2 * t * t) < 1e-7
+    assert abs(moment_series(2, [t], spec)[0] - 2 * t * t) < 1e-7
 
 
 def test_steady_moment_values():
@@ -228,7 +231,7 @@ def _tstar_full_grid_scan(spec, threshold, grid_points):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         b = 2.0 * gamma ** 2 * mid * mid
-        if abs(moment_time(2, mid, spec) - b) / b > threshold:
+        if abs(moment_series(2, [mid], spec)[0] - b) / b > threshold:
             hi = mid
         else:
             lo = mid

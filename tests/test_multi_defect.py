@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.errors import DuplicateDefectSite, NonSimplePole
-from defectchain.homogeneous import distance_powers, green_profiles, occupation
+from defectchain.homogeneous import distance_powers, green_profiles
 from defectchain.lattice import LatticeSpec
 from defectchain import multi_defect
-from defectchain.multi_defect import bromwich_occupation, build_two_defect_system
-from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
+from defectchain.multi_defect import build_two_defect_system
+from defectchain.oracle import (SpectralDecomposition, bromwich_occupation,
+                                build_hamiltonian, green_laplace,
                                 occupation_exact)
 from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        build_defect_system, moment_defect_series,
                                        occupation_defect, occupation_defect_series,
                                        phi_series, steady_corrections,
                                        steady_moment_defect, steady_occupation)
-from defectchain.spectral import green_laplace
 
 
 def _dense(N, gamma, defects):
@@ -237,7 +237,7 @@ def test_spectrum_equals_eigvalsh(N, data, gamma):
 def test_bromwich_finite_and_close_at_n200():
     # the Chebyshev recurrences of the old Green function overflowed to NaN
     spec = LatticeSpec(200, 1.0, 0)
-    P = bromwich_occupation([DefectSpec(50, 1.0)], spec, 5.0)
+    P = bromwich_occupation(spec, [(50, 1.0)], 5.0)
     assert np.all(np.isfinite(P))
     assert np.max(np.abs(P - _dense_occupation(200, 1.0, 0, [(50, 1.0)], [5.0])[0])) < 5e-3
 
@@ -301,7 +301,8 @@ def test_zero_strengths_reduce_to_free_propagation():
     system = build_two_defect_system([DefectSpec(4, 0.0), DefectSpec(7, 0.0)], spec)
     assert system.live == () and system.x.size == 0 and system.weights.shape == (0, 9)
     for t in (0.6, 2.2):
-        assert np.array_equal(occupation_defect(system, t), occupation(spec, t))
+        g = green_profiles(spec, [t])[0]
+        assert np.array_equal(occupation_defect(system, t), g.real ** 2 + g.imag ** 2)
     with pytest.raises(DuplicateDefectSite):
         build_two_defect_system([DefectSpec(4, 0.0), DefectSpec(13, 0.0)], spec)
 
@@ -374,7 +375,7 @@ def test_weak_defect_corrections_are_additive():
     t = 2.0
     P_two = occupation_defect(
         build_two_defect_system([DefectSpec(4, q1), DefectSpec(9, q2)], spec), t)
-    P_free = occupation(spec, t)
+    P_free = np.abs(green_profiles(spec, [t])[0]) ** 2
     P_a = occupation_defect(build_defect_system(spec, DefectSpec(4, q1)), t)
     P_b = occupation_defect(build_defect_system(spec, DefectSpec(9, q2)), t)
     lhs = P_two - P_free
@@ -385,21 +386,20 @@ def test_weak_defect_corrections_are_additive():
 
 def test_three_defects_via_resolvent_and_bromwich():
     spec = LatticeSpec(6, 1.0, 0)
-    defects = [DefectSpec(1, 0.8), DefectSpec(3, -0.5), DefectSpec(4, 0.3)]
-    dec = SpectralDecomposition.from_hamiltonian(
-        build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+    defects = [(1, 0.8), (3, -0.5), (4, 0.3)]
+    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, defects))
     t = 1.2
-    P = bromwich_occupation(defects, spec, t)
+    P = bromwich_occupation(spec, defects, t)
     assert np.max(np.abs(P - occupation_exact(dec, 0, t))) < 5e-3
-    exact = occupation_defect(build_two_defect_system(defects, spec), t)
+    exact = occupation_defect(build_two_defect_system([DefectSpec(*d) for d in defects], spec), t)
     assert np.max(np.abs(exact - occupation_exact(dec, 0, t))) < 1e-12
 
 
 def test_bromwich_matches_exact_two_defect():
     spec = LatticeSpec(6, 1.0, 0)
-    defects = [DefectSpec(2, 1.0), DefectSpec(4, -0.7)]
-    system = build_two_defect_system(defects, spec)
-    P = bromwich_occupation(defects, spec, 1.5)
+    defects = [(2, 1.0), (4, -0.7)]
+    system = build_two_defect_system([DefectSpec(*d) for d in defects], spec)
+    P = bromwich_occupation(spec, defects, 1.5)
     assert np.max(np.abs(P - occupation_defect(system, 1.5))) < 5e-3
 
 

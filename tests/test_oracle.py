@@ -3,13 +3,15 @@ import pytest
 
 from defectchain.errors import (DegeneracyAmbiguity, DuplicateDefectSite,
                                 NotConverged)
-from defectchain.homogeneous import occupation, steady_profile
+from scipy.linalg import eigh_tridiagonal
+
+from defectchain.homogeneous import green_profiles, steady_profile
 from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_rate_matrix, barrier_walk_propagate,
                                 barrier_walk_steady, build_hamiltonian,
-                                defect_levels, evolve_exact, occupation_exact,
-                                time_average_exact)
+                                defect_decomposition, evolve_exact,
+                                occupation_exact, time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_occupation)
 
@@ -69,7 +71,7 @@ def test_evolution_matches_green_function():
     spec = LatticeSpec(14, 0.8, 3)
     dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec))
     for t in (0.3, 4.4):
-        assert np.max(np.abs(occupation_exact(dec, 3, t) - occupation(spec, t))) < 1e-12
+        assert np.max(np.abs(occupation_exact(dec, 3, t) - np.abs(green_profiles(spec, [t])[0]) ** 2)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [6, 9, 12, 17])
@@ -95,6 +97,52 @@ def test_strong_defect_degeneracy_scale_is_the_hopping(q):
     dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(100, q)]))
     analytic = steady_occupation(build_defect_system(spec, DefectSpec(100, q))).values
     assert np.max(np.abs(time_average_exact(dec, 2) - analytic)) < 1e-9
+
+
+def test_defect_decomposition_invariants():
+    spec = LatticeSpec(17, 1.3, 0)
+    H = build_hamiltonian(spec, [(5, 2.2)])
+    dec = defect_decomposition(spec, 5, 2.2)
+    assert np.max(np.abs(H @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues)) < 1e-12
+    assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(17))) < 1e-12
+    assert np.allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(H), atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [6, 9, 12, 17])
+def test_defect_decomposition_free_ring_pairs_its_levels(N):
+    # at q = 0 even and odd level k coincide, and only their shared class
+    # gives the free ring's time average
+    spec = LatticeSpec(N, 1.0, N // 3)
+    dec = defect_decomposition(spec, 2, 0.0)
+    assert sorted(len(c) for c in dec.classes) == [1] * (2 - N % 2) + [2] * ((N - 1) // 2)
+    assert np.max(np.abs(time_average_exact(dec, spec.n0) - steady_profile(spec).values)) < 1e-13
+
+
+@pytest.mark.parametrize("N, gamma, n0, nd, q", [
+    (50, 1.0, 1, 16, 1e8), (300, 1.0, 5, 0, 1e7), (300, 1.0, 5, 0, -1e7), (300, 1.0, 5, 0, 1e-7),
+    (301, 1.0, 7, 3, 3e6), (800, 1.0, 1, 400, 1e8),
+    (69, 0.7, 0, 1, 1e7),       # eigh alone, without the band's second pass, is 1.4e-9 off here
+])
+def test_sector_referee_matches_implicit_ql(N, gamma, n0, nd, q):
+    # NumPy's eigh (divide and conquer) against LAPACK's implicit QL/QR
+    # (dstev) on the same reflection sectors, in P_n(t)
+    spec = LatticeSpec(N, gamma, n0)
+    H = build_hamiltonian(spec, [(nd, q)])
+    times = np.linspace(0.0, 4.0 * N / gamma, 9)
+    psi = 0.0
+    for sign, m in ((1.0, np.arange(N // 2 + 1)), (-1.0, np.arange(1, (N - 1) // 2 + 1))):
+        U = np.zeros((N, m.size))
+        U[(nd + m) % N, np.arange(m.size)] += 1.0
+        U[(nd - m) % N, np.arange(m.size)] += sign
+        U /= np.linalg.norm(U, axis=0)
+        T = U.T @ H @ U
+        E, Y = eigh_tridiagonal(np.diag(T), np.diag(T, 1), lapack_driver="stev")
+        V = U @ Y
+        psi = psi + V @ (np.exp(-1j * np.outer(E, times)) * V[n0, :, None])
+    want = (psi.real ** 2 + psi.imag ** 2).T
+    dec = defect_decomposition(spec, nd, q)
+    got = np.array([occupation_exact(dec, n0, t) for t in times])
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -161,4 +209,5 @@ def test_weak_defect_pole_classes_match_find_poles(N, q):
     k = np.arange(1, (N - 1) // 2 + 1)
     levels = np.sort(np.append(system.x, np.cos(2.0 * np.pi * k / N)))
     assert levels.size == N
-    assert np.max(np.abs(levels - defect_levels(spec, 1, q))) < 1e-12
+    dense = np.sort(defect_decomposition(spec, 1, q).eigenvalues / (-2.0 * spec.gamma))
+    assert np.max(np.abs(levels - dense)) < 1e-12

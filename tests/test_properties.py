@@ -1,14 +1,15 @@
 """Property tests of the single-defect pole set, time-resolved and steady
 profiles against a dense diagonalization of the defected ring, over N in
 [3, 300], |q| in [1e-12, 1e8] of either sign, and any start and defect
-sites.  The profiles are checked against the dense propagation split by
-reflection parity about the defect (parity_dense)."""
+sites.  The reference is the ring split by reflection parity about the
+defect (oracle.defect_decomposition, and parity_dense over it)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lattice import LatticeSpec
+from defectchain.oracle import defect_decomposition
 from defectchain.single_defect import (DefectSpec, build_defect_system, occupation_defect_series,
                                        steady_corrections, steady_occupation)
 from parity_dense import dense_occupation, dense_steady_terms
@@ -26,36 +27,19 @@ def rings(draw):
     return LatticeSpec(N, gamma, n0), nd, q
 
 
-def _ring_x(spec, nd, q):
-    """-H / (2 gamma) for the ring with -gamma on every bond and -q on site
-    nd: its eigenvalues are the levels in the pole variable x = -E / (2 gamma)."""
-    N = spec.N
-    i = np.arange(N)
-    Hx = np.zeros((N, N))
-    Hx[i, (i + 1) % N] = Hx[(i + 1) % N, i] = 0.5
-    Hx[nd, nd] = q / (2.0 * spec.gamma)
-    return Hx
-
-
-def _classes(x, scale):
-    """Index groups of numerically degenerate levels (x ascending)."""
-    return np.split(np.arange(x.size), np.nonzero(np.diff(x) > 1e-9 * scale)[0] + 1)
-
-
 @SETTINGS
 @given(rings())
 def test_retained_poles_are_dense_levels(ring):
+    """One to one: the roots are the even sector's levels, and the odd
+    sector keeps the odd free levels."""
     spec, nd, q = ring
     system = build_defect_system(spec, DefectSpec(nd, q))
     scale = 1.0 + abs(q) / (2.0 * spec.gamma)
-    # every root is a level of the defected ring ...
-    levels = np.linalg.eigvalsh(_ring_x(spec, nd, q))
-    assert np.all(np.min(np.abs(system.x[:, None] - levels[None, :]), axis=1) <= 1e-10 * scale)
-    # ... and every level class that couples nd to n0 is a root
-    x, V = np.linalg.eigh(_ring_x(spec, nd, q))
-    for c in _classes(x, scale):
-        if abs(V[nd, c] @ V[spec.n0, c]) > 1e-6:
-            assert np.min(np.abs(system.x - x[c].mean())) <= 1e-10 * scale
+    x = defect_decomposition(spec, nd, q).eigenvalues / (-2.0 * spec.gamma)
+    even = spec.N // 2 + 1
+    assert np.max(np.abs(system.x - np.sort(x[:even]))) <= 1e-10 * scale
+    odd_free = np.cos(2.0 * np.pi * np.arange(1, spec.N - even + 1) / spec.N)
+    assert np.max(np.abs(np.sort(x[even:]) - np.sort(odd_free))) <= 1e-10 * scale
 
 
 @SETTINGS
@@ -75,7 +59,7 @@ def test_occupation_series_is_dense_propagation(ring):
     spec, nd, q = ring
     times = np.linspace(0.0, 4.0 * spec.N / spec.gamma, 9)
     got = occupation_defect_series(build_defect_system(spec, DefectSpec(nd, q)), times)
-    want = dense_occupation(spec.N, spec.gamma, spec.n0, nd, q, times)
+    want = dense_occupation(spec, nd, q, times)
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -6,12 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from defectchain.errors import NormalizationDrift
-from defectchain.homogeneous import (distance_powers, green_profile,
-                                     green_profiles, moment_series, occupation,
-                                     steady_profile)
+from defectchain.homogeneous import (distance_powers, green_profiles,
+                                     moment_series, steady_profile)
 from defectchain.lattice import LatticeSpec
-from defectchain.oracle import (SpectralDecomposition, build_hamiltonian,
-                                evolve_exact, occupation_exact,
+from defectchain.oracle import (defect_decomposition, evolve_exact,
+                                green_laplace, occupation_exact,
                                 time_average_exact)
 from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        build_defect_system, defect_systems,
@@ -19,7 +18,6 @@ from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
-from defectchain.spectral import green_laplace
 from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
 
@@ -32,11 +30,17 @@ def amplitude_profile(system, t):
     return amplitude_profiles(system, [t])[0]
 
 
+def _free_occupation(spec, t):
+    """|G(n, n0, t)|^2 at one time."""
+    g = green_profiles(spec, [t])[0]
+    return g.real ** 2 + g.imag ** 2
+
+
 def corrections(system, t):
     """Interference and scattered terms I_n = 2 Re(conj(G) A), K_n = |A|^2
     at one time, from amplitude_profiles."""
     A = amplitude_profile(system, t)
-    return 2.0 * (np.conj(green_profile(system.spec, t)) * A).real, A.real ** 2 + A.imag ** 2
+    return 2.0 * (np.conj(green_profiles(system.spec, [t])[0]) * A).real, A.real ** 2 + A.imag ** 2
 
 
 @pytest.mark.parametrize("N, n0", [(9, 4), (50, 2), (51, 0), (200, 2)])
@@ -108,7 +112,7 @@ def test_phi_is_defect_site_wave_function():
     # Phi(t) = i q psi(nd, n0, t): the response is the wave function at the defect
     spec = LatticeSpec(9, 1.2, 1)
     sysq = build_defect_system(spec, DefectSpec(6, -2.3))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(6, -2.3)]))
+    dec = defect_decomposition(spec, 6, -2.3)
     phi = phi_series(sysq)
     for t in (0.4, 2.0, 7.7):
         psi = evolve_exact(dec, 1, t)
@@ -162,10 +166,10 @@ def test_amplitude_against_quadrature():
 def test_amplitude_is_wave_function_minus_free_part():
     spec = LatticeSpec(6, 1.0, 2)
     sysq = build_defect_system(spec, DefectSpec(4, 1.5))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(4, 1.5)]))
+    dec = defect_decomposition(spec, 4, 1.5)
     for t in (0.7, 2.0):
         A = amplitude_profile(sysq, t)
-        A_oracle = evolve_exact(dec, 2, t) - green_profile(spec, t)
+        A_oracle = evolve_exact(dec, 2, t) - green_profiles(spec, [t])[0]
         assert np.max(np.abs(A - A_oracle)) < 1e-10
 
 
@@ -180,10 +184,10 @@ def test_amplitude_profiles_vectorized():
 def _dense_corrections(spec, nd, q, t):
     """(A, I, K) at time t from the dense parity-split propagation:
     A = psi - G, I = |psi|^2 - |G|^2 - |A|^2, K = |A|^2."""
-    psi = dense_wave_function(spec.N, spec.gamma, spec.n0, nd, q, t)[0]
-    A = psi - green_profile(spec, t)
+    psi = dense_wave_function(spec, nd, q, [t])[0]
+    A = psi - green_profiles(spec, [t])[0]
     K = np.abs(A) ** 2
-    return A, np.abs(psi) ** 2 - occupation(spec, t) - K, K
+    return A, np.abs(psi) ** 2 - _free_occupation(spec, t) - K, K
 
 
 def test_corrections_match_dense_composition():
@@ -209,13 +213,13 @@ def test_corrections_sum_to_zero_and_K_nonnegative():
 def test_corrections_against_oracle_decomposition():
     spec = LatticeSpec(6, 1.0, 2)
     sysq = build_defect_system(spec, DefectSpec(4, 1.5))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(4, 1.5)]))
+    dec = defect_decomposition(spec, 4, 1.5)
     t = 2.0
     I, K = corrections(sysq, t)
     psi = evolve_exact(dec, 2, t)
-    A = psi - green_profile(spec, t)
+    A = psi - green_profiles(spec, [t])[0]
     K_oracle = np.abs(A) ** 2
-    I_oracle = np.abs(psi) ** 2 - occupation(spec, t) - K_oracle
+    I_oracle = np.abs(psi) ** 2 - _free_occupation(spec, t) - K_oracle
     assert np.max(np.abs(K - K_oracle)) < 1e-10
     assert np.max(np.abs(I - I_oracle)) < 1e-10
 
@@ -223,7 +227,7 @@ def test_corrections_against_oracle_decomposition():
 def test_occupation_defect_against_oracle_spec_example():
     spec = LatticeSpec(8, 1.0, 1)
     sysq = build_defect_system(spec, DefectSpec(5, 2.3))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(5, 2.3)]))
+    dec = defect_decomposition(spec, 5, 2.3)
     for t in (0.5, 1.0, 2.0, 5.0):
         P = occupation_defect(sysq, t)
         assert np.max(np.abs(P - occupation_exact(dec, 1, t))) < 1e-8
@@ -239,7 +243,7 @@ def test_occupation_defect_random_tuples():
         n0, nd = int(rng.integers(0, N)), int(rng.integers(0, N))
         spec = LatticeSpec(N, gamma, n0)
         sysq = build_defect_system(spec, DefectSpec(nd, q))
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(nd, q)]))
+        dec = defect_decomposition(spec, nd, q)
         for t in rng.uniform(0.0, 50.0 / gamma, size=3):
             P = occupation_defect(sysq, float(t))
             assert np.max(np.abs(P - occupation_exact(dec, n0, float(t)))) < 1e-8
@@ -249,7 +253,7 @@ def test_occupation_zero_strength_reduces_to_free():
     spec = LatticeSpec(9, 1.0, 4)
     sys0 = build_defect_system(spec, DefectSpec(6, 0.0))
     for t in (0.0, 1.7):
-        assert np.max(np.abs(occupation_defect(sys0, t) - occupation(spec, t))) == 0.0
+        assert np.max(np.abs(occupation_defect(sys0, t) - _free_occupation(spec, t))) == 0.0
     I, K = steady_corrections(sys0)
     assert np.all(I == 0.0) and np.all(K == 0.0)
 
@@ -296,7 +300,7 @@ def test_normalization_drift_detection():
 def test_steady_corrections_match_oracle_time_average():
     spec = LatticeSpec(12, 1.0, 2)
     sysq = build_defect_system(spec, DefectSpec(7, 3.0))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(7, 3.0)]))
+    dec = defect_decomposition(spec, 7, 3.0)
     P = steady_occupation(sysq).values
     assert np.max(np.abs(P - time_average_exact(dec, 2))) < 1e-8
 
@@ -330,7 +334,7 @@ def test_moments_zero_strength_and_against_oracle():
     assert np.max(np.abs(moment_defect_series(sys0, 2, times)
                          - moment_series(2, times, spec))) < 1e-12
     sysq = build_defect_system(spec, DefectSpec(6, 1.7))
-    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(6, 1.7)]))
+    dec = defect_decomposition(spec, 6, 1.7)
     d2 = distance_powers(spec, 2)
     msd_oracle = float(d2 @ time_average_exact(dec, 3))
     assert abs(steady_moment_defect(sysq, 2) - msd_oracle) < 1e-8
@@ -343,7 +347,7 @@ def test_minimum_chain_size():
     spec = LatticeSpec(3, 1.0, 0)
     for q in (1.3, -0.9, 25.0):
         sysq = build_defect_system(spec, DefectSpec(1, q), validate=True)
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(1, q)]))
+        dec = defect_decomposition(spec, 1, q)
         for t in (0.4, 2.0):
             assert np.max(np.abs(occupation_defect(sysq, t)
                                  - occupation_exact(dec, 0, t))) < 1e-10
@@ -364,9 +368,7 @@ def test_steady_profile_plus_corrections_is_normalized():
 
 # ---------------------------------------------------------------------------
 # The eigenvector form against the dense parity-split propagation
-# (parity_dense).  The oracle's SpectralDecomposition is not used here: it
-# rejects the nearly degenerate spectra of small |q| (DegeneracyAmbiguity at
-# N=50, q=1e-7).
+# (parity_dense), also at the nearly degenerate spectra of small |q|.
 # ---------------------------------------------------------------------------
 
 def _within_rounding_of_level(system):
@@ -387,7 +389,7 @@ def test_series_exact_coincidence_against_dense(N, n0, nd, q):
     assert _within_rounding_of_level(sysq)
     times = np.linspace(0.0, 4.0 * N, 9)
     P = occupation_defect_series(sysq, times)
-    assert np.max(np.abs(P - dense_occupation(N, 1.0, n0, nd, q, times))) < 1e-12
+    assert np.max(np.abs(P - dense_occupation(LatticeSpec(N, 1.0, n0), nd, q, times))) < 1e-12
 
 
 @pytest.mark.parametrize("N, gamma, n0, nd, q", [
@@ -399,7 +401,7 @@ def test_series_against_dense(N, gamma, n0, nd, q):
     sysq = _system(N, gamma, n0, nd, q)
     times = np.linspace(0.0, 4.0 * N / gamma, 17)
     P = occupation_defect_series(sysq, times)
-    assert np.max(np.abs(P - dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
+    assert np.max(np.abs(P - dense_occupation(LatticeSpec(N, gamma, n0), nd, q, times))) < 1e-12
 
 
 def test_corrections_match_dense_composition_odd_and_bound():
@@ -454,7 +456,7 @@ def test_pole_within_rounding_of_its_level_against_dense(N, gamma, n0, nd, q):
     assert _within_rounding_of_level(sysq) == (q < 1e-3)
     times = np.linspace(0.0, 40.0, 9)
     P = occupation_defect_series(sysq, times)
-    assert np.max(np.abs(P - dense_occupation(N, gamma, n0, nd, q, times))) < 1e-12
+    assert np.max(np.abs(P - dense_occupation(spec, nd, q, times))) < 1e-12
     for t in times[1::3]:
         A, I, K = _dense_corrections(spec, nd, q, t)
         assert np.max(np.abs(amplitude_profile(sysq, t) - A)) < 1e-12
