@@ -14,8 +14,9 @@ from .lattice import (LatticeSpec, periodic_distance, periodic_distances,
 from .multi_defect import build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition,
                      barrier_walk_steady, bromwich_occupation,
-                     build_hamiltonian, defect_decomposition, evolve_exact,
-                     green_laplace, occupation_exact, time_average_exact)
+                     build_hamiltonian, check_defect_roots,
+                     defect_decomposition, evolve_exact, green_laplace,
+                     occupation_exact, time_average_exact)
 from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             amplitude_profiles, build_defect_system,
                             defect_systems, moment_defect_series,

@@ -1,5 +1,6 @@
 """Command-line front end: parameter sweeps, figure-data reproduction,
-oracle cross-checks, and CSV/JSON output.
+oracle cross-checks (any number of defect sites), and CSV/JSON output.
+Each run builds one dense reference per system (`_reference`).
 
 Each subcommand takes --config, --out, --format and the flags its run
 reads (`_MODES`).  A config file's `key = value` lines become its flags,
@@ -32,8 +33,8 @@ from .errors import ConfigError, DefectChainError
 from .lattice import LatticeSpec, site_index
 from .multi_defect import build_two_defect_system
 from .oracle import (BarrierWalkSpec, SpectralDecomposition, barrier_walk_steady,
-                     build_hamiltonian, defect_decomposition, occupation_exact,
-                     time_average_exact)
+                     build_hamiltonian, check_defect_roots, defect_decomposition,
+                     occupation_exact, time_average_exact)
 from .single_defect import DefectSpec, build_defect_system
 
 ORACLE_MAX_N = 128
@@ -173,6 +174,13 @@ def _with_oracle(spec) -> bool:
     return False
 
 
+def _reference(spec, defects=()) -> SpectralDecomposition:
+    """The dense reference: the parity split for one defect, the full ring otherwise."""
+    if len(defects) == 1:
+        return defect_decomposition(spec, defects[0].nd, defects[0].q)
+    return SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+
+
 # -- mode implementations ----------------------------------------------------
 
 def run_free(args) -> ResultTable:
@@ -187,7 +195,7 @@ def run_free(args) -> ResultTable:
     table.add("ballistic_coefficient", homogeneous.fit_ballistic(spec))
     table.add("tstar", homogeneous.estimate_tstar(spec))
     if _with_oracle(spec):
-        dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec))
+        dec = _reference(spec)
         d2 = homogeneous.distance_powers(spec, 2)
         for t in times[:: max(1, times.size // 16)]:
             table.add("msd", d2 @ occupation_exact(dec, spec.n0, float(t)),
@@ -212,7 +220,7 @@ def run_single(args) -> ResultTable:
             table.add(name, single_defect.steady_moment_defect(sysq, p), q=q)
         if not with_oracle:
             continue
-        oprof = time_average_exact(defect_decomposition(spec, nd, q), spec.n0)
+        oprof = time_average_exact(_reference(spec, [DefectSpec(nd, q)]), spec.n0)
         for n, v in enumerate(oprof):
             table.add("steady_occupation", v, provenance="oracle", q=q, n=n)
             table.add("steady_occupation", abs(v - prof[n]), provenance="abs_diff", q=q, n=n)
@@ -245,10 +253,7 @@ def run_two(args) -> ResultTable:
     defects = [_defect(nd, q, spec) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65)
-    dec = None
-    if _with_oracle(spec):
-        dec = SpectralDecomposition.from_hamiltonian(
-            build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+    dec = _reference(spec, defects) if _with_oracle(spec) else None
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "two", **coords, "nd": list(args.nd), "q": qs}, **coords)
     for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
@@ -269,8 +274,6 @@ def run_oracle_check(args) -> ResultTable:
     if not args.nd:
         raise ConfigError("--nd is required", "nd")
     qs = _q_values(args)
-    if len(args.nd) > 2:
-        raise ConfigError("oracle-check supports one or two --nd sites", "nd")
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "oracle-check", **coords, "nd": list(args.nd),
                          "tolerance": args.tolerance}, **coords)
@@ -278,13 +281,11 @@ def run_oracle_check(args) -> ResultTable:
     for q in qs:
         defects = [_defect(site_index(nd, spec.N), q, spec) for nd in args.nd]
         one = len(defects) == 1
-        system = (build_defect_system(spec, defects[0], validate=True) if one
-                  else build_two_defect_system(defects, spec))
-        dec = (defect_decomposition(spec, defects[0].nd, q) if one else
-               SpectralDecomposition.from_hamiltonian(
-                   build_hamiltonian(spec, [(d.nd, d.q) for d in defects])))
+        system = build_two_defect_system(defects, spec)
+        dec = _reference(spec, defects)
         point = {"q": float(q), "nd": defects[0].nd if one else None}
         if one:
+            check_defect_roots(system, dec)
             prof = single_defect.steady_occupation(system).values
             oprof = time_average_exact(dec, spec.n0)
             table.add("steady_max_abs_diff", np.max(np.abs(prof - oprof)),
@@ -340,7 +341,7 @@ def _figure_fig2(panel: str) -> ResultTable:
     for q in (0.3, 0.5, 1.5, 10.0, 20.0):
         sysq = build_defect_system(spec, DefectSpec(nd, q))
         prof = single_defect.steady_occupation(sysq).values
-        oprof = time_average_exact(defect_decomposition(spec, nd, q), spec.n0)
+        oprof = time_average_exact(_reference(spec, [DefectSpec(nd, q)]), spec.n0)
         for n in range(spec.N):
             table.add("steady_occupation", prof[n], q=q, n=n)
             table.add("steady_occupation", oprof[n], provenance="oracle", q=q, n=n)

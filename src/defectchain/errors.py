@@ -15,7 +15,8 @@ class ConfigError(DefectChainError):
 
 class PoleCountMismatch(DefectChainError):
     """Root search disagrees with the spectrum: a negative root count in an
-    interval (M defects) or levels off the dense spectrum (validate=True)."""
+    interval (M defects), or one defect's roots off the dense even levels
+    (oracle.check_defect_roots)."""
 
 
 class NonSimplePole(DefectChainError):

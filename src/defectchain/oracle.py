@@ -5,7 +5,9 @@ classical permeable-barrier walk used as the contrast baseline.
 
 Everything here is deliberately brute force.  The solver modules are
 validated against these routines, so nothing in this file may share code
-with them beyond the lattice helpers and the error types.
+with them beyond the lattice helpers and the error types, and no solver
+module imports it.  Only time_average_exact, the one reader of the
+degeneracy classes, raises DegeneracyAmbiguity.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneracyAmbiguity, DuplicateDefectSite, NotConverged
+from .errors import DegeneracyAmbiguity, DuplicateDefectSite, NotConverged, PoleCountMismatch
 from .lattice import LatticeSpec, periodic_distance, periodic_distances, site_index
 
 DEG_TOL_FACTOR = 1e-9   # degeneracy tolerance, relative to the hopping scale
+LEVEL_TOL = 1e-8        # check_defect_roots: root vs dense level, relative to 1 + |x|
 
 
 def build_hamiltonian(spec: LatticeSpec, defects: Sequence[tuple[int, float]] = ()) -> np.ndarray:
@@ -45,17 +48,18 @@ def build_hamiltonian(spec: LatticeSpec, defects: Sequence[tuple[int, float]] = 
 class SpectralDecomposition:
     """Eigen-decomposition of a real symmetric Hamiltonian with degeneracy classes.
 
-    classes partitions the eigenvalue indices into groups closer than
-    deg_tol; the long-time average is discontinuous in this structure, so
-    gaps inside (deg_tol, 10 deg_tol) raise DegeneracyAmbiguity instead of
-    being classified silently.  deg_tol scales with the largest off-diagonal
-    |H| (the hopping, which sets the level spacing) and not with max|E|,
-    which a strong defect inflates; a diagonal H falls back to max|E|.
+    classes groups the eigenvalue indices closer than deg_tol, which scales
+    with the largest off-diagonal |H| (the hopping, which sets the level
+    spacing) and not with max|E|, which a strong defect inflates; a diagonal
+    H falls back to max|E|, and classes set by symmetry (defect_decomposition)
+    take 0.  The long-time average is discontinuous in the classes, so
+    time_average_exact raises DegeneracyAmbiguity on a gap in (deg_tol, 10 deg_tol).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     classes: tuple[tuple[int, ...], ...]
+    deg_tol: float = 0.0
 
     @classmethod
     def from_hamiltonian(cls, H: np.ndarray) -> "SpectralDecomposition":
@@ -63,22 +67,9 @@ class SpectralDecomposition:
         off = np.abs(H - np.diag(np.diag(H)))
         scale = off.max() if off.any() else (np.max(np.abs(E)) if E.size else 1.0)
         deg_tol = DEG_TOL_FACTOR * max(float(scale), 1e-300)
-        gaps = np.diff(E)
-        ambiguous = (gaps > deg_tol) & (gaps < 10.0 * deg_tol)
-        if np.any(ambiguous):
-            raise DegeneracyAmbiguity(
-                f"eigenvalue gap(s) {gaps[ambiguous]} inside the unreliable band "
-                f"({deg_tol:.3e}, {10 * deg_tol:.3e})")
-        classes = []
-        current = [0]
-        for i, g in enumerate(gaps):
-            if g <= deg_tol:
-                current.append(i + 1)
-            else:
-                classes.append(tuple(current))
-                current = [i + 1]
-        classes.append(tuple(current))
-        return cls(E, V, tuple(classes))
+        starts = np.flatnonzero(np.diff(E) > deg_tol) + 1
+        classes = tuple(tuple(c.tolist()) for c in np.split(np.arange(E.size), starts))
+        return cls(E, V, classes, deg_tol)
 
 
 def evolve_exact(decomp: SpectralDecomposition, n0: int, t: float) -> np.ndarray:
@@ -97,8 +88,13 @@ def time_average_exact(decomp: SpectralDecomposition, n0: int) -> np.ndarray:
     """Long-time average of the site occupation, exact in the eigenbasis.
 
     Only pairs inside one degeneracy class survive the average:
-    Pbar_n = sum_C (sum_{a in C} v_a(n) v_a(n0))^2.
+    Pbar_n = sum_C (sum_{a in C} v_a(n) v_a(n0))^2.  A gap inside the
+    unreliable band (deg_tol, 10 deg_tol) raises DegeneracyAmbiguity.
     """
+    gaps, tol = np.diff(decomp.eigenvalues), decomp.deg_tol
+    if np.any(ambiguous := (gaps > tol) & (gaps < 10.0 * tol)):
+        raise DegeneracyAmbiguity(f"eigenvalue gap(s) {gaps[ambiguous]} inside the unreliable "
+                                  f"band ({tol:.3e}, {10 * tol:.3e})")
     V = decomp.eigenvectors
     c = V[n0, :]
     out = np.zeros(V.shape[0])
@@ -138,6 +134,21 @@ def defect_decomposition(spec: LatticeSpec, nd: int, q: float) -> SpectralDecomp
     classes = ([(a,) for a in range(N)] if q != 0.0 else
                [(k,) + ((N // 2 + k,) if 0 < k <= (N - 1) // 2 else ()) for k in range(N // 2 + 1)])
     return SpectralDecomposition(np.concatenate(values), np.hstack(vectors), tuple(classes))
+
+
+def check_defect_roots(system, dec: SpectralDecomposition) -> None:
+    """PoleCountMismatch unless the roots x of a one-defect system match, one to
+    one, the even levels of its defect_decomposition `dec` within LEVEL_TOL
+    (1 + |x|) plus the dense solver's rounding; no live defect, no roots."""
+    if not system.live:
+        return
+    (defect,), spec = system.live, system.spec
+    N, s = spec.N, defect.q / (2.0 * spec.gamma)
+    dense = dec.eigenvalues[N // 2::-1] / (-2.0 * spec.gamma)
+    tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))
+    if np.any(np.abs(system.x - dense) > tol):
+        raise PoleCountMismatch("roots disagree with the dense even sector "
+                                f"(worst {np.max(np.abs(system.x - dense)):.3g})")
 
 
 def ring_green(d, x, N: int):

@@ -39,14 +39,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NormalizationDrift, PoleCountMismatch
+from .errors import NormalizationDrift
 from .homogeneous import (SiteProfile, distance_powers, green_profiles,
                           steady_moment, steady_profile, time_blocks)
 from .lattice import LatticeSpec, site_index
 from .spectral import _gaps_theta, find_poles
 
 NORM_TOL = 1e-8
-LEVEL_TOL = 1e-8        # validate: root vs dense level, relative to 1 + |x|
 
 
 def _check_normalized(totals, what: str, times=None) -> None:
@@ -151,28 +150,14 @@ def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> l
     return weights
 
 
-def build_defect_system(spec: LatticeSpec, defect: DefectSpec,
-                        validate: bool = False) -> DefectSystem:
-    """Find the even levels of one defect and their weight rows.
-
-    validate=True checks the roots one to one against the levels of the
-    dense even sector about nd (oracle.defect_decomposition; the odd sector
-    is the free ring's), and raises PoleCountMismatch where one differs by
-    more than LEVEL_TOL (1 + |x|) plus the dense solver's own rounding.
-    """
+def build_defect_system(spec: LatticeSpec, defect: DefectSpec) -> DefectSystem:
+    """Find the even levels of one defect and their weight rows
+    (oracle.check_defect_roots referees the levels)."""
     N = spec.N
     defect = DefectSpec(site_index(defect.nd, N), float(defect.q))
     if defect.q == 0.0:
         return _free_system(spec, (defect,))
-    s = defect.q / (2.0 * spec.gamma)
-    poles = find_poles(N, s)
-    if validate:
-        from .oracle import defect_decomposition
-        dense = defect_decomposition(spec, defect.nd, defect.q).eigenvalues[N // 2::-1] / (-2.0 * spec.gamma)
-        tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))
-        if np.any(np.abs(poles.x - dense) > tol):
-            raise PoleCountMismatch("roots disagree with the dense even sector "
-                                    f"(worst {np.max(np.abs(poles.x - dense)):.3g})")
+    poles = find_poles(N, defect.q / (2.0 * spec.gamma))
     W, = _weight_rows(2 * poles.level, poles.offset, N, spec.n0, [defect.nd])
     return DefectSystem(spec, (defect,), poles.x, W)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -257,6 +258,66 @@ def test_oracle_check_residue_cuts_cannot_disagree(tmp_path):
     # 2); validation now compares every level with the dense spectrum
     assert run_cli(["oracle-check", "--N", "42", "--n0", "17", "--nd", "25", "--q=-233.07",
                     "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def _abs_diffs(path) -> list[float]:
+    rows = [l.split(",") for l in path.read_text().splitlines()[1:]]
+    return [float(r[8]) for r in rows if r[9] == "abs_diff"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["two", "--N", "10", "--n0", "1", "--nd", "0", "--nd", "5", "--q", "1e-8", "--q", "1e-8"],
+    ["oracle-check", "--N", "10", "--n0", "1", "--nd", "0", "--nd", "5", "--q", "1e-8"],
+])
+def test_dense_evolution_does_not_read_degeneracy_classes(tmp_path, argv):
+    # the full ring has gaps of 4e-9 inside its class band (1e-9, 1e-8); it
+    # raised DegeneracyAmbiguity (exit 2) when built, though only the time
+    # average reads the classes
+    out = tmp_path / "o.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    diffs = _abs_diffs(out)
+    assert diffs and max(diffs) <= 1e-13
+
+
+def test_oracle_check_three_sites(tmp_path):
+    # once a config error ("one or two --nd sites")
+    out = tmp_path / "o.csv"
+    assert run_cli(["oracle-check", "--N", "20", "--nd", "1", "--nd", "5", "--nd", "9",
+                    "--q", "1", "--q", "-3", "--out", str(out)]) == 0
+    diffs = _abs_diffs(out)
+    assert len(diffs) == 2 * 16 and max(diffs) <= 1e-13
+
+
+def test_oracle_check_builds_one_reference_per_strength(tmp_path, monkeypatch):
+    # the root check and the comparison rows share one dense reference (each
+    # strength's was built twice)
+    import defectchain.cli
+    import defectchain.oracle
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return defect_decomposition(*args)
+
+    monkeypatch.setattr(defectchain.oracle, "defect_decomposition", counted)
+    monkeypatch.setattr(defectchain.cli, "defect_decomposition", counted)
+    assert run_cli(["oracle-check", "--N", "128", "--nd", "40", "--n0", "3", "--q", "1.5",
+                    "--q", "10", "--q", "0.1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 3
+
+
+def test_oracle_check_root_mismatch_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    import defectchain.single_defect as sd
+    find_poles = sd.find_poles
+
+    def shifted(*args):
+        poles = find_poles(*args)
+        return dataclasses.replace(poles, x=poles.x + 1e-6)
+
+    monkeypatch.setattr(sd, "find_poles", shifted)
+    assert run_cli(["oracle-check", "--N", "10", "--nd", "4", "--q", "1.5",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+    assert "PoleCountMismatch" in capsys.readouterr().err
 
 
 def test_negative_exponent_strength(tmp_path):

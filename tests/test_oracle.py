@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,9 @@ from defectchain.lattice import LatticeSpec, periodic_distances
 from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 barrier_rate_matrix, barrier_walk_propagate,
                                 barrier_walk_steady, build_hamiltonian,
-                                defect_decomposition, evolve_exact,
-                                occupation_exact, time_average_exact)
+                                check_defect_roots, defect_decomposition,
+                                evolve_exact, occupation_exact,
+                                time_average_exact)
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_occupation)
 
@@ -52,8 +56,11 @@ def test_defect_free_even_N_degeneracy_classes():
 
 def test_degeneracy_ambiguity_raises():
     H = np.diag([0.0, 1.0, 1.0 + 5e-9])     # gap inside (deg_tol, 10 deg_tol)
+    dec = SpectralDecomposition.from_hamiltonian(H)    # only the average reads classes
+    assert dec.classes == ((0,), (1,), (2,))
+    assert np.max(np.abs(occupation_exact(dec, 1, 2.0) - [0.0, 1.0, 0.0])) < 1e-15
     with pytest.raises(DegeneracyAmbiguity):
-        SpectralDecomposition.from_hamiltonian(H)
+        time_average_exact(dec, 1)
 
 
 def test_evolve_exact_basics():
@@ -202,12 +209,40 @@ def test_barrier_not_converged():
 @pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])
 def test_weak_defect_pole_classes_match_find_poles(N, q):
     # weak defects split each doubled level by ~q / N; the roots plus the odd
-    # free levels are the whole dense spectrum (validate=True checks it, and
-    # once raised "retained 51 poles but the spectrum oracle has 59" at N=100)
+    # free levels are the whole dense spectrum (check_defect_roots checks it,
+    # and once raised "retained 51 poles but the spectrum oracle has 59" at N=100)
     spec = LatticeSpec(N, 1.0, 0)
-    system = build_defect_system(spec, DefectSpec(1, q), validate=True)
+    system = build_defect_system(spec, DefectSpec(1, q))
+    check_defect_roots(system, defect_decomposition(spec, 1, q))
     k = np.arange(1, (N - 1) // 2 + 1)
     levels = np.sort(np.append(system.x, np.cos(2.0 * np.pi * k / N)))
     assert levels.size == N
     dense = np.sort(defect_decomposition(spec, 1, q).eigenvalues / (-2.0 * spec.gamma))
     assert np.max(np.abs(levels - dense)) < 1e-12
+
+
+def _package_imports(module: str) -> set[str]:
+    """The defectchain modules that src/defectchain/<module>.py imports,
+    at module level or inside a function."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "defectchain"
+                      / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("defectchain"):
+            found.add(node.module.removeprefix("defectchain").lstrip("."))
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("defectchain.") for a in node.names
+                      if a.name.startswith("defectchain.")}
+    return found
+
+
+@pytest.mark.parametrize("module", ["spectral", "homogeneous", "single_defect",
+                                    "multi_defect", "strong_defect"])
+def test_solver_modules_do_not_import_the_oracle(module):
+    assert "oracle" not in _package_imports(module)
+
+
+def test_oracle_imports_only_lattice_and_errors():
+    assert _package_imports("oracle") == {"lattice", "errors"}

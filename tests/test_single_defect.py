@@ -9,8 +9,8 @@ from defectchain.errors import NormalizationDrift
 from defectchain.homogeneous import (distance_powers, green_profiles,
                                      moment_series, steady_profile)
 from defectchain.lattice import LatticeSpec
-from defectchain.oracle import (defect_decomposition, evolve_exact,
-                                green_laplace, occupation_exact,
+from defectchain.oracle import (check_defect_roots, defect_decomposition,
+                                evolve_exact, green_laplace, occupation_exact,
                                 time_average_exact)
 from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        build_defect_system, defect_systems,
@@ -21,8 +21,14 @@ from defectchain.single_defect import (DefectSpec, amplitude_profiles,
 from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
 
-def _system(N, gamma, n0, nd, q, validate=False):
-    return build_defect_system(LatticeSpec(N, gamma, n0), DefectSpec(nd, q), validate)
+def _system(N, gamma, n0, nd, q, check=False):
+    """The one-defect system; check=True referees its roots against the
+    dense even sector first."""
+    spec = LatticeSpec(N, gamma, n0)
+    system = build_defect_system(spec, DefectSpec(nd, q))
+    if check:
+        check_defect_roots(system, defect_decomposition(spec, nd, q))
+    return system
 
 
 def amplitude_profile(system, t):
@@ -102,7 +108,7 @@ def test_phi_series_zero_strength_is_empty():
 
 def test_phi_at_zero_time():
     # Phi(0) = i q sum_j f_j = i q for nd = n0 and 0 otherwise
-    s_on = _system(7, 1.0, 2, 2, 1.4, validate=True)
+    s_on = _system(7, 1.0, 2, 2, 1.4, check=True)
     assert abs(phi_series(s_on)(0.0) - 1.4j) < 1e-9
     s_off = _system(7, 1.0, 2, 5, 1.4)
     assert abs(phi_series(s_off)(0.0)) < 1e-9
@@ -346,8 +352,9 @@ def test_moments_zero_strength_and_against_oracle():
 def test_minimum_chain_size():
     spec = LatticeSpec(3, 1.0, 0)
     for q in (1.3, -0.9, 25.0):
-        sysq = build_defect_system(spec, DefectSpec(1, q), validate=True)
+        sysq = build_defect_system(spec, DefectSpec(1, q))
         dec = defect_decomposition(spec, 1, q)
+        check_defect_roots(sysq, dec)
         for t in (0.4, 2.0):
             assert np.max(np.abs(occupation_defect(sysq, t)
                                  - occupation_exact(dec, 0, t))) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 
 from defectchain.errors import NotConverged, PoleCountMismatch
 from defectchain.lattice import LatticeSpec, periodic_distance
-from defectchain.oracle import defect_decomposition, green_laplace
+from defectchain.oracle import check_defect_roots, defect_decomposition, green_laplace
 from defectchain.single_defect import DefectSpec, build_defect_system
 from defectchain.spectral import _gaps_theta, _safeguarded_newton, find_poles
 from defectchain.strong_defect import phi_infinite_q
@@ -136,15 +136,16 @@ def test_find_poles_errors(monkeypatch):
     spec = LatticeSpec(8, 1.0, 0)
     with pytest.raises(ValueError):
         _poles(spec, 0.0)
-    # roots that disagree with the dense spectrum must raise under validate=True
+    # roots that disagree with the dense spectrum must raise in check_defect_roots
     import defectchain.single_defect as sd
-    build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
+    dec = defect_decomposition(spec, 3, 1.0)
+    check_defect_roots(build_defect_system(spec, DefectSpec(3, 1.0)), dec)
     def shifted(*args):
         poles = find_poles(*args)
         return dataclasses.replace(poles, x=poles.x + 1e-6)
     monkeypatch.setattr(sd, "find_poles", shifted)
     with pytest.raises(PoleCountMismatch):
-        build_defect_system(spec, DefectSpec(3, 1.0), validate=True)
+        check_defect_roots(build_defect_system(spec, DefectSpec(3, 1.0)), dec)
     # odd N at q / 2 gamma = -2/N: the repulsive level sits on x = -1, a simple root
     poles = _poles(LatticeSpec(5, 1.0, 0), -4.0 / 5.0)
     assert len(poles) == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
