@@ -25,7 +25,6 @@ from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
                             steady_moment_defect, steady_occupation)
 from .spectral import PoleSet, find_poles
 from .strong_defect import (mirror_site, phi_infinite_q,
-                            steady_corrections_infinite_q,
                             steady_moments_infinite_q,
                             steady_profile_infinite_q)
 

@@ -234,15 +234,19 @@ def barrier_rate_matrix(bspec: BarrierWalkSpec) -> np.ndarray:
     return A
 
 
-def barrier_walk_propagate(bspec: BarrierWalkSpec, times: np.ndarray) -> np.ndarray:
-    """Occupation profiles P(n, t) at the requested times (rows)."""
-    A = barrier_rate_matrix(bspec)
+def _barrier_propagator(bspec: BarrierWalkSpec, A: np.ndarray):
+    """t -> P(n, t) for the generator A of the walk, diagonalized once."""
     lam, V = np.linalg.eigh(A)
     p0 = np.zeros(bspec.N)
     p0[bspec.n0] = 1.0
     c = V.T @ p0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.array([V @ (np.exp(lam * t) * c) for t in times])
+    return lambda t: V @ (np.exp(lam * t) * c)
+
+
+def barrier_walk_propagate(bspec: BarrierWalkSpec, times: np.ndarray) -> np.ndarray:
+    """Occupation profiles P(n, t) at the requested times (rows)."""
+    propagate = _barrier_propagator(bspec, barrier_rate_matrix(bspec))
+    return np.array([propagate(t) for t in np.atleast_1d(np.asarray(times, dtype=float))])
 
 
 def _barrier_psi_laplace(bspec: BarrierWalkSpec, n, n0, eps: float):
@@ -292,6 +296,7 @@ def barrier_walk_steady(bspec: BarrierWalkSpec, *, residual_tol: float = 1e-12,
     """
     N = bspec.N
     A = barrier_rate_matrix(bspec)
+    propagate = _barrier_propagator(bspec, A)
     # slowest relaxation rate ~ 2F(1 - cos(2 pi / N)); cap a generous multiple
     t_relax = 1.0 / (2.0 * bspec.f * (1.0 - np.cos(2.0 * np.pi / N)))
     t_cap = time_cap_factor * t_relax
@@ -300,7 +305,7 @@ def barrier_walk_steady(bspec: BarrierWalkSpec, *, residual_tol: float = 1e-12,
     t = t_relax
     profile = None
     while t <= t_cap * (1.0 + 1e-9):
-        profile = barrier_walk_propagate(bspec, np.array([t]))[0]
+        profile = propagate(t)
         if np.linalg.norm(A @ profile) < residual_tol:
             break
         t *= 2.0

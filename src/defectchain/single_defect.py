@@ -22,17 +22,24 @@ psi is G itself, and the system of two or more (multi_defect) holds all N
 levels as rows, so psi is their sum alone.
 
 No sector holds a degenerate pair, so the time average keeps the square of
-each level's amplitude.  Split as the free steady profile plus corrections,
+each level's amplitude: with S_n = sum_j W_jn^2 over the even levels and o_k
+the odd part about nd of the free level-k propagator,
 
-    Kbar_n = sum_j W_jn^2 + sum_k e_k(n)^2,   Ibar_n = -2 sum_k e_k(n) (e_k(n) + o_k(n)),
+    Pbar_n = S_n + Obar_n,   Obar_n = sum_k o_k(n)^2,
 
-with e_k and o_k the even and odd parts about nd of the free level-k
-propagator; the level sums are closed forms (steady_sums) and Ibar does
-not depend on q.  The steady functions take at most one live defect.
+a sum of positive terms, and the steady moments are sum_n [n-n0]^p Pbar_n.
+Obar is a closed form (_free_level_sums) and so is the paper's split of Pbar into
+the free steady profile plus corrections,
+
+    Kbar_n = S_n + sum_k e_k(n)^2,   Ibar_n = -2 sum_k e_k(n) (e_k(n) + o_k(n)),
+
+e_k being the even part; Ibar does not depend on q.  A system forms S once.
+The steady functions take at most one live defect.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NormalizationDrift
-from .homogeneous import (SiteProfile, distance_powers, green_profiles,
-                          steady_moment, steady_profile, time_blocks)
+from .homogeneous import (SiteProfile, _finite_times, distance_powers,
+                          green_profiles, steady_moment, steady_profile,
+                          time_blocks)
 from .lattice import LatticeSpec, site_index
 from .spectral import _gaps_theta, find_poles
 
@@ -83,10 +91,15 @@ class PhiSeries:
     gamma: float
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        ph = np.exp(2j * self.gamma * np.multiply.outer(t, self.x))
-        out = ph @ self.weights
-        return out if out.ndim else out[()]
+        """Phi at a time or an array of times (ValueError on a non-finite
+        one), one block of times' phase matrix at a time."""
+        shape = np.shape(t)
+        t = _finite_times(np.ravel(t))
+        out = np.empty(t.size, dtype=complex)
+        for block in time_blocks(t.size, 2 * self.x.size):     # complex: two elements a phase
+            ph = 2j * self.gamma * np.multiply.outer(t[block], self.x)
+            out[block] = np.exp(ph, out=ph) @ self.weights
+        return out.reshape(shape) if shape else out[0]
 
 
 @dataclass(frozen=True)
@@ -110,12 +123,12 @@ class DefectSystem:
         return tuple(d for d in self.defects if d.q != 0.0)
 
     @cached_property
-    def _steady(self) -> tuple[np.ndarray, np.ndarray]:
-        """steady_corrections(self), computed once per system and shared
-        (read-only) by the steady profile and moments."""
-        Ibar, Kbar = steady_corrections(self)
-        Ibar.flags.writeable = Kbar.flags.writeable = False
-        return Ibar, Kbar
+    def _level_sum(self) -> np.ndarray:
+        """S_n = sum_j W_jn^2, formed once per system and shared (read-only)
+        by the steady profile, corrections and moments."""
+        S = np.einsum("jn,jn->n", self.weights, self.weights)
+        S.flags.writeable = False
+        return S
 
 
 def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
@@ -234,7 +247,7 @@ def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
     """P_n(t) rows for a time grid, shape (len(times), N), for any number
     of defects; each row must stay normalized."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _finite_times(times)
     psi = _wave_functions(system, times)
     P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)
@@ -246,23 +259,32 @@ def occupation_defect(system: DefectSystem, t: float) -> np.ndarray:
     return occupation_defect_series(system, [t])[0]
 
 
-def steady_sums(weights: np.ndarray, N: int, n0: int, nd: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Ibar_n, Kbar_n) for even weight rows W_jn about nd: Ibar = -2 sum_k
-    e_k (e_k + o_k) and Kbar = sum_j W_jn^2 + sum_k e_k^2 (module docstring).
+@functools.lru_cache(maxsize=16)
+def _free_level_sums(N: int, n0: int, nd: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ibar_n, sum_k e_k(n)^2, Obar_n = sum_k o_k(n)^2) for a defect at nd,
+    e_k and o_k the even and odd parts about nd of the free level-k propagator
+    (module docstring); read-only, and kept for the last few geometries, as
+    they do not depend on q.
 
     With m = n - nd, d = n0 - nd and level weight w_k (1/N for k = 0, N/2,
     else 2/N), e_k = w_k cos(2 pi k m/N) cos(2 pi k d/N) and o_k = w_k
-    sin(2 pi k m/N) sin(2 pi k d/N), so both level sums are read from
+    sin(2 pi k m/N) sin(2 pi k d/N), so every level sum is read from
     h(a) = sum_k w_k^2 cos(2 pi k a/N) = (2/N) [a = 0] - (1 + [N even] (-1)^a) / N^2.
+    Obar is grouped so that it is exactly 0 where every o_k vanishes (m or
+    d is 0 or N/2).
     """
     a = np.arange(N)
     h = -(1.0 + (N % 2 == 0) * np.where(a % 2, -1.0, 1.0)) / N ** 2
     h[0] += 2.0 / N
     m, d = a - nd, n0 - nd
-    even = h[0] + h[2 * m % N] + h[2 * d % N]
-    minus = h[2 * (m - d) % N]
-    ee = 0.25 * even + 0.125 * (h[2 * (m + d) % N] + minus)
-    return -0.5 * (even + minus), np.einsum("jn,jn->n", weights, weights) + ee
+    h_m, h_d, plus, minus = h[2 * m % N], h[2 * d % N], h[2 * (m + d) % N], h[2 * (m - d) % N]
+    even = h[0] + h_m + h_d
+    ee = 0.25 * even + 0.125 * (plus + minus)
+    odd = 0.25 * ((h[0] - h_d) - (h_m - 0.5 * (plus + minus)))
+    sums = (-0.5 * (even + minus), ee, odd)
+    for v in sums:
+        v.flags.writeable = False
+    return sums
 
 
 def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -272,12 +294,13 @@ def steady_corrections(system: DefectSystem) -> tuple[np.ndarray, np.ndarray]:
     spec, defect = system.spec, _one_defect(system, "steady observables")
     if defect is None:
         return np.zeros(spec.N), np.zeros(spec.N)
-    return steady_sums(system.weights, spec.N, spec.n0, defect.nd)
+    Ibar, ee, _ = _free_level_sums(spec.N, spec.n0, defect.nd)
+    return Ibar.copy(), system._level_sum + ee
 
 
 def steady_occupation(system: DefectSystem) -> SiteProfile:
     """Steady profile Pbar + Ibar + Kbar, normalization-checked."""
-    Ibar, Kbar = system._steady
+    Ibar, Kbar = steady_corrections(system)
     values = steady_profile(system.spec).values + Ibar + Kbar
     _check_normalized(values.sum(), "steady profile")
     return SiteProfile(values)
@@ -290,7 +313,11 @@ def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:
 
 
 def steady_moment_defect(system: DefectSystem, p: int) -> float:
-    """Steady Delta_p^(d) from the closed forms plus the steady corrections."""
-    Ibar, Kbar = system._steady
-    dpow = distance_powers(system.spec, p)
-    return steady_moment(p, system.spec) + float(dpow @ (Ibar + Kbar))
+    """Steady Delta_p^(d) = sum_n [n-n0]^p (S_n + Obar_n) for p = 1 or 2: a
+    sum of positive terms, so a state localized on the defect keeps its
+    digits.  With no live defect, homogeneous.steady_moment."""
+    spec, defect = system.spec, _one_defect(system, "steady observables")
+    if defect is None or p not in (1, 2):       # steady_moment rejects any other p
+        return steady_moment(p, spec)
+    odd = _free_level_sums(spec.N, spec.n0, defect.nd)[2]
+    return float(distance_powers(spec, p) @ (system._level_sum + odd))

@@ -1,6 +1,6 @@
 """Infinite defect strength: the limit of the response series over the odd
-nodes, the exact steady profile with its mirror-site enhancement, the
-limit corrections from the node eigenvectors, and the limit moments.
+nodes, the exact steady profile with its mirror-site enhancement, and the
+leading-order limit moments.
 
 With the particle started on the defect site the limit is complete
 localization.  Otherwise the response becomes a q-independent series over
@@ -12,7 +12,8 @@ collapses to
              1/N    elsewhere,
 
 whose Kronecker algebra is self-normalizing even when the mirror collides
-with n0 (separation N/2 on an even ring).
+with n0 (separation N/2 on an even ring).  It is the time average of the
+open chain of N - 1 sites left when site nd is cut out of the ring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .homogeneous import SiteProfile
 from .lattice import LatticeSpec, periodic_distance, site_index
-from .single_defect import PhiSeries, _weight_rows, steady_sums
+from .single_defect import PhiSeries
 
 
 def mirror_site(spec: LatticeSpec, nd: int) -> int:
@@ -60,44 +61,6 @@ def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:
     values[spec.n0] += 0.5 / N
     values[nd] -= 1.0 / N
     return SiteProfile(values, mirror_collision=(m in (spec.n0, nd)))
-
-
-def steady_corrections_infinite_q(spec: LatticeSpec, nd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Limit corrections (Ibar_n, Kbar_n) from the node eigenvectors.
-
-    As q -> infinity the even levels about nd become the nodes x_l =
-    cos(theta_l), where g(0; x_l) = 0, with eigenvectors g(n - nd; x_l) that
-    vanish on nd, and a bound state whose weight at n0 != nd vanishes.
-    Their weight rows go into the same steady sums as at finite strength
-    (single_defect.steady_sums), so Ibar is the finite-strength Ibar (which
-    interference_closed_form_infinite_q restates away from mirror
-    collisions) and Pbar + Ibar + Kbar reproduces steady_profile_infinite_q,
-    for every geometry.
-    """
-    N = spec.N
-    nd = site_index(nd, N)
-    if nd == spec.n0:
-        raise ValueError("nd = n0 is the full-localization branch; no correction sums")
-    j = 2 * np.arange(1, N // 2 + 1) - 1                  # theta_l = pi j / N
-    W, = _weight_rows(j, np.zeros(j.size), N, spec.n0, [nd])
-    return steady_sums(W, N, spec.n0, nd)
-
-
-def interference_closed_form_infinite_q(spec: LatticeSpec, nd: int) -> np.ndarray:
-    """Kronecker-delta closed form of the limit Ibar, valid away from mirror
-    collisions: a flat offset plus -1/N at n0 and nd (odd N) or at those two
-    sites and their antipodes (even N)."""
-    N = spec.N
-    nd = site_index(nd, N)
-    if N % 2 == 0:
-        I = np.full(N, -(N - 4.0) / N ** 2)
-        sites = (spec.n0, nd, (spec.n0 + N // 2) % N, (nd + N // 2) % N)
-    else:
-        I = np.full(N, -(N - 2.0) / N ** 2)
-        sites = (spec.n0, nd)
-    for s in sites:
-        I[s] -= 1.0 / N
-    return I
 
 
 def steady_moments_infinite_q(p: int, spec: LatticeSpec) -> float:

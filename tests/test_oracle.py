@@ -200,6 +200,19 @@ def test_barrier_equal_rates_is_free_walk():
         assert np.max(np.abs(P[i] - free)) < 1e-12
 
 
+@pytest.mark.parametrize("N, f", [(20, 0.1), (20, 0.9), (100, 0.5)])
+def test_barrier_walk_diagonalizes_once(monkeypatch, N, f):
+    # the doubling search for the steady time took 4 to 6 eigh calls; the
+    # profile it reaches is the propagated one, bit for bit
+    bspec = BarrierWalkSpec(N, 1.0, f, 5, 3)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    res = barrier_walk_steady(bspec)
+    assert calls == [(N, N)]
+    assert np.array_equal(res.profile, barrier_walk_propagate(bspec, [res.time_reached])[0])
+
+
 def test_barrier_not_converged():
     with pytest.raises(NotConverged):
         barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5, 0, 0),

@@ -9,6 +9,7 @@ from defectchain.errors import NormalizationDrift
 from defectchain.homogeneous import (distance_powers, green_profiles,
                                      moment_series, steady_profile)
 from defectchain.lattice import LatticeSpec
+from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (check_defect_roots, defect_decomposition,
                                 evolve_exact, green_laplace, occupation_exact,
                                 time_average_exact)
@@ -18,6 +19,7 @@ from defectchain.single_defect import (DefectSpec, amplitude_profiles,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
+from defectchain.strong_defect import phi_infinite_q
 from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
 
@@ -85,10 +87,20 @@ def test_build_memory_is_the_weights_and_small_blocks():
 
 
 def test_series_rejects_non_finite_times():
+    # every time path, Phi and the M >= 2 series included, raises the one
+    # ValueError (Phi returned NaN, the M >= 2 series NormalizationDrift)
     system = _system(12, 1.0, 3, 7, 0.9)
+    spec = system.spec
+    several = build_two_defect_system([DefectSpec(7, 0.9), DefectSpec(1, -0.4)], spec)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            occupation_defect_series(system, [0.5, bad])
+        for call in (lambda: occupation_defect_series(system, [0.5, bad]),
+                     lambda: occupation_defect_series(several, [0.5, bad]),
+                     lambda: moment_defect_series(several, 2, [bad]),
+                     lambda: phi_series(system)(bad),
+                     lambda: phi_series(system)([[0.5], [bad]]),
+                     lambda: phi_infinite_q(spec, 7)(bad)):
+            with pytest.raises(ValueError, match="times must be finite"):
+                call()
 
 
 def test_defect_spec_rejects_non_finite_strength():
@@ -436,21 +448,19 @@ def test_occupation_series_memory_below_kernel_bound():
 
 
 def test_steady_corrections_computed_once_per_system(monkeypatch):
-    import defectchain.single_defect as sd
-    from defectchain.homogeneous import steady_moment
-    calls = []
-    real = sd.steady_corrections
-    monkeypatch.setattr(sd, "steady_corrections",
-                        lambda system: calls.append(system) or real(system))
+    # S_n = sum_j W_jn^2 is formed once and serves the profile, the
+    # corrections and the moments; the profile stays Pbar0 + Ibar + Kbar
     sysq = _system(30, 1.0, 2, 11, 1.7)
+    sums = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: sums.append(a[0]) or einsum(*a, **k))
     prof = steady_occupation(sysq).values
     m1, m2 = steady_moment_defect(sysq, 1), steady_moment_defect(sysq, 2)
-    assert len(calls) == 1
-    Ibar, Kbar = real(sysq)
-    spec = sysq.spec
-    assert np.array_equal(prof, steady_profile(spec).values + Ibar + Kbar)
-    assert m2 == steady_moment(2, spec) + float(distance_powers(spec, 2) @ (Ibar + Kbar))
-    assert m1 == steady_moment(1, spec) + float(distance_powers(spec, 1) @ (Ibar + Kbar))
+    Ibar, Kbar = steady_corrections(sysq)
+    assert sums == ["jn,jn->n"]
+    assert np.array_equal(prof, steady_profile(sysq.spec).values + Ibar + Kbar)
+    for p, m in ((1, m1), (2, m2)):
+        assert abs(m - float(distance_powers(sysq.spec, p) @ prof)) < 1e-14 * m
 
 
 @pytest.mark.parametrize("N, gamma, n0, nd, q", [(12, 1.3, 2, 7, 0.9), (12, 1.3, 2, 7, 1e-16),
@@ -487,6 +497,59 @@ def test_steady_corrections_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_phi_memory_is_blocked():
+    # the (T, J) phase matrix at N = 2000, T = 4096 took 125 MiB in one piece
+    phi = phi_series(_system(2000, 1.0, 3, 700, 0.8))
+    times = np.linspace(0.0, 4000.0, 4096)
+    tracemalloc.start()
+    try:
+        phi(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_phi_blocks_equal_one_phase_matrix():
+    # several blocks of times give the bits of the whole phase matrix at once
+    phi = phi_series(_system(300, 1.0, 3, 100, -1.3))
+    times = np.random.default_rng(5).uniform(0.0, 600.0, 8000)
+    whole = np.exp(2j * phi.gamma * np.multiply.outer(times, phi.x)) @ phi.weights
+    assert np.array_equal(phi(times), whole)
+    assert abs(phi(times[7]) - whole[7]) < 1e-15
+
+
+def _even_sector_moments(N, q):
+    """Steady Delta_1 and Delta_2 for n0 = nd (gamma = 1) from mpmath (dps 34):
+    the state never leaves the even sector about nd, whose tridiagonal
+    block in the bases |nd + m> + |nd - m> has eigenvectors Y, and
+    Delta_p = sum_m m^p sum_j Y_mj^2 Y_0j^2."""
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.dps = 34
+    K = N // 2
+    T = mp.zeros(K + 1, K + 1)
+    T[0, 0] = -mp.mpf(q)
+    for m in range(K):
+        edge = m == 0 or (N % 2 == 0 and m + 1 == K)       # one site paired with two
+        T[m, m + 1] = T[m + 1, m] = -mp.sqrt(2) if edge else -1
+    if N % 2:
+        T[K, K] = -1                                       # nd +- K are neighbours
+    Y = mp.eigsy(T)[1]
+    weight = [mp.fsum(Y[m, j] ** 2 * Y[0, j] ** 2 for j in range(K + 1)) for m in range(K + 1)]
+    return [float(mp.fsum(mp.mpf(m) ** p * weight[m] for m in range(K + 1))) for p in (1, 2)]
+
+
+@pytest.mark.parametrize("N, q", [(60, 100.0), (61, 50.0)])
+def test_steady_moments_localized_on_defect_against_mpmath(N, q):
+    # started on a strong defect the state stays localized; Delta_p as a sum
+    # of positive terms keeps its digits (the free moment plus corrections
+    # cancelled to ~1e-12)
+    sysq = _system(N, 1.0, 2, 2, q)
+    for p, want in zip((1, 2), _even_sector_moments(N, q)):
+        assert abs(steady_moment_defect(sysq, p) - want) < 5e-14 * want
 
 
 @pytest.mark.parametrize("N, n0, nd, q", [(12, 2, 7, 3.0), (13, 0, 12, -0.4), (40, 5, 5, 1e3),

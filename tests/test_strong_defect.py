@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from defectchain.homogeneous import distance_powers, steady_profile
+from defectchain.homogeneous import distance_powers
 from defectchain.lattice import LatticeSpec, periodic_distance
+from defectchain.oracle import SpectralDecomposition, build_hamiltonian, time_average_exact
 from defectchain.single_defect import DefectSpec, build_defect_system, phi_series, steady_occupation
-from defectchain.strong_defect import (interference_closed_form_infinite_q,
-                                       mirror_site, phi_infinite_q,
-                                       steady_corrections_infinite_q,
+from defectchain.strong_defect import (mirror_site, phi_infinite_q,
                                        steady_moments_infinite_q,
                                        steady_profile_infinite_q)
 
@@ -92,38 +91,18 @@ def test_profile_mirror_sites_invariant_under_start_position():
     assert abs(vals[0] - 1.5 / N) < 1e-15
 
 
-def test_corrections_reconstruct_profile_every_geometry():
+def test_profile_is_the_open_chain_time_average_every_geometry():
+    # infinite q cuts site nd out of the ring: the limit profile is the dense
+    # time average of the open chain left behind, for every geometry
     for N in range(4, 30):
-        for nd in range(0, N, max(1, N // 5)):
-            for n0 in range(0, N, max(1, N // 4)):
-                if nd == n0:
-                    continue
-                spec = LatticeSpec(N, 1.0, n0)
-                I, K = steady_corrections_infinite_q(spec, nd)
-                P = steady_profile(spec).values + I + K
-                target = steady_profile_infinite_q(spec, nd).values
-                assert np.max(np.abs(P - target)) < 1e-10
-                assert np.all(K >= 0.0)
-
-
-def test_interference_closed_form_and_site_equalities():
-    for (N, nd, n0) in [(12, 7, 2), (50, 25, 22), (9, 5, 1), (55, 25, 30)]:
-        spec = LatticeSpec(N, 1.0, n0)
-        I, K = steady_corrections_infinite_q(spec, nd)
-        assert np.max(np.abs(I - interference_closed_form_infinite_q(spec, nd))) < 1e-12
-        if N % 2 == 0:
-            sites = [n0, nd, (n0 + N // 2) % N, (nd + N // 2) % N]
-            assert np.ptp(I[sites]) < 1e-13
-            assert int(np.argmax(K)) == (nd + N // 2) % N
-        else:
-            assert abs(I[n0] - I[nd]) < 1e-13
-        m = mirror_site(spec, nd)
-        assert abs(K[n0] - K[m]) < 1e-13
-
-
-def test_corrections_require_off_defect_start():
-    with pytest.raises(ValueError):
-        steady_corrections_infinite_q(LatticeSpec(10, 1.0, 3), 3)
+        spec = LatticeSpec(N, 1.0, 0)
+        for nd in range(N):
+            rest = np.delete(np.arange(N), nd)
+            dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec)[np.ix_(rest, rest)])
+            for i, n0 in enumerate(rest):
+                got = steady_profile_infinite_q(LatticeSpec(N, 1.0, int(n0)), nd).values
+                assert got[nd] == 0.0
+                assert np.max(np.abs(got[rest] - time_average_exact(dec, i))) < 2e-15
 
 
 def test_moment_formulas():
