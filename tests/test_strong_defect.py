@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from defectchain.homogeneous import distance_powers
+from defectchain.homogeneous import distance_powers, steady_profile
 from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import SpectralDecomposition, build_hamiltonian, time_average_exact
-from defectchain.single_defect import DefectSpec, build_defect_system, phi_series, steady_occupation
+from defectchain.single_defect import (DefectSpec, build_defect_system, phi_series,
+                                       steady_corrections, steady_occupation)
 from defectchain.strong_defect import (mirror_site, phi_infinite_q,
                                        steady_moments_infinite_q,
                                        steady_profile_infinite_q)
@@ -103,6 +104,88 @@ def test_profile_is_the_open_chain_time_average_every_geometry():
                 got = steady_profile_infinite_q(LatticeSpec(N, 1.0, int(n0)), nd).values
                 assert got[nd] == 0.0
                 assert np.max(np.abs(got[rest] - time_average_exact(dec, i))) < 2e-15
+
+
+def _even_part_squares(N, n0, nd):
+    # sum_k e_k(n)^2 by direct summation over the free levels k = 0..N/2,
+    # e_k = w_k cos(2 pi k m/N) cos(2 pi k d/N), m = n - nd, d = n0 - nd
+    k = np.arange(N // 2 + 1)[:, None]
+    w = np.where((k == 0) | (2 * k == N), 1.0 / N, 2.0 / N)
+    m = np.arange(N)[None, :] - nd
+    e = w * np.cos(2 * np.pi * k * m / N) * np.cos(2 * np.pi * k * (n0 - nd) / N)
+    return np.sum(e * e, axis=0)
+
+
+def _limit_level_sum(spec, nd):
+    # S_n = sum_j (v_j(n) v_j(n0))^2 over the open chain's levels even about
+    # nd: the basis (|nd+m> + |nd-m>)/sqrt(2), m >= 1, and |nd+N/2> on an
+    # even ring, none of which touches the cut site nd
+    N = spec.N
+    cols = []
+    for m in range(1, (N - 1) // 2 + 1):
+        b = np.zeros(N)
+        b[[(nd + m) % N, (nd - m) % N]] = np.sqrt(0.5)
+        cols.append(b)
+    if N % 2 == 0:
+        b = np.zeros(N)
+        b[(nd + N // 2) % N] = 1.0
+        cols.append(b)
+    B = np.array(cols).T
+    _, U = np.linalg.eigh(B.T @ build_hamiltonian(spec) @ B)
+    V = B @ U
+    return np.sum((V * V[spec.n0]) ** 2, axis=1)
+
+
+def test_corrections_reconstruct_profile_every_geometry():
+    # the limit splits as Pbar + Ibar + Kbar: Ibar is the finite-strength one
+    # (it does not depend on q), Kbar = S + sum_k e_k^2 with S from the open
+    # chain's even levels; together they rebuild the limit profile
+    for N in range(4, 30):
+        for nd in range(0, N, max(1, N // 5)):
+            for n0 in range(0, N, max(1, N // 4)):
+                if nd == n0:
+                    continue
+                spec = LatticeSpec(N, 1.0, n0)
+                I, _ = steady_corrections(build_defect_system(spec, DefectSpec(nd, 1.0)))
+                K = _limit_level_sum(spec, nd) + _even_part_squares(N, n0, nd)
+                P = steady_profile(spec).values + I + K
+                target = steady_profile_infinite_q(spec, nd).values
+                assert np.max(np.abs(P - target)) < 1e-10
+                assert np.all(K >= 0.0)
+
+
+def _interference_closed_form(N, n0, nd):
+    # Kronecker-delta form of the limit Ibar away from mirror collisions: a
+    # flat offset plus -1/N at n0 and nd (odd N) or at those two sites and
+    # their antipodes (even N)
+    if N % 2 == 0:
+        I = np.full(N, -(N - 4.0) / N ** 2)
+        sites = (n0, nd, (n0 + N // 2) % N, (nd + N // 2) % N)
+    else:
+        I = np.full(N, -(N - 2.0) / N ** 2)
+        sites = (n0, nd)
+    for s in sites:
+        I[s] -= 1.0 / N
+    return I
+
+
+def test_interference_closed_form_and_site_equalities():
+    for (N, nd, n0) in [(12, 7, 2), (50, 25, 22), (9, 5, 1), (55, 25, 30)]:
+        spec = LatticeSpec(N, 1.0, n0)
+        I = steady_corrections(build_defect_system(spec, DefectSpec(nd, 1.0)))[0]
+        for q in (-3.5, 1e4):
+            Iq = steady_corrections(build_defect_system(spec, DefectSpec(nd, q)))[0]
+            assert np.array_equal(Iq, I)
+        assert np.max(np.abs(I - _interference_closed_form(N, n0, nd))) < 1e-12
+        K = steady_profile_infinite_q(spec, nd).values - steady_profile(spec).values - I
+        if N % 2 == 0:
+            sites = [n0, nd, (n0 + N // 2) % N, (nd + N // 2) % N]
+            assert np.ptp(I[sites]) < 1e-13
+            assert int(np.argmax(K)) == (nd + N // 2) % N
+        else:
+            assert abs(I[n0] - I[nd]) < 1e-13
+        m = mirror_site(spec, nd)
+        assert abs(K[n0] - K[m]) < 1e-13
 
 
 def test_moment_formulas():
