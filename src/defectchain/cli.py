@@ -273,6 +273,8 @@ def run_oracle_check(args) -> ResultTable:
         raise ConfigError(f"oracle-check needs N <= {ORACLE_MAX_N}", "N")
     if not args.nd:
         raise ConfigError("--nd is required", "nd")
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}", "tolerance")
     qs = _q_values(args)
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "oracle-check", **coords, "nd": list(args.nd),

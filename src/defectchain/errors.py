@@ -41,4 +41,5 @@ class DegeneracyAmbiguity(DefectChainError):
 
 
 class NotConverged(DefectChainError):
-    """An iteration hit its cap: time integration, or the root finder's sweeps."""
+    """An iteration hit its cap or missed its target: time integration, or
+    the root finder's sweeps."""

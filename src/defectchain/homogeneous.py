@@ -29,6 +29,9 @@ BLOCK_ELEMENTS = 1 << 20
 # wrap-around t ~ N / 4 gamma, about one eighth into the grid, so the scan
 # stops after a few slices instead of evaluating the whole grid.
 TSTAR_SLICE = 64
+TSTAR_GRID = 2048           # t* grid times, up to 2 N / gamma
+BALLISTIC_POINTS = 64       # ballistic fit times, up to BALLISTIC_WINDOW / gamma
+BALLISTIC_WINDOW = 0.05
 
 
 def time_blocks(count: int, per_time: int) -> list[slice]:
@@ -124,39 +127,30 @@ def steady_moment(p: int, spec: LatticeSpec) -> float:
     raise ValueError(f"p must be 1 or 2, got {p}")
 
 
-def fit_ballistic(spec: LatticeSpec, tmax: float | None = None, n: int = 64) -> float:
-    """Least-squares D from Delta_2(t) ~ D t^2 on t in (0, tmax]."""
-    if tmax is None:
-        tmax = 0.05 / spec.gamma
-    if not (np.isfinite(tmax) and tmax > 0):
-        raise ValueError(f"tmax must be finite and > 0, got {tmax}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ts = np.linspace(0.0, tmax, n + 1)[1:]
-    vals = moment_series(2, ts, spec)
+def fit_ballistic(spec: LatticeSpec) -> float:
+    """Least-squares D from Delta_2(t) ~ D t^2 on BALLISTIC_POINTS times in
+    (0, BALLISTIC_WINDOW / gamma]."""
+    ts = np.linspace(0.0, BALLISTIC_WINDOW / spec.gamma, BALLISTIC_POINTS + 1)[1:]
     t2 = ts * ts
-    return float((vals @ t2) / (t2 @ t2))
+    return float((moment_series(2, ts, spec) @ t2) / (t2 @ t2))
 
 
-def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01,
-                   grid_points: int = 2048) -> float:
+def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01) -> float:
     """Earliest time where Delta_2 deviates from 2 gamma^2 t^2 by `threshold`.
 
-    Scans a dense grid up to 2 N / gamma in consecutive slices of
-    TSTAR_SLICE times and stops at the first slice holding a crossing, then
-    bisects.  The level table and the squared distances are built once and
-    serve every slice and bisection step, with the bits moment_series gives
-    the same times.  The fitted prefactor in t* = a N / gamma depends on
-    the threshold; the linear-in-N scaling does not.
+    Scans the TSTAR_GRID grid times up to 2 N / gamma in consecutive slices
+    of TSTAR_SLICE times and stops at the first slice holding a crossing,
+    then bisects.  The level table and the squared distances are built once
+    and serve every slice and bisection step, with the bits moment_series
+    gives the same times.  The fitted prefactor in t* = a N / gamma depends
+    on the threshold; the linear-in-N scaling does not.
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
-    if grid_points < 0:
-        raise ValueError(f"grid_points must be >= 0, got {grid_points}")
     N, gamma = spec.N, spec.gamma
     levels, d2 = _levels(N), periodic_distances(N).astype(float) ** 2
     tmax = 2.0 * N / gamma
-    times = np.linspace(0.0, tmax, grid_points + 1)[1:]
+    times = np.linspace(0.0, tmax, TSTAR_GRID + 1)[1:]
     for start in range(0, times.size, TSTAR_SLICE):
         ts = times[start:start + TSTAR_SLICE]
         ball = 2.0 * gamma ** 2 * ts ** 2
@@ -188,9 +182,11 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01,
 def fit_tstar_scaling(Ns, gamma: float = 1.0, threshold: float = 0.01):
     """Linear fit t* = a N / gamma + b over the given sizes.
 
-    Returns (slope, intercept, r_squared, tstars).
+    Returns (slope, intercept, r_squared, tstars); ValueError on one size.
     """
     Ns = list(Ns)
+    if len(set(Ns)) < 2:
+        raise ValueError(f"need two distinct sizes for a line, got {Ns}")
     tstars = np.array([estimate_tstar(LatticeSpec(N, gamma, N // 2), threshold)
                        for N in Ns])
     xs = np.asarray(Ns, dtype=float)

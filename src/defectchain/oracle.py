@@ -22,6 +22,8 @@ from .lattice import LatticeSpec, periodic_distance, periodic_distances, site_in
 
 DEG_TOL_FACTOR = 1e-9   # degeneracy tolerance, relative to the hopping scale
 LEVEL_TOL = 1e-8        # check_defect_roots: root vs dense level, relative to 1 + |x|
+RESIDUAL_TOL = 1e-12    # barrier_walk_steady: ||A P|| at the steady time, relative to F
+TIME_CAP_FACTOR = 50.0  # barrier_walk_steady: latest steady time, in units of t_relax
 
 
 def build_hamiltonian(spec: LatticeSpec, defects: Sequence[tuple[int, float]] = ()) -> np.ndarray:
@@ -199,10 +201,17 @@ def bromwich_occupation(spec: LatticeSpec, defects: Sequence[tuple[int, float]],
 # Classical continuous-time walk with one partially permeable barrier.
 # ---------------------------------------------------------------------------
 
+def _relaxation_time(N: int, f: float) -> float:
+    """t_relax = 1 / (2 f (1 - cos(2 pi / N))), the barrier walk's time unit."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(1.0 / (2.0 * f * (1.0 - np.cos(2.0 * np.pi / N))))
+
+
 @dataclass(frozen=True)
 class BarrierWalkSpec:
     """Ring walk at bulk rate F with a weakened bond (rate f < F) between
-    sites r and r+1; the walker starts on site n0."""
+    sites r and r+1; the walker starts on site n0.  F and f become floats;
+    ValueError unless 0 < f <= F and 2F and the time cap are finite."""
 
     N: int
     F: float
@@ -213,8 +222,12 @@ class BarrierWalkSpec:
     def __post_init__(self):
         if self.N < 3:
             raise ValueError("N must be >= 3")
-        if not (0 < self.f <= self.F):
-            raise ValueError(f"need 0 < f <= F, got f={self.f}, F={self.F}")
+        F, f = float(self.F), float(self.f)
+        cap = TIME_CAP_FACTOR * _relaxation_time(self.N, f)
+        if not (0 < f <= F and np.isfinite(2.0 * F) and np.isfinite(cap)):
+            raise ValueError(f"need 0 < f <= F with 2F and the time cap finite, got f={f}, F={F}")
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", site_index(self.r, self.N))
         object.__setattr__(self, "n0", site_index(self.n0, self.N))
 
@@ -224,13 +237,10 @@ def barrier_rate_matrix(bspec: BarrierWalkSpec) -> np.ndarray:
     N = bspec.N
     rate = np.full(N, bspec.F)
     rate[bspec.r] = bspec.f          # bond (r, r+1)
+    n = np.arange(N)
     A = np.zeros((N, N))
-    for n in range(N):
-        m = (n + 1) % N
-        A[n, m] += rate[n]
-        A[m, n] += rate[n]
-        A[n, n] -= rate[n]
-        A[m, m] -= rate[n]
+    A[n, (n + 1) % N] = A[(n + 1) % N, n] = rate
+    A[n, n] = -(rate + np.roll(rate, 1))
     return A
 
 
@@ -283,12 +293,13 @@ class BarrierWalkResult:
     time_reached: float
 
 
-def barrier_walk_steady(bspec: BarrierWalkSpec, *, residual_tol: float = 1e-12,
-                        time_cap_factor: float = 50.0) -> BarrierWalkResult:
+def barrier_walk_steady(bspec: BarrierWalkSpec) -> BarrierWalkResult:
     """Steady mean-square displacement of the barrier walk by two routes.
 
-    Route one integrates the master equation (exact eigenbasis propagation)
-    until the residual ||A P|| drops below residual_tol.  Route two
+    Route one integrates the master equation (exact eigenbasis propagation),
+    doubling t from t_relax until ||A P|| < RESIDUAL_TOL F (a test free of
+    the rate unit); NotConverged past TIME_CAP_FACTOR t_relax, or on a
+    profile whose total is off 1 by more than 1e-8.  Route two
     evaluates the Laplace-domain defect solution near eps = 0 via the final
     value theorem (Richardson-extrapolated in eps).  The steady profile is
     uniform, so both MSDs equal sum_n [n-n0]^2 / N for every barrier
@@ -297,13 +308,9 @@ def barrier_walk_steady(bspec: BarrierWalkSpec, *, residual_tol: float = 1e-12,
     N = bspec.N
     A = barrier_rate_matrix(bspec)
     propagate = _barrier_propagator(bspec, A)
-    # slowest relaxation rate ~ 2F(1 - cos(2 pi / N)); cap a generous multiple
-    t_relax = 1.0 / (2.0 * bspec.f * (1.0 - np.cos(2.0 * np.pi / N)))
-    t_cap = time_cap_factor * t_relax
+    t = _relaxation_time(N, bspec.f)
+    t_cap, residual_tol = TIME_CAP_FACTOR * t, RESIDUAL_TOL * bspec.F
     d2 = periodic_distances(N, bspec.n0).astype(float) ** 2
-
-    t = t_relax
-    profile = None
     while t <= t_cap * (1.0 + 1e-9):
         profile = propagate(t)
         if np.linalg.norm(A @ profile) < residual_tol:
@@ -311,6 +318,8 @@ def barrier_walk_steady(bspec: BarrierWalkSpec, *, residual_tol: float = 1e-12,
         t *= 2.0
     else:
         raise NotConverged(f"residual above {residual_tol} at the time cap {t_cap}")
+    if not abs(profile.sum() - 1.0) <= 1e-8:
+        raise NotConverged(f"profile at t={t} sums to {profile.sum()}")
     msd_time = float(d2 @ profile)
 
     # final value theorem, Richardson-extrapolated to kill the O(eps), O(eps^2) bias

@@ -84,22 +84,20 @@ class DefectSpec:
 
 @dataclass(frozen=True)
 class PhiSeries:
-    """Defect response Phi(t) = sum_j w_j exp(2 i gamma x_j t), w_j = i q W_j,nd."""
+    """Defect response Phi(t) = sum_j w_j exp(2 i gamma x_j t), w_j = i q W_j,nd,
+    evaluated like every time series (eigen_amplitudes) on the real and
+    imaginary parts of w."""
 
     x: np.ndarray
     weights: np.ndarray
     gamma: float
 
     def __call__(self, t) -> np.ndarray:
-        """Phi at a time or an array of times (ValueError on a non-finite
-        one), one block of times' phase matrix at a time."""
-        shape = np.shape(t)
-        t = _finite_times(np.ravel(t))
-        out = np.empty(t.size, dtype=complex)
-        for block in time_blocks(t.size, 2 * self.x.size):     # complex: two elements a phase
-            ph = 2j * self.gamma * np.multiply.outer(t[block], self.x)
-            out[block] = np.exp(ph, out=ph) @ self.weights
-        return out.reshape(shape) if shape else out[0]
+        """Phi at a time or an array of times (ValueError on a non-finite one)."""
+        parts = np.stack([self.weights.real, self.weights.imag], axis=1)
+        a, b = eigen_amplitudes(self.x, parts, self.gamma, _finite_times(np.ravel(t))).T
+        out = a + 1j * b        # a and b: the series of Re w and of Im w
+        return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
 
 
 @dataclass(frozen=True)
@@ -164,15 +162,9 @@ def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> l
 
 
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec) -> DefectSystem:
-    """Find the even levels of one defect and their weight rows
-    (oracle.check_defect_roots referees the levels)."""
-    N = spec.N
-    defect = DefectSpec(site_index(defect.nd, N), float(defect.q))
-    if defect.q == 0.0:
-        return _free_system(spec, (defect,))
-    poles = find_poles(N, defect.q / (2.0 * spec.gamma))
-    W, = _weight_rows(2 * poles.level, poles.offset, N, spec.n0, [defect.nd])
-    return DefectSystem(spec, (defect,), poles.x, W)
+    """The one point of defect_systems: one defect's even levels and their
+    weight rows (oracle.check_defect_roots referees the levels)."""
+    return next(defect_systems(spec, [defect.nd], [defect.q]))[0]
 
 
 def _free_system(spec: LatticeSpec, defects: tuple[DefectSpec, ...]) -> DefectSystem:
@@ -181,8 +173,8 @@ def _free_system(spec: LatticeSpec, defects: tuple[DefectSpec, ...]) -> DefectSy
 
 
 def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[DefectSystem, ...]]:
-    """For each strength in turn, the systems at every site in `sites`, each
-    equal to build_defect_system(spec, DefectSpec(nd, q)) array for array.
+    """For each strength in turn, the systems at every site in `sites`;
+    build_defect_system is the sweep of one site and one strength.
 
     A sweep shares its work: one find_poles call solves every nonzero
     strength, each strength takes one blocked inverse real FFT for its rows
@@ -223,14 +215,14 @@ def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) ->
     return out
 
 
-def _wave_functions(system: DefectSystem, times, G=None) -> np.ndarray:
+def _wave_functions(system: DefectSystem, times) -> np.ndarray:
     """psi(n, t) for a time grid, shape (len(times), N): the weight rows'
-    series plus the part of the free G(n, n0, t) (given, or computed) that
-    the rows leave out (DefectSystem)."""
+    series plus the part of the free G(n, n0, t) that the rows leave out
+    (DefectSystem)."""
     spec, live = system.spec, system.live
     if len(live) > 1:
         return eigen_amplitudes(system.x, system.weights, spec.gamma, times)
-    G = green_profiles(spec, times) if G is None else G
+    G = green_profiles(spec, times)
     if not live:
         return G
     mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, 2 nd - n0, t)
@@ -240,8 +232,7 @@ def _wave_functions(system: DefectSystem, times, G=None) -> np.ndarray:
 def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
     """A(n, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
     (len(times), N): the defect-scattered part of the wave function."""
-    G = green_profiles(system.spec, times)
-    return _wave_functions(system, times, G) - G
+    return _wave_functions(system, times) - green_profiles(system.spec, times)
 
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:

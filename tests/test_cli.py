@@ -226,6 +226,59 @@ def test_classical_mode(tmp_path):
     assert len(msd) == 2 and abs(msd[0] - msd[1]) < 1e-8
 
 
+def _cli_command(argv):
+    """`python -m defectchain.cli argv` and the environment that runs it on
+    this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "defectchain.cli", *argv], dict(os.environ, PYTHONPATH=path)
+
+
+def _cli_run(argv):
+    """(exit code, stdout, stderr) of one CLI run; a run that hangs is
+    killed and fails the test after 60 s instead of holding the suite."""
+    cmd, env = _cli_command(argv)
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("rates, code", [
+    (["--F", "inf", "--f", "1"], 1),             # an uncaught LinAlgError before
+    (["--F", "1e308", "--f", "1e308"], 1),       # never returned: 2F overflows
+    (["--f", "1e-320"], 1),                      # never returned: t_relax is inf
+    (["--f", "1e-14"], 2),                       # 47.77 from a profile summing to 1.43
+])
+def test_classical_bad_rates_end_cleanly(rates, code):
+    got, _, err = _cli_run(["classical", "--N", "20", *rates])
+    assert got == code, err
+    assert "Traceback" not in err
+    assert err.startswith("config error:" if code == 1 else "solver error (NotConverged):")
+
+
+@pytest.mark.parametrize("F", ["1e-12", "1e-9", "1e4"])
+def test_classical_msd_does_not_depend_on_rate_unit(F):
+    # the absolute stop test gave 18.68 (F = 1e-12) and 32.75 (1e-9) and
+    # exited 2 at F = 1e4; sum_n d^2 / N = 33.5 at N = 20
+    code, out, err = _cli_run(["classical", "--N", "20", "--F", F, "--f", F])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    msd = [float(r[8]) for r in rows if r[0].startswith("msd_steady")]
+    assert len(msd) == 2 and np.max(np.abs(np.array(msd) - 33.5)) < 1e-8
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_oracle_check_tolerance_must_be_comparable(tmp_path, capsys, tolerance):
+    # nan passed every comparison (exit 0 whatever the differences), -1
+    # failed every one (exit 3)
+    argv = ["oracle-check", "--N", "10", "--nd", "3", "--q", "1", "--tsteps", "3"]
+    assert run_cli(argv + ["--tolerance", tolerance]) == 1
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"schema_version = 1\ntolerance = {tolerance}\n")
+    assert run_cli(argv + ["--config", str(conf)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error: --tolerance") for e in err)
+
+
 def test_oracle_check_exit_codes(tmp_path):
     ok = run_cli(["oracle-check", "--N", "10", "--nd", "4", "--q", "1.5",
                   "--tsteps", "4", "--out", str(tmp_path / "ok.csv")])
@@ -499,11 +552,8 @@ def test_infq_moments_outside_closed_form_domain(tmp_path, capsys):
 def test_closed_stdout_stops_quietly(argv, lines, code):
     # `defectchain ... | head -n 1`: no traceback, and the exit code the run
     # would have had with its reader still there
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.Popen([sys.executable, "-m", "defectchain.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    cmd, env = _cli_command(argv)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     for _ in range(lines):
         assert proc.stdout.readline()
     proc.stdout.close()

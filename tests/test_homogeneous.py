@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defectchain import homogeneous
 from defectchain.errors import NotReached
 from defectchain.homogeneous import (distance_powers, estimate_tstar,
-                                     fit_ballistic, green_profiles,
+                                     fit_ballistic, fit_tstar_scaling, green_profiles,
                                      moment_series, steady_moment,
                                      steady_profile)
 from defectchain.lattice import LatticeSpec, periodic_distances
@@ -86,15 +87,6 @@ def test_free_chain_rejects_non_finite_times(bad):
         green_profiles(spec, [0.5, bad])
     with pytest.raises(ValueError, match="finite"):
         moment_series(2, [bad, 1.0], spec)
-
-
-def test_fit_ballistic_validation():
-    spec = LatticeSpec(20, 1.0, 0)
-    with pytest.raises(ValueError, match="n must be"):
-        fit_ballistic(spec, n=0)
-    for tmax in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="tmax"):
-            fit_ballistic(spec, tmax=tmax)
 
 
 def test_steady_profile_values():
@@ -246,16 +238,17 @@ def _tstar_full_grid_scan(spec, threshold, grid_points):
                          [(N, gamma, threshold, 2048) for N in (7, 51, 256)
                           for gamma in (0.5, 2.0) for threshold in (0.001, 0.01, 0.49)]
                          + [(51, 1.0, 0.01, g) for g in (0, 4, 100)])
-def test_tstar_equals_full_grid_scan(N, gamma, threshold, grid_points):
+def test_tstar_equals_full_grid_scan(monkeypatch, N, gamma, threshold, grid_points):
+    monkeypatch.setattr(homogeneous, "TSTAR_GRID", grid_points)
     for n0 in (0, N // 3):
         spec = LatticeSpec(N, gamma, n0)
         try:
             want = _tstar_full_grid_scan(spec, threshold, grid_points)
         except NotReached as exc:
             with pytest.raises(NotReached, match=re.escape(str(exc))):
-                estimate_tstar(spec, threshold, grid_points)
+                estimate_tstar(spec, threshold)
         else:
-            assert estimate_tstar(spec, threshold, grid_points) == want
+            assert estimate_tstar(spec, threshold) == want
 
 
 def test_tstar_memory_stays_small():
@@ -278,6 +271,9 @@ def test_tstar_validation():
         estimate_tstar(LatticeSpec(20, 1.0, 0), threshold=0.0)
 
 
-def test_tstar_rejects_negative_grid_points():
-    with pytest.raises(ValueError, match="grid_points must be >= 0, got -4"):
-        estimate_tstar(LatticeSpec(20, 1.0, 0), grid_points=-4)
+
+def test_tstar_scaling_needs_two_sizes():
+    # one distinct size fixes no line; r^2 divided by a zero spread
+    for Ns in ([50, 50], [50], []):
+        with pytest.raises(ValueError, match="two distinct sizes for a line"):
+            fit_tstar_scaling(Ns)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defectchain import oracle
 from defectchain.errors import (DegeneracyAmbiguity, DuplicateDefectSite,
                                 NotConverged)
 from scipy.linalg import eigh_tridiagonal
@@ -213,10 +214,65 @@ def test_barrier_walk_diagonalizes_once(monkeypatch, N, f):
     assert np.array_equal(res.profile, barrier_walk_propagate(bspec, [res.time_reached])[0])
 
 
-def test_barrier_not_converged():
-    with pytest.raises(NotConverged):
-        barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5, 0, 0),
-                            residual_tol=1e-300, time_cap_factor=2.0)
+def test_barrier_not_converged(monkeypatch):
+    monkeypatch.setattr(oracle, "RESIDUAL_TOL", 1e-300)
+    monkeypatch.setattr(oracle, "TIME_CAP_FACTOR", 2.0)
+    with pytest.raises(NotConverged, match="time cap"):
+        barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5, 0, 0))
+
+
+def _loop_rate_matrix(bspec):
+    """The generator bond by bond, as the master equation reads."""
+    N = bspec.N
+    A = np.zeros((N, N))
+    for n in range(N):
+        rate, m = (bspec.f if n == bspec.r else bspec.F), (n + 1) % N
+        A[n, m] += rate
+        A[m, n] += rate
+        A[n, n] -= rate
+        A[m, m] -= rate
+    return A
+
+
+def test_barrier_rate_matrix_is_the_bond_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        N = int(rng.integers(3, 40))
+        F = float(rng.uniform(0.1, 10.0))
+        bspec = BarrierWalkSpec(N, F, F * float(rng.uniform(1e-3, 1.0)), int(rng.integers(0, N)))
+        assert np.array_equal(barrier_rate_matrix(bspec), _loop_rate_matrix(bspec))
+
+
+def test_barrier_integer_rates_are_floats():
+    # np.full(N, 1) was an int array: the weak bond of rate 0.5 became 0
+    bspec = BarrierWalkSpec(6, 1, 0.5)
+    assert type(bspec.F) is float and type(bspec.f) is float
+    assert barrier_rate_matrix(bspec)[0, 1] == 0.5
+    assert np.array_equal(barrier_rate_matrix(bspec), barrier_rate_matrix(BarrierWalkSpec(6, 1.0, 0.5)))
+
+
+@pytest.mark.parametrize("F, f", [(np.inf, 1.0), (1e308, 1e308), (1.0, 1e-320)])
+def test_barrier_rates_must_give_finite_scales(F, f):
+    # 2F or the time cap 50 t_relax overflowed: a LinAlgError, or a doubling
+    # search that never ended
+    with pytest.raises(ValueError, match="time cap finite"):
+        BarrierWalkSpec(20, F, f)
+
+
+@pytest.mark.parametrize("F", [1e-12, 1e4])
+def test_barrier_stop_test_is_unit_free(F):
+    # an absolute 1e-12 on ||A P|| stopped at 18.68 for F = 1e-12 and never
+    # stopped for F = 1e4; sum_n d^2 / N = 33.5 at N = 20
+    res = barrier_walk_steady(BarrierWalkSpec(20, F, F))
+    assert abs(res.msd_time_integrated - 33.5) < 1e-8
+    assert abs(res.msd_laplace - 33.5) < 1e-8
+
+
+def test_barrier_nearly_closed_is_not_converged():
+    # t_relax comes from f, but the ring relaxes through its other bonds:
+    # at t ~ 1e15 the rounded zero eigenvalue's e^{lambda t} is 1.43
+    with pytest.raises(NotConverged, match="sums to"):
+        barrier_walk_steady(BarrierWalkSpec(20, 1.0, 1e-14))
 
 
 @pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])

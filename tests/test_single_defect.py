@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from defectchain.errors import NormalizationDrift
 from defectchain.homogeneous import (distance_powers, green_profiles,
-                                     moment_series, steady_profile)
+                                     moment_series, steady_profile, time_blocks)
 from defectchain.lattice import LatticeSpec
 from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (check_defect_roots, defect_decomposition,
@@ -513,11 +513,25 @@ def test_phi_memory_is_blocked():
 
 
 def test_phi_blocks_equal_one_phase_matrix():
-    # several blocks of times give the bits of the whole phase matrix at once
+    # Phi is the shared time kernel on the real and imaginary parts of w:
+    # each block of times (time_blocks, J + 2 elements a time) has the bits
+    # of one unblocked cos/sin evaluation over it.  A GEMM's bits depend on
+    # its row count, so one evaluation over the whole grid agrees to rounding
     phi = phi_series(_system(300, 1.0, 3, 100, -1.3))
     times = np.random.default_rng(5).uniform(0.0, 600.0, 8000)
-    whole = np.exp(2j * phi.gamma * np.multiply.outer(times, phi.x)) @ phi.weights
-    assert np.array_equal(phi(times), whole)
+    parts = np.stack([phi.weights.real, phi.weights.imag], axis=1)
+
+    def unblocked(ts):
+        phase = 2.0 * phi.gamma * ts[:, None] * phi.x
+        c, s = np.cos(phase) @ parts, np.sin(phase) @ parts
+        return (c[:, 0] - s[:, 1]) + 1j * (s[:, 0] + c[:, 1])
+
+    blocks = time_blocks(times.size, phi.x.size + 2)
+    assert len(blocks) == 2
+    got = phi(times)
+    assert np.array_equal(got, np.concatenate([unblocked(times[b]) for b in blocks]))
+    whole = unblocked(times)
+    assert np.max(np.abs(got - whole)) < 1e-15 * np.max(np.abs(whole))
     assert abs(phi(times[7]) - whole[7]) < 1e-15
 
 
