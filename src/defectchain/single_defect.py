@@ -84,19 +84,16 @@ class DefectSpec:
 
 @dataclass(frozen=True)
 class PhiSeries:
-    """Defect response Phi(t) = sum_j w_j exp(2 i gamma x_j t), w_j = i q W_j,nd,
-    evaluated like every time series (eigen_amplitudes) on the real and
-    imaginary parts of w."""
+    """Defect response Phi(t) = i sum_j c_j exp(2 i gamma x_j t), real amplitudes
+    c_j = q W_j,nd, on the shared time kernel (eigen_amplitudes)."""
 
     x: np.ndarray
-    weights: np.ndarray
+    amplitudes: np.ndarray
     gamma: float
 
     def __call__(self, t) -> np.ndarray:
         """Phi at a time or an array of times (ValueError on a non-finite one)."""
-        parts = np.stack([self.weights.real, self.weights.imag], axis=1)
-        a, b = eigen_amplitudes(self.x, parts, self.gamma, _finite_times(np.ravel(t))).T
-        out = a + 1j * b        # a and b: the series of Re w and of Im w
+        out = 1j * eigen_amplitudes(self.x, self.amplitudes, self.gamma, _finite_times(np.ravel(t)))
         return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
 
 
@@ -200,29 +197,31 @@ def phi_series(system: DefectSystem) -> PhiSeries:
     """Exponential series for Phi(t) = i q psi(nd, t) of the one live
     defect; empty without one."""
     defect = _one_defect(system, "Phi(t) series") or DefectSpec(0, 0.0)
-    return PhiSeries(system.x, 1j * defect.q * system.weights[:, defect.nd], system.spec.gamma)
+    return PhiSeries(system.x, defect.q * system.weights[:, defect.nd], system.spec.gamma)
 
 
 def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) -> np.ndarray:
-    """sum_j exp(2 i gamma x_j t) weights_jn for a time grid, shape
-    (len(times), N): one cos and one sin matrix product per block of times."""
+    """sum_j exp(2 i gamma x_j t) weights[j] for a time grid, shape (len(times),) +
+    weights.shape[1:], one cos and one sin product per block of times; 1-d weights
+    are summed time by time (einsum: a BLAS product's bits depend on its row count)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((times.size, weights.shape[1]), dtype=complex)
-    for block in time_blocks(times.size, weights.shape[1] + x.size):
+    out = np.empty((times.size,) + weights.shape[1:], dtype=complex)
+    product = np.matmul if weights.ndim > 1 else functools.partial(np.einsum, "tj,j->t")
+    for block in time_blocks(times.size, x.size + out[:1].size):
         phase = 2.0 * gamma * times[block, None] * x
-        out.real[block] = np.cos(phase) @ weights
-        out.imag[block] = np.sin(phase) @ weights
+        out.real[block] = product(np.cos(phase), weights)
+        out.imag[block] = product(np.sin(phase), weights)
     return out
 
 
-def _wave_functions(system: DefectSystem, times) -> np.ndarray:
+def _wave_functions(system: DefectSystem, times, G=None) -> np.ndarray:
     """psi(n, t) for a time grid, shape (len(times), N): the weight rows'
-    series plus the part of the free G(n, n0, t) that the rows leave out
-    (DefectSystem)."""
+    series plus the part of the free G(n, n0, t) (given, or computed) that
+    the rows leave out (DefectSystem)."""
     spec, live = system.spec, system.live
     if len(live) > 1:
         return eigen_amplitudes(system.x, system.weights, spec.gamma, times)
-    G = green_profiles(spec, times)
+    G = green_profiles(spec, times) if G is None else G
     if not live:
         return G
     mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, 2 nd - n0, t)
@@ -232,7 +231,8 @@ def _wave_functions(system: DefectSystem, times) -> np.ndarray:
 def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
     """A(n, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
     (len(times), N): the defect-scattered part of the wave function."""
-    return _wave_functions(system, times) - green_profiles(system.spec, times)
+    G = green_profiles(system.spec, times)
+    return _wave_functions(system, times, G) - G
 
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:

@@ -39,7 +39,7 @@ def phi_infinite_q(spec: LatticeSpec, nd: int) -> PhiSeries:
     d = periodic_distance(nd, spec.n0, spec.N)
     theta = np.pi * (2 * np.arange(1, spec.N // 2 + 1) - 1) / spec.N
     F = np.sin(d * theta) * np.sin(theta)
-    return PhiSeries(np.cos(theta), -1j * (4.0 * spec.gamma / spec.N) * F, spec.gamma)
+    return PhiSeries(np.cos(theta), -(4.0 * spec.gamma / spec.N) * F, spec.gamma)
 
 
 def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:

@@ -513,26 +513,17 @@ def test_phi_memory_is_blocked():
 
 
 def test_phi_blocks_equal_one_phase_matrix():
-    # Phi is the shared time kernel on the real and imaginary parts of w:
-    # each block of times (time_blocks, J + 2 elements a time) has the bits
-    # of one unblocked cos/sin evaluation over it.  A GEMM's bits depend on
-    # its row count, so one evaluation over the whole grid agrees to rounding
+    # Phi = i sum_j c_j exp(2 i gamma x_j t) on the shared time kernel: its
+    # blocks of times give the bits of one unblocked cos/sin evaluation over
+    # the whole grid, and one time alone the bits of its row there
     phi = phi_series(_system(300, 1.0, 3, 100, -1.3))
     times = np.random.default_rng(5).uniform(0.0, 600.0, 8000)
-    parts = np.stack([phi.weights.real, phi.weights.imag], axis=1)
-
-    def unblocked(ts):
-        phase = 2.0 * phi.gamma * ts[:, None] * phi.x
-        c, s = np.cos(phase) @ parts, np.sin(phase) @ parts
-        return (c[:, 0] - s[:, 1]) + 1j * (s[:, 0] + c[:, 1])
-
-    blocks = time_blocks(times.size, phi.x.size + 2)
-    assert len(blocks) == 2
-    got = phi(times)
-    assert np.array_equal(got, np.concatenate([unblocked(times[b]) for b in blocks]))
-    whole = unblocked(times)
-    assert np.max(np.abs(got - whole)) < 1e-15 * np.max(np.abs(whole))
-    assert abs(phi(times[7]) - whole[7]) < 1e-15
+    phase = 2.0 * phi.gamma * times[:, None] * phi.x
+    whole = 1j * (np.einsum("tj,j->t", np.cos(phase), phi.amplitudes)
+                  + 1j * np.einsum("tj,j->t", np.sin(phase), phi.amplitudes))
+    assert len(time_blocks(times.size, phi.x.size + 1)) == 2
+    assert np.array_equal(phi(times), whole)
+    assert phi(times[7]) == whole[7]
 
 
 def _even_sector_moments(N, q):

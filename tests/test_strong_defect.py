@@ -12,15 +12,15 @@ from defectchain.strong_defect import (mirror_site, phi_infinite_q,
 
 
 def test_phi_series_structure():
-    # weights -i (4 gamma / N) F_k: F = (1/2, 1/2) and 4 gamma / N = 1 here
+    # Phi = i sum_k c_k ..., c_k = -(4 gamma / N) F_k: F = (1/2, 1/2) and 4 gamma / N = 1 here
     series = phi_infinite_q(LatticeSpec(4, 1.0, 0), 1)
-    assert np.allclose(series.weights, [-0.5j, -0.5j])
+    assert np.allclose(series.amplitudes, [-0.5, -0.5])
     zero = phi_infinite_q(LatticeSpec(8, 1.0, 3), 3)
-    assert np.max(np.abs(zero.weights)) == 0.0
+    assert np.max(np.abs(zero.amplitudes)) == 0.0
     assert abs(zero(2.2)) == 0.0
     # term counts follow the parity split
-    assert phi_infinite_q(LatticeSpec(10, 1.0, 0), 3).weights.size == 5
-    assert phi_infinite_q(LatticeSpec(11, 1.0, 0), 3).weights.size == 5
+    assert phi_infinite_q(LatticeSpec(10, 1.0, 0), 3).amplitudes.size == 5
+    assert phi_infinite_q(LatticeSpec(11, 1.0, 0), 3).amplitudes.size == 5
 
 
 def test_phi_limit_of_finite_strength():
