@@ -159,11 +159,13 @@ def _single_site(args) -> int:
     return args.nd[0]
 
 
-def _time_grid(args, spec, default_steps=257):
+def _time_grid(args, spec, default_steps=257, qs=()):
     tmax = args.tmax if args.tmax is not None else 4.0 * spec.N / spec.gamma
     steps = args.tsteps if args.tsteps is not None else default_steps
     if not (np.isfinite(tmax) and tmax > 0) or steps < 2:
         raise ConfigError("need a finite tmax > 0 and tsteps >= 2", "tmax/tsteps")
+    if not np.isfinite((2.0 * spec.gamma + max(map(abs, qs), default=0.0)) * tmax):
+        raise ConfigError(f"tmax {tmax} overflows the phase (2 gamma + max|q|) tmax", "tmax")
     return np.linspace(0.0, tmax, steps)
 
 
@@ -252,7 +254,7 @@ def run_two(args) -> ResultTable:
                           f"{len(qs)} strengths)", "q")
     defects = [_defect(nd, q, spec) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
-    times = _time_grid(args, spec, default_steps=65)
+    times = _time_grid(args, spec, default_steps=65, qs=qs)
     dec = _reference(spec, defects) if _with_oracle(spec) else None
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "two", **coords, "nd": list(args.nd), "q": qs}, **coords)
@@ -275,11 +277,11 @@ def run_oracle_check(args) -> ResultTable:
         raise ConfigError("--nd is required", "nd")
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}", "tolerance")
-    qs = _q_values(args)
+    qs = [_defect(0, q, spec).q for q in _q_values(args)]
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "oracle-check", **coords, "nd": list(args.nd),
                          "tolerance": args.tolerance}, **coords)
-    times = _time_grid(args, spec, default_steps=17)[1:]
+    times = _time_grid(args, spec, default_steps=17, qs=qs)[1:]
     for q in qs:
         defects = [_defect(site_index(nd, spec.N), q, spec) for nd in args.nd]
         one = len(defects) == 1

@@ -51,11 +51,14 @@ class SiteProfile:
     mirror_collision: bool = False
 
 
-def _finite_times(times) -> np.ndarray:
-    """Times as a 1-d float array; ValueError on a non-finite one."""
+def _finite_times(times, gamma: float, x=()) -> np.ndarray:
+    """Times as a 1-d float array; ValueError on one whose largest phase
+    2 gamma t max(1, |x_j|) is not finite (cos and sin of it would be NaN)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(2.0 * gamma * np.max(np.abs(x), initial=1.0) * times)
+    if bad.any():
+        raise ValueError(f"times must be finite, as must the phase 2 gamma x t, got {times[bad][0]}")
     return times
 
 
@@ -88,7 +91,7 @@ def _moments(levels: np.ndarray, gamma: float, dpow: np.ndarray, times: np.ndarr
 
 def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
     """Free amplitudes G(n, n0, t), shape (len(times), N)."""
-    re, im = _green_frame(_levels(spec.N), spec.gamma, spec.N, _finite_times(times))
+    re, im = _green_frame(_levels(spec.N), spec.gamma, spec.N, _finite_times(times, spec.gamma))
     return np.roll(re + 1j * im, spec.n0, axis=1)
 
 
@@ -108,7 +111,7 @@ def steady_profile(spec: LatticeSpec) -> SiteProfile:
 def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times."""
     return _moments(_levels(spec.N), spec.gamma, periodic_distances(spec.N).astype(float) ** p,
-                    _finite_times(times))
+                    _finite_times(times, spec.gamma))
 
 
 def steady_moment(p: int, spec: LatticeSpec) -> float:

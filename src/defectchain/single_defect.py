@@ -92,8 +92,9 @@ class PhiSeries:
     gamma: float
 
     def __call__(self, t) -> np.ndarray:
-        """Phi at a time or an array of times (ValueError on a non-finite one)."""
-        out = 1j * eigen_amplitudes(self.x, self.amplitudes, self.gamma, _finite_times(np.ravel(t)))
+        """Phi at a time or an array of times (ValueError where the phase is not finite)."""
+        times = _finite_times(np.ravel(t), self.gamma, self.x)
+        out = 1j * eigen_amplitudes(self.x, self.amplitudes, self.gamma, times)
         return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
 
 
@@ -238,7 +239,7 @@ def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
     """P_n(t) rows for a time grid, shape (len(times), N), for any number
     of defects; each row must stay normalized."""
-    times = _finite_times(times)
+    times = _finite_times(times, system.spec.gamma, system.x)
     psi = _wave_functions(system, times)
     P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous import SiteProfile
-from .lattice import LatticeSpec, periodic_distance, site_index
+from .lattice import LatticeSpec, periodic_distance, periodic_distances, site_index
 from .single_defect import PhiSeries
 
 
@@ -64,24 +64,13 @@ def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:
 
 
 def steady_moments_infinite_q(p: int, spec: LatticeSpec) -> float:
-    """Limit moments about the start site, leading-order closed form.
-
-    This is the leading, N-only term: it takes no nd.  For a defect at
-    ring distance 0 < d <= N/4 from n0 (mirror site at distance 2d) the
-    mean is exact, since the mirror's +d/N cancels the defect's -d/N, but
-    the MSD drops the d^2/N the two add; nd = n0 (full localization) has
-    both moments 0.  The exact moments of any geometry are those of
-    steady_profile_infinite_q, which `defectchain infq` prints.
-    """
-    N = float(spec.N)
-    if spec.N % 2 == 0:
-        if p == 1:
-            return N / 4.0
-        if p == 2:
-            return (N * N + 2.0) / 12.0
-    else:
-        if p == 1:
-            return N / 4.0 - 1.0 / (4.0 * N)
-        if p == 2:
-            return (N * N - 1.0) / 12.0
-    raise ValueError(f"p must be 1 or 2, got {p}")
+    """Limit moments about the start site, leading order: the flat profile's
+    sum_n [n - n0]^p / N (p = 1 or 2), i.e. steady_profile_infinite_q without
+    its three Kronecker terms, so it takes no nd.  For a defect at ring
+    distance 0 < d <= N/4 from n0 the mean is exact, as the mirror's +d/N
+    cancels the defect's -d/N, but the MSD drops the d^2/N the two add;
+    nd = n0 (full localization) has both moments 0.  The exact moments of any
+    geometry are those of steady_profile_infinite_q (`defectchain infq`)."""
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    return int(np.sum(periodic_distances(spec.N, spec.n0) ** p)) / spec.N

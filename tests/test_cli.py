@@ -245,14 +245,24 @@ def _cli_run(argv):
 @pytest.mark.parametrize("rates, code", [
     (["--F", "inf", "--f", "1"], 1),             # an uncaught LinAlgError before
     (["--F", "1e308", "--f", "1e308"], 1),       # never returned: 2F overflows
-    (["--f", "1e-320"], 1),                      # never returned: t_relax is inf
-    (["--f", "1e-14"], 2),                       # 47.77 from a profile summing to 1.43
+    (["--F", "1e-320", "--f", "1e-320"], 1),     # t_relax overflows
+    (["--F", "1e-304", "--f", "1e-304"], 2),     # 1 / eps overflowed: a NaN Laplace MSD
 ])
 def test_classical_bad_rates_end_cleanly(rates, code):
     got, _, err = _cli_run(["classical", "--N", "20", *rates])
     assert got == code, err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
     assert err.startswith("config error:" if code == 1 else "solver error (NotConverged):")
+
+
+@pytest.mark.parametrize("f", ["1e-14", "1e-300", "1e-320"])
+def test_classical_nearly_closed_barrier_is_flat(f):
+    # a time unit from f never returned (1e-320), overflowed exp (1e-300) or
+    # printed 47.77 from a profile summing to 1.43 (1e-14); sum_n d^2 / N = 33.5
+    code, out, err = _cli_run(["classical", "--N", "20", "--F", "1", "--f", f])
+    assert code == 0 and err == "", err
+    msd = [float(r.split(",")[8]) for r in out.splitlines()[1:] if r.startswith("msd_steady")]
+    assert len(msd) == 2 and np.max(np.abs(np.array(msd) - 33.5)) < 1e-9
 
 
 @pytest.mark.parametrize("F", ["1e-12", "1e-9", "1e4"])
@@ -509,6 +519,72 @@ def test_figure_panel_writes_file(tmp_path):
     assert abs(vals[(22, 22)] - 0.03) < 1e-14    # n0 = 22 start site
     assert vals[(22, 25)] == 0.0                 # defect site empty
     assert abs(vals[(15, 35)] - 0.03) < 1e-14    # inset: mirror for n0 = 15
+
+
+def test_figure_fig1_rows_and_tstar_fit(tmp_path):
+    # two MSD curves of 1025 times, their steady values, six t* and the line
+    # through them, which a plain least-squares refit of the t* rows redraws
+    prefix = tmp_path / "p"
+    assert run_cli(["figure", "--panel", "fig1", "--out", str(prefix)]) == 0
+    rows = _csv_rows(tmp_path / "p_fig1.csv")
+    count = {name: sum(r[0] == name for r in rows) for name in {r[0] for r in rows}}
+    assert count == {"msd": 2050, "msd_steady": 2, "tstar": 6, "tstar_fit_slope": 1,
+                     "tstar_fit_intercept": 1, "tstar_fit_r2": 1}
+    assert [(r[1], r[5]) for r in rows if r[0] == "msd_steady"] == [("150", "75"), ("200", "100")]
+    x = np.array([float(r[1]) for r in rows if r[0] == "tstar"])
+    y = np.array([float(r[8]) for r in rows if r[0] == "tstar"])
+    fit = {r[0]: float(r[8]) for r in rows if r[0].startswith("tstar_fit_")}
+    slope = np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2)
+    intercept = y.mean() - slope * x.mean()
+    r2 = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+    assert abs(slope - fit["tstar_fit_slope"]) < 1e-9
+    assert abs(intercept - fit["tstar_fit_intercept"]) < 1e-9
+    assert abs(r2 - fit["tstar_fit_r2"]) < 1e-9 and r2 >= 0.999
+
+
+def test_figure_fig3b_limit_row(tmp_path):
+    # the leading-order limit MSD of N = 200, n0 = 2: (N^2 + 2) / 12
+    prefix = tmp_path / "p"
+    assert run_cli(["figure", "--panel", "fig3b", "--out", str(prefix)]) == 0
+    (row,) = [r for r in _csv_rows(tmp_path / "p_fig3b.csv") if r[0] == "msd_steady_infq"]
+    assert (row[4], float(row[8])) == ("4", 3333.5)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["single", "--N", "10", "--q", "1"], "exactly one --nd is required here"),
+    (["single", "--N", "10", "--nd", "2", "--nd", "3", "--q", "1"], "exactly one --nd is required here"),
+    (["infq", "--N", "10"], "exactly one --nd is required here"),
+    (["infq", "--N", "10", "--nd", "2", "--nd", "3"], "exactly one --nd is required here"),
+    (["oracle-check", "--N", "129", "--nd", "3", "--q", "1"], "oracle-check needs N <= 128"),
+    (["oracle-check", "--N", "10", "--q", "1"], "--nd is required"),
+    # a tmax whose phase 2 gamma t overflows printed NaN rows with exit 0
+    (["free", "--N", "3", "--tmax", "1e308", "--tsteps", "3"],
+     "tmax 1e+308 overflows the phase (2 gamma + max|q|) tmax"),
+    (["two", "--N", "10", "--nd", "2", "--nd", "5", "--q", "1e8", "--q", "1",
+      "--tmax", "1e301", "--tsteps", "3"], "tmax 1e+301 overflows the phase (2 gamma + max|q|) tmax"),
+])
+def test_run_parameters_a_run_cannot_use_exit_one(capsys, argv, message):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_config_file_unreadable_or_bad_line(tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_text("schema_version = 1\nN 12\n")
+    assert run_cli(["free", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "config error: bad config line 'N 12'\n"
+    assert run_cli(["free", "--config", str(tmp_path / "missing.conf")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config file {tmp_path / 'missing.conf'}: ")
+
+
+def test_infq_mirror_collision_is_reported(tmp_path, capsys):
+    # nd half a ring from n0: the mirror site 2 nd - n0 lands on n0
+    out = tmp_path / "infq.csv"
+    assert run_cli(["infq", "--N", "10", "--n0", "1", "--nd", "6", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "mirror site coincides with n0 or nd (collision geometry)\n"
+    prof = [float(r[8]) for r in _csv_rows(out) if r[0] == "steady_occupation_infq"]
+    assert prof[1] == 0.2 and prof[6] == 0.0 and abs(sum(prof) - 1.0) < 1e-15
 
 
 def test_figure_fig2a_inset_monotone(tmp_path):

@@ -80,8 +80,9 @@ def test_moment_series_rows_do_not_depend_on_the_batch(N, n0):
             assert moment_series(p, times[i:i + 1], spec)[0] == rows[i]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
 def test_free_chain_rejects_non_finite_times(bad):
+    # at t = 1e308 the phase 2 gamma t overflowed and the rows were NaN
     spec = LatticeSpec(12, 1.0, 3)
     with pytest.raises(ValueError, match="finite"):
         green_profiles(spec, [0.5, bad])

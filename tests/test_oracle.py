@@ -162,6 +162,8 @@ def test_barrier_walk_spec_validation():
         BarrierWalkSpec(10, 1.0, 1.5)
     with pytest.raises(ValueError):
         BarrierWalkSpec(10, 1.0, 0.0)
+    with pytest.raises(ValueError, match="N must be >= 3"):
+        BarrierWalkSpec(2, 1.0, 0.5)
 
 
 def test_barrier_rate_matrix_conserves_probability():
@@ -203,8 +205,8 @@ def test_barrier_equal_rates_is_free_walk():
 
 @pytest.mark.parametrize("N, f", [(20, 0.1), (20, 0.9), (100, 0.5)])
 def test_barrier_walk_diagonalizes_once(monkeypatch, N, f):
-    # the doubling search for the steady time took 4 to 6 eigh calls; the
-    # profile it reaches is the propagated one, bit for bit
+    # a search for the steady time once took 4 to 6 eigh calls; the profile
+    # it reaches is the propagated one, bit for bit
     bspec = BarrierWalkSpec(N, 1.0, f, 5, 3)
     calls = []
     eigh = np.linalg.eigh
@@ -215,9 +217,9 @@ def test_barrier_walk_diagonalizes_once(monkeypatch, N, f):
 
 
 def test_barrier_not_converged(monkeypatch):
+    # no time reaches a residual below rounding: the guard raises
     monkeypatch.setattr(oracle, "RESIDUAL_TOL", 1e-300)
-    monkeypatch.setattr(oracle, "TIME_CAP_FACTOR", 2.0)
-    with pytest.raises(NotConverged, match="time cap"):
+    with pytest.raises(NotConverged, match="residual above"):
         barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5, 0, 0))
 
 
@@ -251,28 +253,58 @@ def test_barrier_integer_rates_are_floats():
     assert np.array_equal(barrier_rate_matrix(bspec), barrier_rate_matrix(BarrierWalkSpec(6, 1.0, 0.5)))
 
 
-@pytest.mark.parametrize("F, f", [(np.inf, 1.0), (1e308, 1e308), (1.0, 1e-320)])
+@pytest.mark.parametrize("F, f", [(np.inf, 1.0), (1e308, 1e308), (1e-320, 1e-320)])
 def test_barrier_rates_must_give_finite_scales(F, f):
-    # 2F or the time cap 50 t_relax overflowed: a LinAlgError, or a doubling
-    # search that never ended
-    with pytest.raises(ValueError, match="time cap finite"):
+    # 2F or t_relax = 1 / (2 F (1 - cos(pi / N))) overflowed: a LinAlgError,
+    # or a search for the steady time that never ended
+    with pytest.raises(ValueError, match="t_relax finite"):
         BarrierWalkSpec(20, F, f)
 
 
-@pytest.mark.parametrize("F", [1e-12, 1e4])
+@pytest.mark.parametrize("F", [1e-200, 1e-12, 1e4, 1e300])
 def test_barrier_stop_test_is_unit_free(F):
     # an absolute 1e-12 on ||A P|| stopped at 18.68 for F = 1e-12 and never
-    # stopped for F = 1e4; sum_n d^2 / N = 33.5 at N = 20
+    # stopped for F = 1e4; ||A P|| itself underflowed to 0 (F = 1e-200) or
+    # overflowed (1e300) unless taken in units of F; sum_n d^2 / N = 33.5 at N = 20
     res = barrier_walk_steady(BarrierWalkSpec(20, F, F))
     assert abs(res.msd_time_integrated - 33.5) < 1e-8
     assert abs(res.msd_laplace - 33.5) < 1e-8
 
 
-def test_barrier_nearly_closed_is_not_converged():
-    # t_relax comes from f, but the ring relaxes through its other bonds:
-    # at t ~ 1e15 the rounded zero eigenvalue's e^{lambda t} is 1.43
-    with pytest.raises(NotConverged, match="sums to"):
-        barrier_walk_steady(BarrierWalkSpec(20, 1.0, 1e-14))
+def test_barrier_nearly_closed_reaches_the_flat_msd():
+    # t_relax came from f: at t ~ 1e15 the rounded zero eigenvalue's
+    # e^{lambda t} was 1.43 (NotConverged), and f = 1e-300 overflowed exp;
+    # the open chain's t_relax bounds every barrier
+    for f in (1e-14, 1e-300):
+        res = barrier_walk_steady(BarrierWalkSpec(20, 1.0, f))
+        assert abs(res.msd_time_integrated - 33.5) < 1e-9
+        assert abs(res.msd_laplace - 33.5) < 1e-9
+
+
+@pytest.mark.parametrize("N", [400, 800, 1200])
+@pytest.mark.parametrize("ratio", [1e-14, 0.5, 1.0])
+def test_barrier_routes_keep_their_digits_at_large_n(N, ratio):
+    # a fixed eps0 = 1e-6 F left the Laplace route 1.0e-8 (N = 400), 6.3e-7
+    # (800) and 6.9e-6 (1200) off, and f = 1e-14 raised NotConverged
+    n0 = N // 3
+    exact = float(np.sum(periodic_distances(N, n0).astype(float) ** 2) / N)
+    res = barrier_walk_steady(BarrierWalkSpec(N, 1.0, ratio, N // 7, n0))
+    assert abs(res.msd_time_integrated / exact - 1.0) < 1e-10
+    assert abs(res.msd_laplace / exact - 1.0) < 1e-10
+
+
+def test_barrier_laplace_route_must_be_finite():
+    # at F = 1e-304, 1 / eps overflows near eps = 0: a NaN MSD was returned
+    with pytest.raises(NotConverged, match="Laplace route not finite"):
+        barrier_walk_steady(BarrierWalkSpec(20, 1e-304, 1e-304))
+
+
+def test_defect_roots_of_a_free_system_pass_any_reference():
+    # no live defect, no roots to compare: even another system's levels pass
+    spec = LatticeSpec(12, 1.0, 0)
+    system = build_defect_system(spec, DefectSpec(3, 0.0))
+    assert system.x.size == 0
+    assert check_defect_roots(system, defect_decomposition(spec, 3, 5.0)) is None
 
 
 @pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])

@@ -88,11 +88,12 @@ def test_build_memory_is_the_weights_and_small_blocks():
 
 def test_series_rejects_non_finite_times():
     # every time path, Phi and the M >= 2 series included, raises the one
-    # ValueError (Phi returned NaN, the M >= 2 series NormalizationDrift)
+    # ValueError (Phi returned NaN, the M >= 2 series NormalizationDrift),
+    # also where a finite t overflows the phase 2 gamma x t
     system = _system(12, 1.0, 3, 7, 0.9)
     spec = system.spec
     several = build_two_defect_system([DefectSpec(7, 0.9), DefectSpec(1, -0.4)], spec)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, 1e308):
         for call in (lambda: occupation_defect_series(system, [0.5, bad]),
                      lambda: occupation_defect_series(several, [0.5, bad]),
                      lambda: moment_defect_series(several, 2, [bad]),
@@ -101,6 +102,12 @@ def test_series_rejects_non_finite_times():
                      lambda: phi_infinite_q(spec, 7)(bad)):
             with pytest.raises(ValueError, match="times must be finite"):
                 call()
+    strong = _system(12, 1.0, 3, 7, 1e8)            # bound level x ~ 5e7
+    for call in (lambda: occupation_defect_series(strong, [0.5, 1e301]),
+                 lambda: phi_series(strong)(1e301)):
+        with pytest.raises(ValueError, match="times must be finite"):
+            call()
+    assert np.isfinite(phi_series(strong)(1e299))
 
 
 def test_defect_spec_rejects_non_finite_strength():

@@ -192,8 +192,15 @@ def test_moment_formulas():
     assert abs(steady_moments_infinite_q(2, LatticeSpec(50, 1.0, 0)) - 208.5) < 1e-12
     assert abs(steady_moments_infinite_q(2, LatticeSpec(55, 1.0, 0)) - 252.0) < 1e-12
     assert abs(steady_moments_infinite_q(1, LatticeSpec(50, 1.0, 0)) - 12.5) < 1e-12
-    with pytest.raises(ValueError):
-        steady_moments_infinite_q(3, LatticeSpec(10, 1.0, 0))
+    for p in (0, 3):
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            steady_moments_infinite_q(p, LatticeSpec(10, 1.0, 0))
+    # the flat profile's sum_n [n - n0]^p / N is each parity's closed form, bit for bit
+    for N in range(3, 400):
+        spec = LatticeSpec(N, 1.0, N // 3)
+        closed = ((N / 4.0, (N * N + 2.0) / 12.0) if N % 2 == 0 else
+                  (N / 4.0 - 1.0 / (4.0 * N), (N * N - 1.0) / 12.0))
+        assert (steady_moments_infinite_q(1, spec), steady_moments_infinite_q(2, spec)) == closed
 
 
 @pytest.mark.parametrize("N,nd,n0", [(50, 25, 22), (55, 25, 30), (12, 3, 1),
