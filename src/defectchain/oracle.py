@@ -74,7 +74,12 @@ class SpectralDecomposition:
 
 
 def evolve_exact(decomp: SpectralDecomposition, n0: int, t: float) -> np.ndarray:
-    """State at time t for the particle started on site n0: sum_a e^{-i E_a t} v_a <v_a|n0>."""
+    """State at time t for the particle started on site n0: sum_a e^{-i E_a t} v_a <v_a|n0>;
+    ValueError where a phase E_a t is not finite (its cos and sin would be NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(t) and np.isfinite(decomp.eigenvalues * t).all()
+    if not finite:
+        raise ValueError(f"time must be finite, as must the phase E t, got {t}")
     c = decomp.eigenvectors[n0, :]
     phase = np.exp(-1j * decomp.eigenvalues * t)
     return decomp.eigenvectors @ (phase * c)

@@ -10,8 +10,9 @@ Sorensen 1978).  Each row g(.; x_j) is one inverse real FFT of 1 / (x_j - c_k),
 the gaps taken as (c_L - c_k) + delta_j from the level L the root was solved
 from and its exact offset delta_j, so a root within rounding of its level
 keeps its digits.  The rows do not depend on nd (it only rotates them), so a
-sweep (defect_systems) solves all its strengths at once and takes one FFT
-per strength for every site.  With the weight rows W_jn = v_j(n) v_j(n0),
+sweep (defect_systems) solves all its strengths at once, and one blocked
+pass of FFTs (_weight_rows) serves every site of a strength.  With the
+weight rows W_jn = v_j(n) v_j(n0),
 
     psi(n, t) = sum_j exp(2 i gamma x_j t) W_jn + (G(n, n0, t) - G(n, 2 nd - n0, t)) / 2,
 
@@ -33,15 +34,23 @@ the free steady profile plus corrections,
 
     Kbar_n = S_n + sum_k e_k(n)^2,   Ibar_n = -2 sum_k e_k(n) (e_k(n) + o_k(n)),
 
-e_k being the even part; Ibar does not depend on q.  A system forms S once.
-The steady functions take at most one live defect.
+e_k being the even part; Ibar does not depend on q.  The steady functions
+take at most one live defect.
+
+A one-defect system holds its levels and O(N) more, never its (J, N)
+weight matrix for a steady read: the first steady read of a sweep's
+strength sums S for all its sites from one row pass, each block of rows
+going straight into S.  Only psi and Phi read W (occupation_defect_series,
+moment_defect_series, amplitude_profiles, phi_series), and a system forms
+its own on the first such read, in one more pass.  A system of two or more
+defects stores W.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,12 +115,19 @@ class DefectSystem:
     The number of live (nonzero-strength) defects fixes the part of the free
     propagator G that the rows leave out of psi(n, t): with none, all of G
     (no rows); with one, its odd part about the defect (the rows are the
-    N//2 + 1 even levels); with two or more, nothing (all N levels)."""
+    N//2 + 1 even levels); with two or more, nothing (all N levels).
+
+    `rows` is W itself, or, for a system of defect_systems, its strength's
+    _EvenRows, which hold O(N) per site and no (J, N) array: the steady
+    functions read S_n = sum_j W_jn^2 from them, and W is formed on the
+    first read of `weights` (psi, Phi).  The last time grid a series
+    evaluated keeps its moments Delta_1(t), Delta_2(t) (moment_defect_series)."""
 
     spec: LatticeSpec
     defects: tuple[DefectSpec, ...]
     x: np.ndarray
-    weights: np.ndarray
+    rows: np.ndarray | _EvenRows
+    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def live(self) -> tuple[DefectSpec, ...]:
@@ -119,10 +135,21 @@ class DefectSystem:
         return tuple(d for d in self.defects if d.q != 0.0)
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """W_jn, shape (levels, N); a one-defect system forms it from its row
+        pass on first read."""
+        if isinstance(self.rows, _EvenRows):
+            return self.rows.weights(self.live[0].nd)
+        return self.rows
+
+    @cached_property
     def _level_sum(self) -> np.ndarray:
-        """S_n = sum_j W_jn^2, formed once per system and shared (read-only)
-        by the steady profile, corrections and moments."""
-        S = np.einsum("jn,jn->n", self.weights, self.weights)
+        """S_n = sum_j W_jn^2, formed once per system (a sweep's systems: once
+        per strength) and shared (read-only) by the steady profile,
+        corrections and moments."""
+        if isinstance(self.rows, _EvenRows):
+            return self.rows.level_sums[self.live[0].nd]
+        S = np.einsum("jn,jn->n", self.rows, self.rows)
         S.flags.writeable = False
         return S
 
@@ -136,27 +163,79 @@ def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
     return live[0] if live else None
 
 
-def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> list[np.ndarray]:
-    """W_jn = v_j(n) v_j(n0) of a defect at each nd in `sites`, for the even
-    eigenvectors v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| at the roots
-    x = cos(pi j / N) + offset (one entry of j and offset per root).
+def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> Iterator:
+    """The row pass: for each block of roots x = cos(pi j / N) + offset (one
+    entry of j and offset per root), its slice, the rows g(m; x), m = 0..N-1,
+    for each nd in `sites` the scale g(n0 - nd; x) / ||g||^2, and a spare
+    (rows + 1, N) block the reader may overwrite.  The even eigenvectors
+    v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| give the weight rows
+    W_jn = g(n - nd; x_j) scale_j (_scaled_rows).
 
     The gaps x - c_k (k <= N/2) are (cos(pi j / N) - c_k) + offset, so a root
-    solved from a level keeps its offset as its own gap.  Each block of roots
-    takes its gap rows and one inverse real FFT for the rows g(m; x), m =
-    0..N-1, which do not depend on the site; each site rotates them by nd
-    and scales them straight into its weights, the only (J, N) arrays."""
-    weights = [np.empty((j.size, N)) for _ in sites]
-    for b in time_blocks(j.size, 8 * N):       # small blocks beside the weights
-        spectra = np.zeros((j[b].size, N // 2 + 1), dtype=complex)   # complex in: no cast in irfft
-        np.divide(1.0, _gaps_theta(j[b], N) + offset[b, None], out=spectra.real)
-        rows = np.fft.irfft(spectra, N)
-        norms = np.einsum("jn,jn->j", rows, rows)
-        for nd, W in zip(sites, weights):
-            scale = (rows[:, (n0 - nd) % N] / norms)[:, None]
-            np.multiply(rows[:, :N - nd], scale, out=W[b, nd:])
-            np.multiply(rows[:, N - nd:], scale, out=W[b, :nd])
-    return weights
+    solved from a level keeps its offset as its own gap.  Each block takes
+    its gap rows and one inverse real FFT; the rows do not depend on the
+    site, which only rotates them."""
+    blocks = time_blocks(j.size, 8 * N)       # small blocks: no (J, N) array
+    m, K = j[blocks[0]].size, N // 2
+    # One buffer for the pass's spectra, rows and spare block: arrays of their
+    # own, per block or per role, went back to the system when freed and the
+    # next pass faulted them in again (3300 page faults per pass at N = 2000).
+    buffer = np.empty(2 * m * (K + 1) + (2 * m + 1) * N)
+    spectra = buffer[:2 * m * (K + 1)].view(complex).reshape(m, K + 1)
+    rows = buffer[2 * m * (K + 1):][:m * N].reshape(m, N)
+    spare = buffer[2 * m * (K + 1) + m * N:].reshape(m + 1, N)
+    spectra.imag = 0.0                        # complex in: no cast in irfft
+    for b in blocks:
+        s, g = spectra[:j[b].size], rows[:j[b].size]
+        gaps = _gaps_theta(j[b], N)
+        gaps += offset[b, None]
+        np.divide(1.0, gaps, out=s.real)
+        np.fft.irfft(s, N, out=g)
+        norms = np.einsum("jn,jn->j", g, g)
+        yield b, g, [(g[:, (n0 - nd) % N] / norms)[:, None] for nd in sites], spare[:g.shape[0] + 1]
+
+
+def _scaled_rows(rows: np.ndarray, scale: np.ndarray, nd: int, out: np.ndarray) -> np.ndarray:
+    """A block of weight rows W_jn = g(n - nd; x_j) scale_j, written into `out`."""
+    N = rows.shape[1]
+    np.multiply(rows[:, :N - nd], scale, out=out[:, nd:])
+    np.multiply(rows[:, N - nd:], scale, out=out[:, :nd])
+    return out
+
+
+@dataclass(frozen=True)
+class _EvenRows:
+    """One strength's even levels at the sites of a sweep, as the roots
+    (j, offset) of _weight_rows: its two readers each take one row pass."""
+
+    j: np.ndarray
+    offset: np.ndarray
+    N: int
+    n0: int
+    sites: tuple[int, ...]
+
+    @cached_property
+    def level_sums(self) -> dict[int, np.ndarray]:
+        """S_n = sum_j W_jn^2 of every site (read-only), from one pass: each
+        block's squared rows are summed in order under the running sum, the
+        bits of einsum("jn,jn->n", W, W), and dropped."""
+        sites = tuple(dict.fromkeys(self.sites))
+        sums = np.zeros((len(sites), self.N))
+        for _, rows, scales, stack in _weight_rows(self.j, self.offset, self.N, self.n0, sites):
+            for nd, S, scale in zip(sites, sums, scales):
+                stack[0] = S
+                np.square(_scaled_rows(rows, scale, nd, stack[1:]), out=stack[1:])
+                np.einsum("jn->n", stack, out=S)
+        sums.flags.writeable = False
+        return dict(zip(sites, sums))
+
+    def weights(self, nd: int) -> np.ndarray:
+        """W_jn of the site nd, from one pass: each block of rows goes
+        straight into it."""
+        W = np.empty((self.j.size, self.N))
+        for b, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
+            _scaled_rows(rows, scale, nd, W[b])
+        return W
 
 
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec) -> DefectSystem:
@@ -175,10 +254,11 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
     build_defect_system is the sweep of one site and one strength.
 
     A sweep shares its work: one find_poles call solves every nonzero
-    strength, each strength takes one blocked inverse real FFT for its rows
-    g(m; x_j), and each site only rotates and scales each block of them
-    into its weights.  A strength's systems are built when it is reached,
-    so a long sweep holds one strength's weight matrices at a time.
+    strength, and a strength's systems share its roots (_EvenRows).  Their
+    first steady read sums the level sums S of every site from one blocked
+    pass of inverse real FFTs, so a sweep read for steady observables takes
+    one pass per strength and holds O(N) per system; a system's weight rows
+    W are formed, one more pass, only when a time-resolved call reads them.
     """
     N = spec.N
     sites = [site_index(nd, N) for nd in sites]
@@ -189,9 +269,8 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
         if q == 0.0:
             yield tuple(_free_system(spec, (DefectSpec(nd, 0.0),)) for nd in sites)
             continue
-        weights = _weight_rows(2 * poles.level[r], poles.offset[r], N, spec.n0, sites)
-        yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r], W)
-                    for nd, W in zip(sites, weights))
+        rows = _EvenRows(2 * poles.level[r], poles.offset[r], N, spec.n0, tuple(sites))
+        yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r], rows) for nd in sites)
 
 
 def phi_series(system: DefectSystem) -> PhiSeries:
@@ -238,11 +317,15 @@ def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
     """P_n(t) rows for a time grid, shape (len(times), N), for any number
-    of defects; each row must stay normalized."""
-    times = _finite_times(times, system.spec.gamma, system.x)
+    of defects; each row must stay normalized.  The system keeps the grid's
+    Delta_1(t) and Delta_2(t) for moment_defect_series."""
+    spec = system.spec
+    times = _finite_times(times, spec.gamma, system.x)
     psi = _wave_functions(system, times)
     P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)
+    system._grid.clear()
+    system._grid.update({"times": times.tobytes(), **{p: P @ distance_powers(spec, p) for p in (1, 2)}})
     return P
 
 
@@ -300,8 +383,14 @@ def steady_occupation(system: DefectSystem) -> SiteProfile:
 
 def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:
     """Delta_p^(d)(t) = sum_n [n-n0]^p P_n(t), from the normalization-checked
-    occupation series."""
-    return occupation_defect_series(system, times) @ distance_powers(system.spec, p)
+    occupation series; for p = 1 or 2 on the last grid the system evaluated,
+    with no second psi pass."""
+    times = _finite_times(times, system.spec.gamma, system.x)
+    if p not in (1, 2):
+        return occupation_defect_series(system, times) @ distance_powers(system.spec, p)
+    if system._grid.get("times") != times.tobytes():
+        occupation_defect_series(system, times)
+    return system._grid[p].copy()
 
 
 def steady_moment_defect(system: DefectSystem, p: int) -> float:

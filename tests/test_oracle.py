@@ -75,6 +75,19 @@ def test_evolve_exact_basics():
         assert abs(abs(psi[0]) ** 2 - (5 + 4 * np.cos(3 * t)) / 9) < 1e-12
 
 
+def test_exact_evolution_rejects_a_time_whose_phase_overflows():
+    # E t overflowed to inf, and e^{-i E t} then gave a NaN state with no error
+    spec = LatticeSpec(3, 1.0, 0)
+    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec))
+    strong = defect_decomposition(LatticeSpec(12, 1.0, 3), 7, 1e8)
+    for d, bad in ((dec, 1e308), (dec, np.inf), (dec, -np.inf), (dec, np.nan), (strong, 1e301)):
+        for call in (evolve_exact, occupation_exact):
+            with pytest.raises(ValueError, match="time must be finite"):
+                call(d, 0, bad)
+    assert np.all(np.isfinite(occupation_exact(strong, 0, 1e299)))
+    assert abs(occupation_exact(dec, 0, 1e300).sum() - 1.0) < 1e-12
+
+
 def test_evolution_matches_green_function():
     spec = LatticeSpec(14, 0.8, 3)
     dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from defectchain import single_defect
 from defectchain.errors import NormalizationDrift
 from defectchain.homogeneous import (distance_powers, green_profiles,
                                      moment_series, steady_profile, time_blocks)
@@ -13,12 +14,13 @@ from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (check_defect_roots, defect_decomposition,
                                 evolve_exact, green_laplace, occupation_exact,
                                 time_average_exact)
-from defectchain.single_defect import (DefectSpec, amplitude_profiles,
+from defectchain.single_defect import (DefectSpec, DefectSystem, amplitude_profiles,
                                        build_defect_system, defect_systems,
                                        moment_defect_series, occupation_defect,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
+from defectchain.spectral import _gaps_theta, find_poles
 from defectchain.strong_defect import phi_infinite_q
 from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
@@ -71,19 +73,110 @@ def test_defect_systems_equal_per_point_builder(N, n0):
     assert list(defect_systems(spec, sites, [])) == []
 
 
-def test_build_memory_is_the_weights_and_small_blocks():
-    # at N = 2000 the 1001 weight rows take 15.3 MiB; each block of rows goes
-    # straight into them, with no second (J, N) array of unrotated rows
+def _eager_system(spec, nd, q):
+    """The system as one (J, N) weight matrix, formed without blocks from
+    find_poles' roots: W_jn = g(n - nd) g(n0 - nd) / ||g||^2, g one inverse
+    real FFT of 1 / (x_j - c_k) per root; its S is einsum("jn,jn->n", W, W)."""
+    N = spec.N
+    poles = find_poles(N, [q / (2.0 * spec.gamma)])
+    spectra = np.zeros((poles.x.shape[1], N // 2 + 1), dtype=complex)
+    spectra.real = 1.0 / (_gaps_theta(2 * poles.level[0], N) + poles.offset[0][:, None])
+    g = np.fft.irfft(spectra, N)
+    norms = np.einsum("jn,jn->j", g, g)
+    g = np.roll(g, nd, axis=1)
+    W = g * (g[:, spec.n0] / norms)[:, None]
+    return DefectSystem(spec, (DefectSpec(nd, q),), poles.x[0], W)
+
+
+@pytest.mark.parametrize("N", [3, 4, 7, 50, 199, 200, 799, 2000])
+def test_row_pass_keeps_the_eager_bits(N):
+    # the level sums come block by block from the row pass and W only on
+    # first read; both, and every observable read from them, keep the bits
+    # of an eager weight matrix summed by einsum
+    rng = np.random.default_rng(N)
+    spec = LatticeSpec(N, 1.0, int(rng.integers(N)))
+    sites = [int(nd) for nd in rng.integers(N, size=3)]
+    strengths = [1e-3, -1e-3, 0.37, -2.2, -1e3, 1e3]
+    times = np.linspace(0.0, 3.0 * N, 3)
+    for q, systems in zip(strengths, defect_systems(spec, sites, strengths)):
+        for nd, got in zip(sites, systems):
+            want = _eager_system(spec, nd, q)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got._level_sum, want._level_sum)
+            assert np.array_equal(steady_occupation(got).values, steady_occupation(want).values)
+            for p in (1, 2):
+                assert steady_moment_defect(got, p) == steady_moment_defect(want, p)
+            assert np.array_equal(got.weights, want.weights)
+            if N <= 799 or nd == sites[0]:
+                assert np.array_equal(occupation_defect_series(got, times),
+                                      occupation_defect_series(want, times))
+
+
+def test_build_and_steady_reads_memory_is_small_blocks():
+    # at N = 2000 the 1001 weight rows would take 15.3 MiB; the build, the
+    # steady profile and both steady moments hold none of them: each block
+    # of rows goes straight into S and is dropped
     spec = LatticeSpec(2000, 1.0, 3)
-    build_defect_system(spec, DefectSpec(700, 0.8))
+
+    def steady():
+        system = build_defect_system(spec, DefectSpec(700, 0.8))
+        steady_occupation(system), steady_moment_defect(system, 1), steady_moment_defect(system, 2)
+        return system
+
+    steady()
     tracemalloc.start()
     try:
-        system = build_defect_system(spec, DefectSpec(700, 0.8))
+        system = steady()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "weights" not in vars(system)
+    assert peak < 6 * 2 ** 20
     assert system.weights.shape == (1001, 2000)
-    assert peak < 24 * 2 ** 20
+
+
+def test_row_passes_follow_the_reads(monkeypatch):
+    # a sweep read for steady moments takes one row pass per strength for
+    # all its sites; a fresh system's series takes one pass (its own site's
+    # W) and no level-sum pass
+    passes = []
+    row_pass = single_defect._weight_rows
+    monkeypatch.setattr(single_defect, "_weight_rows", lambda *a: passes.append(tuple(a[-1])) or row_pass(*a))
+    spec = LatticeSpec(200, 1.0, 2)
+    sites, qs = (2, 3, 4, 5, 6), np.geomspace(0.01, 100.0, 41)
+    for systems in defect_systems(spec, sites, qs):
+        for system in systems:
+            steady_moment_defect(system, 1), steady_moment_defect(system, 2)
+    assert passes == [sites] * 41
+    passes.clear()
+    system = build_defect_system(spec, DefectSpec(70, -1.3))
+    occupation_defect_series(system, np.linspace(0.0, 400.0, 9))
+    assert passes == [(70,)] and "level_sums" not in vars(system.rows)
+
+
+def test_moments_share_the_grids_psi_pass(monkeypatch):
+    # P_n(t), Delta_1 and Delta_2 on one grid take one psi pass; the moments
+    # are the products with the distance powers, and belong to the caller
+    calls = []
+    wave = single_defect._wave_functions
+    monkeypatch.setattr(single_defect, "_wave_functions", lambda *a: calls.append(1) or wave(*a))
+    several = build_two_defect_system([DefectSpec(7, 0.9), DefectSpec(1, -0.4)], LatticeSpec(12, 1.0, 3))
+    for system in (_system(50, 1.3, 4, 17, -2.2), several, _system(9, 1.0, 2, 5, 0.0)):
+        times = np.linspace(0.0, 40.0, 33)
+        calls.clear()
+        P = occupation_defect_series(system, times)
+        d2, d1 = moment_defect_series(system, 2, times), moment_defect_series(system, 1, times)
+        assert len(calls) == 1
+        for p, d in ((1, d1), (2, d2)):
+            assert np.array_equal(d, P @ distance_powers(system.spec, p))
+        d1[:] = np.nan
+        assert np.array_equal(moment_defect_series(system, 1, times), P @ distance_powers(system.spec, 1))
+        assert len(calls) == 1
+        other = times[:-1]
+        m1 = moment_defect_series(system, 1, other)
+        assert len(calls) == 2 and np.array_equal(m1, P[:-1] @ distance_powers(system.spec, 1))
+        assert np.array_equal(moment_defect_series(system, 3, other),
+                              occupation_defect_series(system, other) @ distance_powers(system.spec, 3))
 
 
 def test_series_rejects_non_finite_times():
@@ -315,7 +408,7 @@ def test_reflection_symmetry_about_defect():
 
 def test_normalization_drift_detection():
     sysq = _system(8, 1.0, 1, 4, 1.7)
-    broken = dataclasses.replace(sysq, weights=sysq.weights * 1.05)
+    broken = dataclasses.replace(sysq, rows=sysq.weights * 1.05)
     with pytest.raises(NormalizationDrift):
         occupation_defect(broken, 2.0)
     with pytest.raises(NormalizationDrift):
@@ -455,16 +548,17 @@ def test_occupation_series_memory_below_kernel_bound():
 
 
 def test_steady_corrections_computed_once_per_system(monkeypatch):
-    # S_n = sum_j W_jn^2 is formed once and serves the profile, the
-    # corrections and the moments; the profile stays Pbar0 + Ibar + Kbar
+    # S_n = sum_j W_jn^2 is formed once, in one row pass and with no weight
+    # matrix, and serves the profile, the corrections and the moments; the
+    # profile stays Pbar0 + Ibar + Kbar
     sysq = _system(30, 1.0, 2, 11, 1.7)
-    sums = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: sums.append(a[0]) or einsum(*a, **k))
+    passes = []
+    row_pass = single_defect._weight_rows
+    monkeypatch.setattr(single_defect, "_weight_rows", lambda *a: passes.append(a[-1]) or row_pass(*a))
     prof = steady_occupation(sysq).values
     m1, m2 = steady_moment_defect(sysq, 1), steady_moment_defect(sysq, 2)
     Ibar, Kbar = steady_corrections(sysq)
-    assert sums == ["jn,jn->n"]
+    assert passes == [(11,)] and "weights" not in vars(sysq)
     assert np.array_equal(prof, steady_profile(sysq.spec).values + Ibar + Kbar)
     for p, m in ((1, m1), (2, m2)):
         assert abs(m - float(distance_powers(sysq.spec, p) @ prof)) < 1e-14 * m
