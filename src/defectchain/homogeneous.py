@@ -7,13 +7,17 @@ and imaginary parts are the inverse real FFTs of cos and sin of
 moments are sums over that frame, Delta_p(t) = sum_m [m]^p |G|^2, with no
 complex propagator and no rotation; each time's value has the bits it gets
 alone, so the t* search can evaluate any slice of its grid or single times
-with one level table.  Blocks of times keep their temporaries below
-BLOCK_ELEMENTS array elements.  Steady-state quantities are closed forms,
-never numeric time averages (those live in the tests).
+with one level table.  The time passes (moments and G itself) run over
+blocks of times that fit one core's L2 cache: a block holds at most
+CACHE_ELEMENTS array elements in all its temporaries together (phases,
+spectra, frame and products), allocated once per call.  Steady-state
+quantities are closed forms, never numeric time averages (those live in the
+tests).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +26,12 @@ from .errors import NotReached
 from .lattice import LatticeSpec, periodic_distances
 
 # Largest array (in elements) one block of times may build; bounds the
-# temporaries of every batched time evaluation in this package.
+# temporaries of the batched evaluations that do not ask for CACHE_ELEMENTS.
 BLOCK_ELEMENTS = 1 << 20
+# All the temporaries of one cache-sized block, in elements: 2 MiB of
+# float64, one core's L2.  The free chain's time passes and the M-defect
+# build's passes over roots x levels use it.
+CACHE_ELEMENTS = 1 << 18
 
 # Times per slice of the t* scan.  The first crossing lies near the
 # wrap-around t ~ N / 4 gamma, about one eighth into the grid, so the scan
@@ -34,11 +42,11 @@ BALLISTIC_POINTS = 64       # ballistic fit times, up to BALLISTIC_WINDOW / gamm
 BALLISTIC_WINDOW = 0.05
 
 
-def time_blocks(count: int, per_time: int) -> list[slice]:
-    """Slices over `count` times, each covering at most BLOCK_ELEMENTS
-    elements when one time takes `per_time` (at least one time per slice).
-    Any other batch axis (poles, say) is blocked the same way."""
-    step = max(1, BLOCK_ELEMENTS // max(per_time, 1))
+def time_blocks(count: int, per_time: int, budget: int = BLOCK_ELEMENTS) -> list[slice]:
+    """Slices over `count` times, each covering at most `budget` elements
+    when one time takes `per_time` (at least one time per slice).  Any other
+    batch axis (poles, say) is blocked the same way."""
+    step = max(1, budget // max(per_time, 1))
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
@@ -67,32 +75,50 @@ def _levels(N: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * np.arange(N // 2 + 1) / N)
 
 
-def _green_frame(levels: np.ndarray, gamma: float, N: int, times: np.ndarray) -> np.ndarray:
-    """Re G and Im G at m = n - n0 for m = 0..N-1, shape (2, len(times), N):
-    one inverse real FFT of cos and sin of 2 gamma t c_k."""
-    phase = 2.0 * gamma * times[:, None] * levels
-    spectra = np.zeros((2,) + phase.shape, dtype=complex)   # complex in: no cast inside irfft
-    np.cos(phase, out=spectra.real[0])
-    np.sin(phase, out=spectra.real[1])
-    return np.fft.irfft(spectra, N)
+def _green_blocks(levels: np.ndarray, gamma: float, N: int, times: np.ndarray, per_time: int) -> Iterator:
+    """For each cache-sized block of times (`per_time` elements per time in
+    all the reader's temporaries, these included): its slice and Re G, Im G
+    at m = n - n0 for m = 0..N-1, each (times, N), one inverse real FFT of
+    cos and sin of 2 gamma t c_k.  Phases (N/2 per time), spectra (2 N) and
+    frame (2 N) are allocated once per call; the reader may overwrite the
+    frame."""
+    blocks = time_blocks(times.size, per_time, CACHE_ELEMENTS)
+    rows, L = (times[blocks[0]].size if blocks else 0), levels.size
+    phase = np.empty((rows, L))
+    spectra = np.zeros((rows, 2, L), dtype=complex)     # complex in: no cast inside irfft
+    frame = np.empty((rows, 2, N))
+    for block in blocks:
+        n = times[block].size
+        np.multiply(2.0 * gamma * times[block, None], levels, out=phase[:n])
+        np.cos(phase[:n], out=spectra.real[:n, 0])
+        np.sin(phase[:n], out=spectra.real[:n, 1])
+        np.fft.irfft(spectra[:n], N, out=frame[:n])
+        yield block, frame[:n, 0], frame[:n, 1]
 
 
 def _moments(levels: np.ndarray, gamma: float, dpow: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_m dpow_m |G(m, t)|^2 over blocks of times, for the ring distance
     powers dpow of the frame m = n - n0; a row's bits do not depend on the
     other times."""
-    N = dpow.size
     out = np.empty(times.size)
-    for block in time_blocks(times.size, 2 * N):
-        re, im = _green_frame(levels, gamma, N, times[block])
-        out[block] = np.einsum("tm,m->t", re * re + im * im, dpow)
+    # 4.5 N per time in the block; 8 N leaves room in the cache for the FFT's
+    # plan and work rows (blocks of 5 N ran 5 % slower)
+    for block, re, im in _green_blocks(levels, gamma, dpow.size, times, 8 * dpow.size):
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        np.einsum("tm,m->t", re, dpow, out=out[block])
     return out
 
 
 def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
-    """Free amplitudes G(n, n0, t), shape (len(times), N)."""
-    re, im = _green_frame(_levels(spec.N), spec.gamma, spec.N, _finite_times(times, spec.gamma))
-    return np.roll(re + 1j * im, spec.n0, axis=1)
+    """Free amplitudes G(n, n0, t), shape (len(times), N), over blocks of times."""
+    times = _finite_times(times, spec.gamma)
+    out = np.empty((times.size, spec.N), dtype=complex)
+    # 4.5 N per time in the block, and three complex temporaries of the rotation
+    for block, re, im in _green_blocks(_levels(spec.N), spec.gamma, spec.N, times, 11 * spec.N):
+        out[block] = np.roll(re + 1j * im, spec.n0, axis=1)
+    return out
 
 
 def steady_profile(spec: LatticeSpec) -> SiteProfile:

@@ -15,7 +15,11 @@ vanish on every defect, and is a root where g_D's regular part there,
 compressed onto the null space of its pole, is singular with S^-1.
 Eigenvectors v(n) = sum_a g(n - nd_a; x) alpha_a are formed with that level's
 term split off, one inverse real FFT each; P_n(t) = |sum_j e^(2 i gamma x_j t)
-v_j(n) v_j(n0)|^2.  With fewer than two nonzero strengths the system is
+v_j(n) v_j(n0)|^2.  Every pass over roots x levels (the level signs, the node
+test, the Newton sums, alpha, the eigenvector FFTs) runs over cache-sized
+blocks of rows in one buffer per build, each row's gaps gathered from the
+(N/2 + 1)^2 table of level gaps: a build holds W, that table and one block.
+With fewer than two nonzero strengths the system is
 single_defect's, so a single defect's roots come from spectral.find_poles alone.
 Its referees, the dense ring and the Bromwich inverter, are in oracle.py.
 """
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DuplicateDefectSite, NonSimplePole, PoleCountMismatch
-from .homogeneous import time_blocks
+from .homogeneous import CACHE_ELEMENTS, time_blocks
 from .lattice import LatticeSpec, site_index
 from .single_defect import (DefectSpec, DefectSystem, _free_system,
                             build_defect_system, occupation_defect)
@@ -65,7 +69,8 @@ def _rayleigh_ritz(vec, x, group, nd, s):
     _, start, size = np.unique(group[order], return_index=True, return_counts=True)
     for c in np.unique(size[size > 1]):
         members = order[start[size == c][:, None] + np.arange(c)]
-        for b in time_blocks(members.shape[0], 3 * c * vec.shape[1]):
+        # V, its two rolls, HV and the new vectors: 5 c N per member
+        for b in time_blocks(members.shape[0], 5 * c * vec.shape[1], CACHE_ELEMENTS):
             V = vec[members[b]]
             HV = 0.5 * (np.roll(V, 1, axis=-1) + np.roll(V, -1, axis=-1))
             HV[..., nd] += s * V[..., nd]
@@ -100,7 +105,6 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     # g(d; x) = sum_k cos_uniq[k, d] / (x - c_k) at the distinct defect distances, dims[k] modes at level k
     dims = np.where((k == 0) | (2 * k == N), 1, 2)
     cos_uniq = (dims / N)[:, None] * _cos_sin((2 * k[:, None] * uniq) % (2 * N), N)[0]
-    on_pairs = lambda inv: (inv @ cos_uniq)[:, pair.reshape(M, M)]
 
     def regular(gaps, ref):
         """1 / (x - c_k) in place of the gaps x - c_k, without the term of level ref."""
@@ -117,19 +121,59 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     r, ks = np.sum(sv > RANK_TOL * np.sqrt(2.0 / N), axis=1), sv.shape[1]
     LG = _gaps_theta(2 * k, N)                                           # c_k - c_k'
 
+    # Every pass over roots x levels runs over cache-sized blocks of rows in
+    # one buffer.  A row of the eigenvector pass holds its 1 / (x - c_k), its
+    # complex spectra and a product (in the row of W it is about to fill); a
+    # row of the other passes holds only its 1 / (x - c_k), so their blocks
+    # take three times the rows.  A row's gaps are gathered from LG (not
+    # recomputed: that took longer than the pass), so no (rows, levels)
+    # array is formed.
+    rows = min(N, max(1, CACHE_ELEMENTS // (4 * (K + 1))))   # no pass has more than N rows
+    buffer = np.empty(3 * rows * (K + 1))
+
+    def inverse_gaps(ref, delta=None, step=3 * rows):
+        """For each block of `step` rows: its slice and 1 / (x - c_k) at x =
+        c_ref + delta (at the level without delta), the term of level ref
+        zeroed, as a view of the buffer."""
+        for i in range(0, ref.size, step):
+            b = slice(i, i + step)
+            inv = buffer[:ref[b].size * (K + 1)].reshape(-1, K + 1)
+            np.take(LG, ref[b], axis=0, out=inv, mode="clip")     # mode="raise" buffers its output
+            if delta is not None:
+                inv += delta[b, None]
+            yield b, regular(inv, ref[b])
+
+    def pair_sums(ref, delta, slope=False):
+        """g on the defect pairs at x = c_ref + delta, its level's term split
+        off; with slope also sum_k cos_k / (x - c_k)^2 on the pairs (-g') and
+        sum_k dims_k |1 / (x - c_k)|, each row's rounding scale."""
+        g = np.empty((2 if slope else 1, ref.size, uniq.size))
+        scale = np.empty(ref.size)
+        for b, inv in inverse_gaps(ref, delta):
+            np.matmul(inv, cos_uniq, out=g[0, b])
+            if slope:
+                np.abs(inv, out=inv)
+                np.matmul(inv, dims, out=scale[b])
+                np.square(inv, out=inv)
+                np.matmul(inv, cos_uniq, out=g[1, b])
+        g = g[:, :, pair.reshape(M, M)]
+        return (g[0], g[1], scale) if slope else g[0]
+
     def equilibrated(g, ref):
         """D and the SVD of D V at points with regular part g on the defect pairs."""
         Dx = weights(g[:, 0, 0])
         return (Dx,) + tuple(np.linalg.svd(Dx[:, :, None] * V[ref]))
 
     # Signs of the compressed regular part at each level, and the roots on it.
-    inv_LG = regular(LG.copy(), k)
-    G = on_pairs(inv_LG)
+    G, level_scale = np.empty((K + 1, uniq.size)), np.empty(K + 1)
+    for b, inv in inverse_gaps(k):
+        np.matmul(inv, cos_uniq, out=G[b])
+        np.abs(inv, out=inv).sum(axis=1, out=level_scale[b])
+    G = G[:, pair.reshape(M, M)]
     D, U, sv_lev, Wh_lev = equilibrated(G, k)
     A = scaled(G, D)
     noise = (np.abs(A).max(axis=(1, 2), initial=0.0)     # rounding scale of the compressed values
-             + (D * D).max(axis=1, initial=0.0) * np.abs(inv_LG).sum(axis=1))
-    del inv_LG                                           # (K+1)^2, not needed past here
+             + (D * D).max(axis=1, initial=0.0) * level_scale)
     (neg, zero), lev_z = np.zeros((2, K + 1), int), np.zeros(0, int)
     alpha_z, c_z = np.zeros((0, M)), np.zeros((0, 2))                  # a level root's alpha and amplitude
     for rank in np.unique(r[r < M]):
@@ -166,7 +210,7 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     band, ib = iv < K, iv[iv < K]
     sin_half = lambda j: np.sin(np.pi * np.minimum(j, 2 * N - j) / (2 * N))  # sin(pi j / 2N)
     node = -2.0 * np.sin(np.pi / (2 * N)) * sin_half(4 * ib + 1)             # x_node - c_i
-    at_node = _congruent(scaled(on_pairs(regular(LG[ib] + node[:, None], ib)), D[ib]), U[ib], sv_lev[ib], r[ib], node)
+    at_node = _congruent(scaled(pair_sums(ib, node), D[ib]), U[ib], sv_lev[ib], r[ib], node)
     lower = np.linalg.eigvalsh(at_node[0])[pick[:ib.size], m[band] - 1] > 0  # root next to level i
     ref, side, hi = np.where(iv == K, 0, K), np.where(iv == K, 1.0, -1.0), np.full(R, 2.0 + np.abs(s).max())
     ref[band], side[band] = np.where(lower, ib, ib + 1), np.where(lower, -1.0, 1.0)
@@ -177,8 +221,7 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     # inertia for any fixed D, so the branch index m holds.
     Dr, Ur, svr, Whr = D[ref], U[ref], sv_lev[ref], Wh_lev[ref]
     out, mid = ~band, side[~band] * (0.5 * hi[~band])
-    Dr[out], Ur[out], svr[out], Whr[out] = equilibrated(
-        on_pairs(regular(LG[ref[out]] + mid[:, None], ref[out])), ref[out])
+    Dr[out], Ur[out], svr[out], Whr[out] = equilibrated(pair_sums(ref[out], mid), ref[out])
     # A branch runs like a + b / u where it has its pole at the level, and
     # so does any branch once every pole term is past its knee (|d| < 1/2):
     # there the Newton step is taken on u lambda_m, a rational step exact for
@@ -191,18 +234,18 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
         its slope from z^T F' z, exact at the root (Hellmann-Feynman), with
         z = D U S y for T's eigenvector y."""
         delta, ri, Dx, Ux = side[idx] * u, ref[idx], Dr[idx], Ur[idx]
-        inv = regular(LG[ri] + delta[:, None], ri)
-        T, S, d = _congruent(scaled(on_pairs(inv), Dx), Ux, svr[idx], r[ri], delta)
+        g, g2, g_scale = pair_sums(ri, delta, slope=True)
+        T, S, d = _congruent(scaled(g, Dx), Ux, svr[idx], r[ri], delta)
         lam, Y = np.linalg.eigh(T)
         lam, y = lam[pick[:idx.size], m[idx] - 1], Y[pick[:idx.size], :, m[idx] - 1]
         z = Dx * (Ux @ (S * y)[..., None])[..., 0]
-        slope = side[idx] * (-np.einsum("pa,pab,pb->p", z, on_pairs(inv * inv), z)
+        slope = side[idx] * (-np.einsum("pa,pab,pb->p", z, g2, z)
                              - np.sum(d * y * y, axis=1) / delta)
         rational = pole[idx] | np.all(np.abs(d) < 0.5, axis=1)
         scale = np.where(rational, u, 1.0)
         val, slope = scale * lam, scale * slope + np.where(rational, lam, 0.0)
         # A value within its rounding (eigh's, and g's along z) is a root.
-        noise = np.sqrt(np.einsum("pab,pab->p", T, T)) + np.abs(z).sum(axis=1) ** 2 * (np.abs(inv) @ dims) / N
+        noise = np.sqrt(np.einsum("pab,pab->p", T, T)) + np.abs(z).sum(axis=1) ** 2 * g_scale / N
         val = np.where(np.abs(lam) <= np.finfo(float).eps * noise, 0.0, val)
         # A step across the level carries no scale: go to u / 256 instead.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -217,18 +260,15 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     same = np.append(False, (np.diff(2 * ref + (side > 0)) == 0) & (np.abs(np.diff(u)) <= MERGE_TOL * hi[1:]))
     u = u[np.maximum.accumulate(np.where(same, 0, pick))]
 
-    # Every eigenvector's 1 / (x - c_k), its level's term split off: the R
-    # roots', then the level roots' and the invisible modes' (delta = 0).
+    # The eigenvectors' rows: the R roots', then the level roots' and the
+    # invisible modes' (delta = 0).
     delta = side * u
     inv_lev, inv_col = np.nonzero((np.arange(2) >= r[:, None]) & (np.arange(2) < dims[:, None]))
     ref = np.concatenate([ref, lev_z, inv_lev])
-    inv = LG[ref]
-    inv[:R] += delta[:, None]
-    regular(inv, ref)
     # Each root's alpha = D U S y and its level's amplitude V^T alpha / delta =
     # Wh^T sv S y / delta (no cancellation in D V's singular basis); then the
     # level roots, and the invisible modes (alpha = 0).
-    T, S, _ = _congruent(scaled(on_pairs(inv[:R]), Dr), Ur, svr, r[ref[:R]], delta)
+    T, S, _ = _congruent(scaled(pair_sums(ref[:R], delta), Dr), Ur, svr, r[ref[:R]], delta)
     y = S * np.linalg.eigh(T)[1][pick, :, m - 1]
     cw = np.where(np.arange(ks) < r[ref[:R], None], svr * y[:, :ks] / delta[:, None], 0.0)
     alpha = np.concatenate([Dr * (Ur @ y[..., None])[..., 0], alpha_z, np.zeros((inv_lev.size, M))])
@@ -242,15 +282,17 @@ def build_two_defect_system(defects: Sequence[DefectSpec], spec: LatticeSpec) ->
     # step per interval or level (roots next to a level join it), and the
     # weights v_j(n) v_j(n0).
     mode = np.sqrt(N / dims)                                       # a level's mode amplitudes in irfft terms
-    W = np.empty((ref.size, N))
-    for b in time_blocks(ref.size, 8 * N):      # small blocks beside W and inv
-        coef = np.empty((inv[b].shape[0], K + 1), dtype=complex)
-        np.multiply(inv[b], alpha[b] @ cos_nd, out=coef.real)
-        np.multiply(inv[b], alpha[b] @ -sin_nd, out=coef.imag)
-        own = (np.arange(coef.shape[0]), ref[b])
+    W, minus_sin_nd, cut = np.empty((ref.size, N)), -sin_nd, rows * (K + 1)
+    for b, inv in inverse_gaps(ref, delta, rows):
+        n = inv.shape[0]
+        product = W[b].reshape(-1)[:n * (K + 1)].reshape(n, K + 1)
+        coef = buffer[cut:cut + 2 * n * (K + 1)].view(complex).reshape(n, K + 1)
+        np.multiply(inv, np.matmul(alpha[b], cos_nd, out=product), out=coef.real)
+        np.multiply(inv, np.matmul(alpha[b], minus_sin_nd, out=product), out=coef.imag)
+        own = (np.arange(n), ref[b])
         coef.real[own], coef.imag[own] = mode[ref[b]] * c[b, 0], -mode[ref[b]] * c[b, 1]
         np.fft.irfft(coef, N, out=W[b])
-    del inv                                              # before Rayleigh-Ritz's blocks
+    del buffer, LG                                       # before Rayleigh-Ritz's blocks
     near_level = np.abs(delta[:R]) < CLUSTER_TOL * (2.0 * np.pi / N) ** 2
     group = K + 2 + ref
     group[:R] = np.where(near_level, group[:R], iv)

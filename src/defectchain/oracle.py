@@ -252,7 +252,8 @@ def barrier_rate_matrix(bspec: BarrierWalkSpec) -> np.ndarray:
 
 
 def _barrier_propagator(bspec: BarrierWalkSpec, A: np.ndarray):
-    """t -> P(n, t) for the generator A of the walk, diagonalized once."""
+    """t -> P(n, t) for the generator A of the walk, diagonalized once (t in
+    the units A's rates are in)."""
     lam, V = np.linalg.eigh(A)
     lam[-1] = 0.0   # probability is conserved; eigh's rounding here grows with t
     p0 = np.zeros(bspec.N)
@@ -262,31 +263,33 @@ def _barrier_propagator(bspec: BarrierWalkSpec, A: np.ndarray):
 
 
 def barrier_walk_propagate(bspec: BarrierWalkSpec, times: np.ndarray) -> np.ndarray:
-    """Occupation profiles P(n, t) at the requested times (rows)."""
-    propagate = _barrier_propagator(bspec, barrier_rate_matrix(bspec))
-    return np.array([propagate(t) for t in np.atleast_1d(np.asarray(times, dtype=float))])
+    """Occupation profiles P(n, t) at the requested times (rows), propagated
+    in units of F (generator A / F at times F t)."""
+    propagate = _barrier_propagator(bspec, barrier_rate_matrix(bspec) / bspec.F)
+    return np.array([propagate(bspec.F * t) for t in np.atleast_1d(np.asarray(times, dtype=float))])
 
 
-def _barrier_psi_laplace(bspec: BarrierWalkSpec, n, n0, eps: float):
-    """Free-walk Laplace propagator Psi_{n0}(n, eps) on the ring (vector over n)."""
-    N, F = bspec.N, bspec.F
+def _barrier_psi_laplace(N: int, n, n0, eps: float):
+    """Free-walk Laplace propagator Psi_{n0}(n, eps) on the ring of unit
+    rates, eps in units of F (vector over n)."""
     n = np.atleast_1d(np.asarray(n))
     k = np.arange(1, N)
-    den = eps + 2.0 * F * (1.0 - np.cos(2.0 * np.pi * k / N))
+    den = eps + 2.0 * (1.0 - np.cos(2.0 * np.pi * k / N))
     cosfac = np.cos(2.0 * np.pi * np.outer(n - n0, k) / N)
     return 1.0 / (N * eps) + (cosfac / den).sum(axis=1) / N
 
 
 def _barrier_profile_laplace(bspec: BarrierWalkSpec, eps: float) -> np.ndarray:
-    """Exact Laplace-domain solution of the barrier walk at eps (vector over n)."""
+    """Exact Laplace-domain solution of the barrier walk at eps, in units of
+    F: bulk rate 1, barrier f / F (vector over n)."""
     N, r, n0 = bspec.N, bspec.r, bspec.n0
-    delta = bspec.F - bspec.f
+    delta = 1.0 - bspec.f / bspec.F
     nall = np.arange(N)
-    psi_free = _barrier_psi_laplace(bspec, nall, n0, eps)
+    psi_free = _barrier_psi_laplace(N, nall, n0, eps)
     if delta == 0.0:
         return psi_free
-    from_r = _barrier_psi_laplace(bspec, nall, r, eps)
-    from_r1 = _barrier_psi_laplace(bspec, nall, (r + 1) % N, eps)
+    from_r = _barrier_psi_laplace(N, nall, r, eps)
+    from_r1 = _barrier_psi_laplace(N, nall, (r + 1) % N, eps)
     num = psi_free[(r + 1) % N] - psi_free[r]
     den = (1.0 / delta + from_r1[r] + from_r[(r + 1) % N]
            - from_r1[(r + 1) % N] - from_r[r])
@@ -304,35 +307,42 @@ class BarrierWalkResult:
 def barrier_walk_steady(bspec: BarrierWalkSpec) -> BarrierWalkResult:
     """Steady mean-square displacement of the barrier walk by two routes.
 
-    Route one propagates the master equation once (exact eigenbasis, the
-    conserved mode's rate exactly 0) to t = ln(1 / RESIDUAL_TOL) t_relax,
-    where every other mode has decayed by RESIDUAL_TOL; NotConverged unless
-    there ||A P|| < RESIDUAL_TOL F and the profile sums to 1 within 1e-8.
-    Route two takes the Laplace-domain solution to eps = 0 by the final value
+    Both routes run in units of F, on the generator A / F (bulk rate 1,
+    barrier f / F) at times F t and Laplace variables eps / F, so no rate,
+    time or 1 / eps depends on the scale of F.  Route one propagates the
+    master equation once (exact eigenbasis, the conserved mode's rate
+    exactly 0) to F t = ln(1 / RESIDUAL_TOL) F t_relax, where every other
+    mode has decayed by RESIDUAL_TOL; NotConverged unless there
+    ||A P|| < RESIDUAL_TOL F and the profile sums to 1 within 1e-8.  Route
+    two takes the Laplace-domain solution to eps = 0 by the final value
     theorem, Richardson-extrapolated from eps0 = 1e-4 / t_relax so that its
-    error does not grow with N; NotConverged if not finite (1 / eps overflows
-    for F below ~1e-303).  The steady profile is uniform, so both MSDs equal
-    sum_n [n-n0]^2 / N for every barrier strength -- the point of the
-    baseline -- within 1e-10 relative up to N = 2000.
+    error does not grow with N; NotConverged if not finite.  The steady
+    profile is uniform, so both MSDs equal sum_n [n-n0]^2 / N for every
+    barrier strength -- the point of the baseline -- within 1e-10 relative
+    up to N = 2000, for every F the spec accepts.  `time_reached` is t in
+    the units of 1 / F (inf where t_relax is within a factor
+    ln(1 / RESIDUAL_TOL) of overflowing).
     """
-    A = barrier_rate_matrix(bspec)
-    t_relax = _relaxation_time(bspec.N, bspec.F)
-    t = np.log(1.0 / RESIDUAL_TOL) * t_relax
+    F = bspec.F
+    A = barrier_rate_matrix(bspec) / F
+    t = np.log(1.0 / RESIDUAL_TOL) * _relaxation_time(bspec.N, 1.0)      # F t
     profile = _barrier_propagator(bspec, A)(t)
-    if not np.linalg.norm(A @ profile / bspec.F) < RESIDUAL_TOL:
-        raise NotConverged(f"residual above {RESIDUAL_TOL} F at t={t}")
+    with np.errstate(over="ignore"):
+        time_reached = t / F
+    if not np.linalg.norm(A @ profile) < RESIDUAL_TOL:
+        raise NotConverged(f"residual above {RESIDUAL_TOL} F at t={time_reached}")
     if not abs(profile.sum() - 1.0) <= 1e-8:
-        raise NotConverged(f"profile at t={t} sums to {profile.sum()}")
+        raise NotConverged(f"profile at t={time_reached} sums to {profile.sum()}")
     d2 = periodic_distances(bspec.N, bspec.n0).astype(float) ** 2
     msd_time = float(d2 @ profile)
 
     # final value theorem, Richardson-extrapolated to kill the O(eps), O(eps^2) bias
-    eps0 = 1e-4 / t_relax
+    eps0 = 1e-4 / _relaxation_time(bspec.N, 1.0)
     with np.errstate(all="ignore"):   # checked below
         s = [float(d2 @ (e * _barrier_profile_laplace(bspec, e)))
              for e in (eps0, 0.5 * eps0, 0.25 * eps0)]
     msd_laplace = (8.0 * s[2] - 6.0 * s[1] + s[0]) / 3.0
     if not np.isfinite(msd_laplace):
-        raise NotConverged(f"Laplace route not finite from eps0={eps0}")
+        raise NotConverged(f"Laplace route not finite from eps0={eps0 * F}")
 
-    return BarrierWalkResult(msd_time, msd_laplace, profile, t)
+    return BarrierWalkResult(msd_time, msd_laplace, profile, time_reached)

@@ -40,10 +40,11 @@ take at most one live defect.
 A one-defect system holds its levels and O(N) more, never its (J, N)
 weight matrix for a steady read: the first steady read of a sweep's
 strength sums S for all its sites from one row pass, each block of rows
-going straight into S.  Only psi and Phi read W (occupation_defect_series,
-moment_defect_series, amplitude_profiles, phi_series), and a system forms
-its own on the first such read, in one more pass.  A system of two or more
-defects stores W.
+going straight into S.  Only psi reads W (occupation_defect_series,
+moment_defect_series, amplitude_profiles), and a system forms its own on
+the first such read, in one more pass; Phi's amplitudes (phi_series) are
+the site nd's column of W, taken block by block from a row pass without W.
+A system of two or more defects stores W.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class DefectSystem:
     `rows` is W itself, or, for a system of defect_systems, its strength's
     _EvenRows, which hold O(N) per site and no (J, N) array: the steady
     functions read S_n = sum_j W_jn^2 from them, and W is formed on the
-    first read of `weights` (psi, Phi).  The last time grid a series
+    first read of `weights` (psi).  The last time grid a series
     evaluated keeps its moments Delta_1(t), Delta_2(t) (moment_defect_series)."""
 
     spec: LatticeSpec
@@ -229,6 +230,14 @@ class _EvenRows:
         sums.flags.writeable = False
         return dict(zip(sites, sums))
 
+    def column(self, nd: int) -> np.ndarray:
+        """W_j,nd = g(0; x_j) scale_j, the site nd's own column of W, from
+        one pass and without W."""
+        out = np.empty(self.j.size)
+        for b, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
+            np.multiply(rows[:, 0], scale[:, 0], out=out[b])
+        return out
+
     def weights(self, nd: int) -> np.ndarray:
         """W_jn of the site nd, from one pass: each block of rows goes
         straight into it."""
@@ -275,9 +284,12 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
 
 def phi_series(system: DefectSystem) -> PhiSeries:
     """Exponential series for Phi(t) = i q psi(nd, t) of the one live
-    defect; empty without one."""
+    defect; empty without one.  A sweep's system takes its amplitudes
+    q W_j,nd from one row pass and forms no W."""
     defect = _one_defect(system, "Phi(t) series") or DefectSpec(0, 0.0)
-    return PhiSeries(system.x, defect.q * system.weights[:, defect.nd], system.spec.gamma)
+    rows = system.rows
+    column = rows.column(defect.nd) if isinstance(rows, _EvenRows) else rows[:, defect.nd]
+    return PhiSeries(system.x, defect.q * column, system.spec.gamma)
 
 
 def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) -> np.ndarray:

@@ -246,7 +246,6 @@ def _cli_run(argv):
     (["--F", "inf", "--f", "1"], 1),             # an uncaught LinAlgError before
     (["--F", "1e308", "--f", "1e308"], 1),       # never returned: 2F overflows
     (["--F", "1e-320", "--f", "1e-320"], 1),     # t_relax overflows
-    (["--F", "1e-304", "--f", "1e-304"], 2),     # 1 / eps overflowed: a NaN Laplace MSD
 ])
 def test_classical_bad_rates_end_cleanly(rates, code):
     got, _, err = _cli_run(["classical", "--N", "20", *rates])
@@ -265,10 +264,11 @@ def test_classical_nearly_closed_barrier_is_flat(f):
     assert len(msd) == 2 and np.max(np.abs(np.array(msd) - 33.5)) < 1e-9
 
 
-@pytest.mark.parametrize("F", ["1e-12", "1e-9", "1e4"])
+@pytest.mark.parametrize("F", ["1e-12", "1e-9", "1e4", "1e-304"])
 def test_classical_msd_does_not_depend_on_rate_unit(F):
     # the absolute stop test gave 18.68 (F = 1e-12) and 32.75 (1e-9) and
-    # exited 2 at F = 1e4; sum_n d^2 / N = 33.5 at N = 20
+    # exited 2 at F = 1e4; at F = 1e-304, 1 / eps overflowed in rate units
+    # (exit 2); sum_n d^2 / N = 33.5 at N = 20
     code, out, err = _cli_run(["classical", "--N", "20", "--F", F, "--f", F])
     assert code == 0, err
     rows = [line.split(",") for line in out.splitlines()[1:]]

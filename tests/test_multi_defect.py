@@ -243,6 +243,9 @@ def test_bromwich_finite_and_close_at_n200():
 
 
 def test_build_and_series_memory_bounded_at_n2000():
+    # W is 30.5 MiB and the level gaps 7.6 MiB; the passes over roots x
+    # levels hold one cache-sized block besides (a rows x levels array of
+    # 1 / (x - c_k) took 56.5 MiB in all)
     spec = LatticeSpec(2000, 1.0, 3)
     tracemalloc.start()
     try:
@@ -251,7 +254,23 @@ def test_build_and_series_memory_bounded_at_n2000():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2 ** 20
+    assert peak < 48 * 2 ** 20
+
+
+def test_three_defect_build_memory_is_w_and_one_block():
+    # W is 4.9 MiB at N = 800; the build took 15.7 MiB with its rows x levels
+    # arrays and fresh arrays per block
+    spec = LatticeSpec(800, 1.0, 1)
+    defects = [DefectSpec(0, 1.0), DefectSpec(400, -0.5), DefectSpec(267, 0.7)]
+    build_two_defect_system(defects, spec)
+    tracemalloc.start()
+    try:
+        system = build_two_defect_system(defects, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.x.size == 800
+    assert peak < 11 * 2 ** 20
 
 
 def test_single_defect_resolvent_matches_scalar_formula():

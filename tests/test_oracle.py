@@ -306,10 +306,25 @@ def test_barrier_routes_keep_their_digits_at_large_n(N, ratio):
     assert abs(res.msd_laplace / exact - 1.0) < 1e-10
 
 
-def test_barrier_laplace_route_must_be_finite():
-    # at F = 1e-304, 1 / eps overflows near eps = 0: a NaN MSD was returned
+@pytest.mark.parametrize("N, F, f", [(20, 1e-304, 1e-304), (20, 2.4e-307, 1e-320), (20, 1e300, 1e-300),
+                                     (2000, 1e-302, 1e-302)])
+def test_barrier_routes_run_in_units_of_F(N, F, f):
+    # in rate units 1 / eps overflowed (N = 20, F = 1e-304) and so did the
+    # steady time (N = 2000, F = 1e-302), both NotConverged; on A / F every
+    # F the spec accepts reaches sum_n d^2 / N on both routes
+    n0 = N // 3
+    exact = float(np.sum(periodic_distances(N, n0).astype(float) ** 2) / N)
+    res = barrier_walk_steady(BarrierWalkSpec(N, F, f, N // 7, n0))
+    assert abs(res.msd_time_integrated / exact - 1.0) < 1e-10
+    assert abs(res.msd_laplace / exact - 1.0) < 1e-10
+
+
+def test_barrier_laplace_guard_raises_on_a_non_finite_route(monkeypatch):
+    # no accepted F overflows the Laplace route now; a non-finite profile
+    # still raises instead of returning a NaN MSD
+    monkeypatch.setattr(oracle, "_barrier_profile_laplace", lambda bspec, eps: np.full(bspec.N, np.nan))
     with pytest.raises(NotConverged, match="Laplace route not finite"):
-        barrier_walk_steady(BarrierWalkSpec(20, 1e-304, 1e-304))
+        barrier_walk_steady(BarrierWalkSpec(20, 1.0, 0.5))
 
 
 def test_defect_roots_of_a_free_system_pass_any_reference():

@@ -218,6 +218,35 @@ def test_phi_series_zero_strength_is_empty():
     assert phi(1.3) == 0.0
 
 
+@pytest.mark.parametrize("N", [3, 4, 7, 50, 199, 2000])
+def test_phi_amplitudes_come_from_the_row_pass(N):
+    # c_j = q W_j,nd, taken block by block from a row pass: the bits of
+    # W's column, and no W formed or cached
+    rng = np.random.default_rng(N)
+    for q in (1e-3, -0.37, 2.2, -1e3):
+        n0, nd = (int(v) for v in rng.integers(0, N, 2))
+        system = _system(N, 1.0, n0, nd, q)
+        phi = phi_series(system)
+        assert "weights" not in vars(system)
+        assert np.array_equal(phi.amplitudes, q * system.weights[:, nd])
+
+
+def test_phi_memory_is_the_row_pass():
+    # forming W for its one column peaked at 20 MiB at N = 2000 and left
+    # 15.3 MiB cached on the system
+    spec = LatticeSpec(2000, 1.0, 3)
+    phi_series(build_defect_system(spec, DefectSpec(700, 0.8)))
+    tracemalloc.start()
+    try:
+        system = build_defect_system(spec, DefectSpec(700, 0.8))
+        phi = phi_series(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.amplitudes.shape == (1001,) and "weights" not in vars(system)
+    assert peak < 6 * 2 ** 20
+
+
 def test_phi_at_zero_time():
     # Phi(0) = i q sum_j f_j = i q for nd = n0 and 0 otherwise
     s_on = _system(7, 1.0, 2, 2, 1.4, check=True)
