@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -294,16 +295,43 @@ def test_barrier_nearly_closed_reaches_the_flat_msd():
         assert abs(res.msd_laplace - 33.5) < 1e-9
 
 
-@pytest.mark.parametrize("N", [400, 800, 1200])
-@pytest.mark.parametrize("ratio", [1e-14, 0.5, 1.0])
+@pytest.mark.parametrize("N", [400, 800, 1200, 2000])
+@pytest.mark.parametrize("ratio", [1e-300, 1e-14, 0.5, 1.0])
 def test_barrier_routes_keep_their_digits_at_large_n(N, ratio):
     # a fixed eps0 = 1e-6 F left the Laplace route 1.0e-8 (N = 400), 6.3e-7
-    # (800) and 6.9e-6 (1200) off, and f = 1e-14 raised NotConverged
+    # (800) and 6.9e-6 (1200) off, and f = 1e-14 raised NotConverged; the
+    # cosine sum's 2 (1 - cos(2 pi k / N)) then left it 2.2e-11 off at N = 800
     n0 = N // 3
     exact = float(np.sum(periodic_distances(N, n0).astype(float) ** 2) / N)
     res = barrier_walk_steady(BarrierWalkSpec(N, 1.0, ratio, N // 7, n0))
     assert abs(res.msd_time_integrated / exact - 1.0) < 1e-10
-    assert abs(res.msd_laplace / exact - 1.0) < 1e-10
+    assert abs(res.msd_laplace / exact - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 20, 51, 128])
+def test_barrier_profile_laplace_is_the_dense_solve(N):
+    # the FFT frame plus the rank-one barrier correction solves
+    # (eps I - A / F) P = e_n0 for every barrier strength
+    for ratio in (1e-300, 1e-14, 1e-3, 0.5, 1.0):
+        bspec = BarrierWalkSpec(N, 1.0, ratio, N // 3, N - 1)
+        A = barrier_rate_matrix(bspec)
+        for eps in (1e-3, 0.3, 5.0):
+            want = np.linalg.solve(eps * np.eye(N) - A, np.eye(N)[bspec.n0])
+            got = oracle._barrier_profile_laplace(bspec, eps)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_barrier_profile_laplace_memory_stays_small():
+    # one frame of N / 2 + 1 modes: the explicit cosine sums peaked at
+    # 61.1 MiB at N = 2000
+    bspec = BarrierWalkSpec(2000, 1.0, 0.5, 285, 666)
+    tracemalloc.start()
+    try:
+        oracle._barrier_profile_laplace(bspec, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("N, F, f", [(20, 1e-304, 1e-304), (20, 2.4e-307, 1e-320), (20, 1e300, 1e-300),
