@@ -18,14 +18,13 @@ from .oracle import (BarrierWalkSpec, SpectralDecomposition,
                      defect_decomposition, evolve_exact, green_laplace,
                      occupation_exact, time_average_exact)
 from .single_defect import (DefectSpec, DefectSystem, PhiSeries,
-                            amplitude_profiles, build_defect_system,
-                            defect_systems, moment_defect_series,
-                            occupation_defect, occupation_defect_series,
-                            phi_series, steady_corrections,
-                            steady_moment_defect, steady_occupation)
+                            build_defect_system, defect_systems,
+                            moment_defect_series, occupation_defect,
+                            occupation_defect_series, phi_series,
+                            steady_corrections, steady_moment_defect,
+                            steady_occupation)
 from .spectral import PoleSet, find_poles
-from .strong_defect import (mirror_site, phi_infinite_q,
-                            steady_moments_infinite_q,
+from .strong_defect import (mirror_site, steady_moments_infinite_q,
                             steady_profile_infinite_q)
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ reads (`_MODES`).  A config file's `key = value` lines become its flags,
 placed before the command line's own, which win; a repeatable flag given
 on the command line replaces the file's comma-separated list.
 
-Exit codes: 0 success, 1 configuration error, 2 solver error, 3 an
-oracle-check difference exceeded its tolerance.  When the reader closes
-stdout early (`| head`), output stops quietly and the exit code stays the
-one the run would have had: 0, or 3 for an oracle-check over tolerance.
-No environment variable is consulted.  Output is data only; plotting
-belongs to external tools.
+Exit codes: 0 success, 1 configuration error (an --out that cannot be
+written included), 2 solver error, 3 an oracle-check difference exceeded
+its tolerance.  When the reader closes stdout early (`| head`), output
+stops quietly and the exit code stays the one the run would have had: 0,
+or 3 for an oracle-check over tolerance.  No environment variable is
+consulted.  Output is data only; plotting belongs to external tools.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _parse_qlog(text: str) -> list[float]:
             raise ValueError("infinite bound")
         return list(np.geomspace(lo, hi, int(count)))
     except ValueError as exc:
-        raise ConfigError(f"--q-log expects min:max:count, got {text!r}", "q-log") from exc
+        raise ConfigError(f"--q-log expects min:max:count, got {text!r}") from exc
 
 
 def _config_flags(path: str, mode: str) -> list[str]:
@@ -108,18 +108,18 @@ def _config_flags(path: str, mode: str) -> list[str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"bad config line {line!r}", "config")
+                    raise ConfigError(f"bad config line {line!r}")
                 key, val = (s.strip() for s in line.split("=", 1))
                 values[key.replace("-", "_")] = val
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}", "config") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if values.pop("schema_version", None) != str(SCHEMA_VERSION):
-        raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}", "schema_version")
+        raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     flags = []
     for key, raw in values.items():
         name = key.replace("_", "-")
         if name not in ("out", "format", *_MODES[mode][2].split()):
-            raise ConfigError(f"unknown config key {key!r}", key)
+            raise ConfigError(f"unknown config key {key!r}")
         items = raw.split(",") if name in _REPEATABLE else [raw]
         flags += [f"--{name}={v.strip()}" for v in items]
     return flags
@@ -129,7 +129,7 @@ def _lattice(args) -> LatticeSpec:
     try:
         return LatticeSpec(args.N, args.gamma, args.n0)
     except ValueError as exc:
-        raise ConfigError(str(exc), "N/gamma/n0") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _q_values(args) -> list[float]:
@@ -137,7 +137,7 @@ def _q_values(args) -> list[float]:
     if getattr(args, "q_log", None):
         qs.extend(_parse_qlog(args.q_log))
     if not qs:
-        raise ConfigError("at least one --q (or --q-log) is required", "q")
+        raise ConfigError("at least one --q (or --q-log) is required")
     return qs
 
 
@@ -147,15 +147,15 @@ def _defect(nd, q, spec) -> DefectSpec:
     try:
         defect = DefectSpec(nd, q)
     except ValueError as exc:
-        raise ConfigError(str(exc), "q") from exc
+        raise ConfigError(str(exc)) from exc
     if not np.isfinite(q / (2.0 * spec.gamma)):
-        raise ConfigError(f"q must be finite in units of 2 gamma, got {q} / {2.0 * spec.gamma}", "q")
+        raise ConfigError(f"q must be finite in units of 2 gamma, got {q} / {2.0 * spec.gamma}")
     return defect
 
 
 def _single_site(args) -> int:
     if not args.nd or len(args.nd) != 1:
-        raise ConfigError("exactly one --nd is required here", "nd")
+        raise ConfigError("exactly one --nd is required here")
     return args.nd[0]
 
 
@@ -163,9 +163,9 @@ def _time_grid(args, spec, default_steps=257, qs=()):
     tmax = args.tmax if args.tmax is not None else 4.0 * spec.N / spec.gamma
     steps = args.tsteps if args.tsteps is not None else default_steps
     if not (np.isfinite(tmax) and tmax > 0) or steps < 2:
-        raise ConfigError("need a finite tmax > 0 and tsteps >= 2", "tmax/tsteps")
+        raise ConfigError("need a finite tmax > 0 and tsteps >= 2")
     if not np.isfinite((2.0 * spec.gamma + max(map(abs, qs), default=0.0)) * tmax):
-        raise ConfigError(f"tmax {tmax} overflows the phase (2 gamma + max|q|) tmax", "tmax")
+        raise ConfigError(f"tmax {tmax} overflows the phase (2 gamma + max|q|) tmax")
     return np.linspace(0.0, tmax, steps)
 
 
@@ -247,11 +247,11 @@ def run_infq(args) -> ResultTable:
 def run_two(args) -> ResultTable:
     spec = _lattice(args)
     if not args.nd or len(args.nd) < 2:
-        raise ConfigError("at least two --nd sites are required", "nd")
+        raise ConfigError("at least two --nd sites are required")
     qs = args.q or []
     if len(qs) != len(args.nd):
         raise ConfigError(f"one --q per --nd is required ({len(args.nd)} sites, "
-                          f"{len(qs)} strengths)", "q")
+                          f"{len(qs)} strengths)")
     defects = [_defect(nd, q, spec) for nd, q in zip(args.nd, qs)]
     system = build_two_defect_system(defects, spec)
     times = _time_grid(args, spec, default_steps=65, qs=qs)
@@ -272,11 +272,11 @@ def run_two(args) -> ResultTable:
 def run_oracle_check(args) -> ResultTable:
     spec = _lattice(args)
     if spec.N > ORACLE_MAX_N:
-        raise ConfigError(f"oracle-check needs N <= {ORACLE_MAX_N}", "N")
+        raise ConfigError(f"oracle-check needs N <= {ORACLE_MAX_N}")
     if not args.nd:
-        raise ConfigError("--nd is required", "nd")
+        raise ConfigError("--nd is required")
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}", "tolerance")
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     qs = [_defect(0, q, spec).q for q in _q_values(args)]
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "oracle-check", **coords, "nd": list(args.nd),
@@ -308,7 +308,7 @@ def run_classical(args) -> ResultTable:
         try:
             bspec = BarrierWalkSpec(args.N, args.F, f, args.r, args.n0)
         except ValueError as exc:
-            raise ConfigError(str(exc), "f/F") from exc
+            raise ConfigError(str(exc)) from exc
         res = barrier_walk_steady(bspec)
         table.add("msd_steady_time_integrated", res.msd_time_integrated, q=f)
         table.add("msd_steady_laplace", res.msd_laplace, q=f)
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if getattr(args, "N", 0) is None:
-            raise ConfigError("--N is required", "N")
+            raise ConfigError("--N is required")
         table = _MODES[args.mode][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -487,6 +487,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except OSError as exc:
+        print(f"config error: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        return 1
 
     if args.mode == "oracle-check" and table.max_abs_diff() > args.tolerance:
         print(f"oracle-check: max difference {table.max_abs_diff():.3e} exceeds "

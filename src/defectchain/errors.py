@@ -6,11 +6,7 @@ class DefectChainError(Exception):
 
 
 class ConfigError(DefectChainError):
-    """Invalid run configuration; carries a field-level diagnostic."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    """Invalid run configuration."""
 
 
 class PoleCountMismatch(DefectChainError):

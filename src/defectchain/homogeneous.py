@@ -135,7 +135,10 @@ def steady_profile(spec: LatticeSpec) -> SiteProfile:
 
 
 def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times."""
+    """Delta_p(t) = sum_n [n - n0]^p |G(n, n0, t)|^2 at the requested times
+    (p = 1 or 2)."""
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
     return _moments(_levels(spec.N), spec.gamma, periodic_distances(spec.N).astype(float) ** p,
                     _finite_times(times, spec.gamma))
 

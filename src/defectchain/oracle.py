@@ -146,10 +146,15 @@ def defect_decomposition(spec: LatticeSpec, nd: int, q: float) -> SpectralDecomp
 def check_defect_roots(system, dec: SpectralDecomposition) -> None:
     """PoleCountMismatch unless the roots x of a one-defect system match, one to
     one, the even levels of its defect_decomposition `dec` within LEVEL_TOL
-    (1 + |x|) plus the dense solver's rounding; no live defect, no roots."""
-    if not system.live:
+    (1 + |x|) plus the dense solver's rounding; no live defect, no roots, and
+    ValueError with two or more."""
+    live, spec = system.live, system.spec
+    if not live:
         return
-    (defect,), spec = system.live, system.spec
+    if len(live) > 1:
+        raise ValueError("defect root checks take at most one defect of nonzero strength, "
+                         f"got {len(live)}")
+    (defect,) = live
     N, s = spec.N, defect.q / (2.0 * spec.gamma)
     dense = dec.eigenvalues[N // 2::-1] / (-2.0 * spec.gamma)
     tol = LEVEL_TOL * (1.0 + np.abs(dense)) + N * np.finfo(float).eps * (1.0 + abs(s))

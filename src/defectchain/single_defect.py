@@ -41,10 +41,10 @@ A one-defect system holds its levels and O(N) more, never its (J, N)
 weight matrix for a steady read: the first steady read of a sweep's
 strength sums S for all its sites from one row pass, each block of rows
 going straight into S.  Only psi reads W (occupation_defect_series,
-moment_defect_series, amplitude_profiles), and a system forms its own on
-the first such read, in one more pass; Phi's amplitudes (phi_series) are
-the site nd's column of W, taken block by block from a row pass without W.
-A system of two or more defects stores W.
+moment_defect_series), and a system forms its own on the first such read,
+in one more pass; Phi's amplitudes (phi_series) are the site nd's column
+of W, taken block by block from a row pass without W.  A system of two or
+more defects stores W.
 """
 
 from __future__ import annotations
@@ -306,25 +306,18 @@ def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) ->
     return out
 
 
-def _wave_functions(system: DefectSystem, times, G=None) -> np.ndarray:
+def _wave_functions(system: DefectSystem, times) -> np.ndarray:
     """psi(n, t) for a time grid, shape (len(times), N): the weight rows'
-    series plus the part of the free G(n, n0, t) (given, or computed) that
-    the rows leave out (DefectSystem)."""
+    series plus the part of the free G(n, n0, t) that the rows leave out
+    (DefectSystem)."""
     spec, live = system.spec, system.live
     if len(live) > 1:
         return eigen_amplitudes(system.x, system.weights, spec.gamma, times)
-    G = green_profiles(spec, times) if G is None else G
+    G = green_profiles(spec, times)
     if not live:
         return G
     mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, 2 nd - n0, t)
     return eigen_amplitudes(system.x, system.weights, spec.gamma, times) + 0.5 * (G - mirror)
-
-
-def amplitude_profiles(system: DefectSystem, times) -> np.ndarray:
-    """A(n, t) = psi(n, t) - G(n, n0, t) rows for a time grid, shape
-    (len(times), N): the defect-scattered part of the wave function."""
-    G = green_profiles(system.spec, times)
-    return _wave_functions(system, times, G) - G
 
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
@@ -394,12 +387,12 @@ def steady_occupation(system: DefectSystem) -> SiteProfile:
 
 
 def moment_defect_series(system: DefectSystem, p: int, times) -> np.ndarray:
-    """Delta_p^(d)(t) = sum_n [n-n0]^p P_n(t), from the normalization-checked
-    occupation series; for p = 1 or 2 on the last grid the system evaluated,
-    with no second psi pass."""
-    times = _finite_times(times, system.spec.gamma, system.x)
+    """Delta_p^(d)(t) = sum_n [n-n0]^p P_n(t) for p = 1 or 2, from the
+    normalization-checked occupation series; on the last grid the system
+    evaluated, with no second psi pass."""
     if p not in (1, 2):
-        return occupation_defect_series(system, times) @ distance_powers(system.spec, p)
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    times = _finite_times(times, system.spec.gamma, system.x)
     if system._grid.get("times") != times.tobytes():
         occupation_defect_series(system, times)
     return system._grid[p].copy()

@@ -72,18 +72,10 @@ class PoleSet:
     level: np.ndarray
     offset: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "level", np.asarray(self.level, dtype=int))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-
     @property
     def x_retained(self) -> np.ndarray:
         """Every root; no root is discarded (the benchmark's traced run counts these)."""
         return self.x
-
-    def __len__(self) -> int:
-        return self.x.size
 
 
 def _safeguarded_newton(fn, lo, hi, pos_lo, max_iter=80, tol=1e-15):

@@ -1,11 +1,8 @@
-"""Infinite defect strength: the limit of the response series over the odd
-nodes, the exact steady profile with its mirror-site enhancement, and the
-leading-order limit moments.
+"""Infinite defect strength: the exact steady profile with its mirror-site
+enhancement, and the leading-order limit moments.
 
 With the particle started on the defect site the limit is complete
-localization.  Otherwise the response becomes a q-independent series over
-the odd Chebyshev angles theta_k = pi (2k - 1) / N, and the steady profile
-collapses to
+localization.  Otherwise the steady profile collapses to
 
     Pbar_n = 3/(2N) at n0 and at the mirror site (2 nd - n0) mod N,
              0      at nd,
@@ -21,25 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous import SiteProfile
-from .lattice import LatticeSpec, periodic_distance, periodic_distances, site_index
-from .single_defect import PhiSeries
+from .lattice import LatticeSpec, periodic_distances, site_index
 
 
 def mirror_site(spec: LatticeSpec, nd: int) -> int:
     """Reflection of the start site through the defect: (2 nd - n0) mod N."""
     return site_index(2 * site_index(nd, spec.N) - spec.n0, spec.N)
-
-
-def phi_infinite_q(spec: LatticeSpec, nd: int) -> PhiSeries:
-    """Limit response series Phi(t) = -i (4 gamma / N) sum_k F_k exp(2 i gamma t x_k)
-    over the nodes x_k = cos(theta_k), theta_k = pi (2k - 1) / N (k <= N/2),
-    with F_k = sin(d theta_k) sin(theta_k) for the ring distance d between nd
-    and n0; identically zero when nd = n0 (full localization)."""
-    nd = site_index(nd, spec.N)
-    d = periodic_distance(nd, spec.n0, spec.N)
-    theta = np.pi * (2 * np.arange(1, spec.N // 2 + 1) - 1) / spec.N
-    F = np.sin(d * theta) * np.sin(theta)
-    return PhiSeries(np.cos(theta), -(4.0 * spec.gamma / spec.N) * F, spec.gamma)
 
 
 def steady_profile_infinite_q(spec: LatticeSpec, nd: int) -> SiteProfile:

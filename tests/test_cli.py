@@ -404,6 +404,16 @@ def test_config_errors_exit_one(tmp_path):
     assert run_cli(["single", "--N", "10", "--nd", "3", "--q-log", "junk"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["free", "--N", "10"], ["figure", "--panel", "fig1"]])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
+    # a path that cannot be opened ended in a FileNotFoundError traceback
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_config_file(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("schema_version = 1\nN = 12\nnd = 4\nq = 0.5, 2.0\nn0 = 1\n")

@@ -13,8 +13,9 @@ from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (SpectralDecomposition, bromwich_occupation,
                                 build_hamiltonian, green_laplace,
                                 occupation_exact)
-from defectchain.single_defect import (DefectSpec, amplitude_profiles,
-                                       build_defect_system, moment_defect_series,
+from defectchain import single_defect
+from defectchain.single_defect import (DefectSpec, build_defect_system,
+                                       moment_defect_series,
                                        occupation_defect, occupation_defect_series,
                                        phi_series, steady_corrections,
                                        steady_moment_defect, steady_occupation)
@@ -205,7 +206,7 @@ def test_moment_series_of_several_defects_match_dense(N, n0, defects):
     for p in (1, 2):
         want = P @ distance_powers(spec, p)
         assert np.max(np.abs(moment_defect_series(system, p, times) - want)) < 1e-12 * N ** p
-    psi = amplitude_profiles(system, times) + green_profiles(spec, times)
+    psi = single_defect._wave_functions(system, times)
     assert np.max(np.abs(np.abs(psi) ** 2 - P)) < 1e-12
 
 

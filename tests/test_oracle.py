@@ -18,6 +18,7 @@ from defectchain.oracle import (BarrierWalkSpec, SpectralDecomposition,
                                 check_defect_roots, defect_decomposition,
                                 evolve_exact, occupation_exact,
                                 time_average_exact)
+from defectchain.multi_defect import build_two_defect_system
 from defectchain.single_defect import (DefectSpec, build_defect_system,
                                        steady_occupation)
 
@@ -361,6 +362,17 @@ def test_defect_roots_of_a_free_system_pass_any_reference():
     system = build_defect_system(spec, DefectSpec(3, 0.0))
     assert system.x.size == 0
     assert check_defect_roots(system, defect_decomposition(spec, 3, 5.0)) is None
+
+
+def test_defect_roots_of_two_live_defects_are_a_value_error():
+    # the check is one defect's even sector: two live defects raised
+    # "too many values to unpack" before
+    spec = LatticeSpec(12, 1.0, 2)
+    defects = [DefectSpec(3, 1.0), DefectSpec(7, 2.0)]
+    system = build_two_defect_system(defects, spec)
+    dec = SpectralDecomposition.from_hamiltonian(build_hamiltonian(spec, [(d.nd, d.q) for d in defects]))
+    with pytest.raises(ValueError, match="at most one defect of nonzero strength, got 2"):
+        check_defect_roots(system, dec)
 
 
 @pytest.mark.parametrize("N, q", [(100, 0.01), (200, 0.01), (300, 0.01), (300, 1e-3)])

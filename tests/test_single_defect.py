@@ -14,14 +14,13 @@ from defectchain.multi_defect import build_two_defect_system
 from defectchain.oracle import (check_defect_roots, defect_decomposition,
                                 evolve_exact, green_laplace, occupation_exact,
                                 time_average_exact)
-from defectchain.single_defect import (DefectSpec, DefectSystem, amplitude_profiles,
+from defectchain.single_defect import (DefectSpec, DefectSystem, PhiSeries,
                                        build_defect_system, defect_systems,
                                        moment_defect_series, occupation_defect,
                                        occupation_defect_series, phi_series,
                                        steady_corrections, steady_moment_defect,
                                        steady_occupation)
 from defectchain.spectral import _gaps_theta, find_poles
-from defectchain.strong_defect import phi_infinite_q
 from parity_dense import dense_occupation, dense_steady_terms, dense_wave_function
 
 
@@ -33,6 +32,12 @@ def _system(N, gamma, n0, nd, q, check=False):
     if check:
         check_defect_roots(system, defect_decomposition(spec, nd, q))
     return system
+
+
+def amplitude_profiles(system, times):
+    """A(n, t) = psi(n, t) - G(n, n0, t) rows for a time grid: the
+    defect-scattered part of the wave function."""
+    return single_defect._wave_functions(system, times) - green_profiles(system.spec, times)
 
 
 def amplitude_profile(system, t):
@@ -175,8 +180,20 @@ def test_moments_share_the_grids_psi_pass(monkeypatch):
         other = times[:-1]
         m1 = moment_defect_series(system, 1, other)
         assert len(calls) == 2 and np.array_equal(m1, P[:-1] @ distance_powers(system.spec, 1))
-        assert np.array_equal(moment_defect_series(system, 3, other),
-                              occupation_defect_series(system, other) @ distance_powers(system.spec, 3))
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            moment_defect_series(system, 3, other)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 3])
+def test_time_resolved_moments_take_orders_one_and_two(p):
+    # as the steady moments do: p = -1 gave inf from the d = 0 term
+    spec = LatticeSpec(12, 1.0, 3)
+    with pytest.raises(ValueError, match="p must be 1 or 2"):
+        moment_series(p, [0.5, 1.0], spec)
+    for system in (_system(12, 1.0, 3, 7, 0.9), _system(12, 1.0, 3, 7, 0.0),
+                   build_two_defect_system([DefectSpec(7, 0.9), DefectSpec(1, -0.4)], spec)):
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            moment_defect_series(system, p, [0.5, 1.0])
 
 
 def test_series_rejects_non_finite_times():
@@ -192,7 +209,7 @@ def test_series_rejects_non_finite_times():
                      lambda: moment_defect_series(several, 2, [bad]),
                      lambda: phi_series(system)(bad),
                      lambda: phi_series(system)([[0.5], [bad]]),
-                     lambda: phi_infinite_q(spec, 7)(bad)):
+                     lambda: PhiSeries(np.cos(np.pi * np.arange(1, 12, 2) / 12), np.ones(6), 1.0)(bad)):
             with pytest.raises(ValueError, match="times must be finite"):
                 call()
     strong = _system(12, 1.0, 3, 7, 1e8)            # bound level x ~ 5e7

@@ -8,7 +8,6 @@ from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import check_defect_roots, defect_decomposition, green_laplace
 from defectchain.single_defect import DefectSpec, build_defect_system
 from defectchain.spectral import _gaps_theta, _safeguarded_newton, find_poles
-from defectchain.strong_defect import phi_infinite_q
 
 
 def _poles(spec, q):
@@ -37,21 +36,26 @@ def _secular_residual(N, s, poles):
     k = np.arange(N // 2 + 1)
     w = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
     gaps = poles.x[:, None] - np.cos(2.0 * np.pi * k / N)[None, :]
-    gaps[np.arange(len(poles)), poles.level] = poles.offset
+    gaps[np.arange(poles.x.size), poles.level] = poles.offset
     terms = s * w / gaps
     return np.abs(1.0 - terms.sum(axis=1)) / (1.0 + np.abs(terms).sum(axis=1))
 
 
+def _odd_nodes(N):
+    """The odd nodes x_k = cos(pi (2k - 1) / N), k = 1..N/2."""
+    return np.cos(np.pi * (2 * np.arange(1, N // 2 + 1) - 1) / N)
+
+
 def test_strong_defect_nodes():
     # the infinite-strength series runs over the nodes x_k = cos(pi (2k - 1) / N), k <= N/2
-    assert np.allclose(phi_infinite_q(LatticeSpec(4, 1.0, 0), 1).x, [np.sqrt(2) / 2, -np.sqrt(2) / 2])
-    assert np.allclose(phi_infinite_q(LatticeSpec(3, 1.0, 0), 1).x, [0.5])
-    x50 = phi_infinite_q(LatticeSpec(50, 1.0, 0), 3).x
+    assert np.allclose(_odd_nodes(4), [np.sqrt(2) / 2, -np.sqrt(2) / 2])
+    assert np.allclose(_odd_nodes(3), [0.5])
+    x50 = _odd_nodes(50)
     assert x50.size == 25
     assert np.all(np.diff(x50) < 0) and np.all(np.abs(x50) < 1.0)
     # they are the zeros of g(0; x), where the in-band roots of 1 = s g(0; x) go as s -> inf
     for N in (3, 4, 50, 51):
-        nodes = np.sort(phi_infinite_q(LatticeSpec(N, 1.0, 0), 1).x)
+        nodes = np.sort(_odd_nodes(N))
         assert np.max(np.abs(find_poles(N, 1e9).x[:-1] - nodes)) < 1e-8
 
 
@@ -73,7 +77,7 @@ def test_find_poles_against_spectrum_oracle():
         system = build_defect_system(spec, DefectSpec(nd, q))
         assert np.array_equal(system.x, poles.x)
         assert abs(system.weights[:, nd].sum() - (1.0 if d == 0 else 0.0)) < 1e-9
-        assert len(poles) == N // 2 + 1
+        assert poles.x.size == N // 2 + 1
 
 
 def test_find_poles_polish_residual():
@@ -148,7 +152,7 @@ def test_find_poles_errors(monkeypatch):
         check_defect_roots(build_defect_system(spec, DefectSpec(3, 1.0)), dec)
     # odd N at q / 2 gamma = -2/N: the repulsive level sits on x = -1, a simple root
     poles = _poles(LatticeSpec(5, 1.0, 0), -4.0 / 5.0)
-    assert len(poles) == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
+    assert poles.x.size == 3 and np.min(np.abs(poles.x + 1.0)) < 1e-15
     assert np.allclose(_spectrum_from_poles(5, poles),
                        np.linalg.eigvalsh(_ring_x(5, 2, -0.4)), atol=1e-14)
 
@@ -251,7 +255,7 @@ def test_odd_N_level_inside_last_grid_cell(N):
     for gap in (1e-2, 1e-4, 1e-6):
         q2g = -2.0 / N * (1.0 - gap)
         poles = find_poles(N, q2g)
-        assert np.sum(np.abs(poles.x) > 1.0) == 0 and len(poles) == N // 2 + 1
+        assert np.sum(np.abs(poles.x) > 1.0) == 0 and poles.x.size == N // 2 + 1
         levels = np.linalg.eigvalsh(_ring_x(N, 1, q2g))
         assert np.max(np.min(np.abs(poles.x[:, None] - levels), axis=1)) < 1e-10
 
@@ -263,7 +267,7 @@ def test_odd_N_band_edge_matches_eigvalsh(N, edge):
     # where the old denominator had a double root; the secular equation has none
     s = 2.0 * (edge - 1.0) / N
     poles = find_poles(N, s)
-    assert len(poles) == N // 2 + 1 and np.sum(np.abs(poles.x) > 1.0) == (edge < 0)
+    assert poles.x.size == N // 2 + 1 and np.sum(np.abs(poles.x) > 1.0) == (edge < 0)
     want = np.linalg.eigvalsh(_ring_x(N, 0, s))
     assert np.max(np.abs(_spectrum_from_poles(N, poles) - want)) < 1e-10 * (1.0 + abs(s))
     assert np.all(_secular_residual(N, s, poles) < 1e-13)

@@ -4,11 +4,21 @@ import pytest
 from defectchain.homogeneous import distance_powers, steady_profile
 from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import SpectralDecomposition, build_hamiltonian, time_average_exact
-from defectchain.single_defect import (DefectSpec, build_defect_system, phi_series,
-                                       steady_corrections, steady_occupation)
-from defectchain.strong_defect import (mirror_site, phi_infinite_q,
-                                       steady_moments_infinite_q,
+from defectchain.single_defect import (DefectSpec, PhiSeries, build_defect_system,
+                                       phi_series, steady_corrections, steady_occupation)
+from defectchain.strong_defect import (mirror_site, steady_moments_infinite_q,
                                        steady_profile_infinite_q)
+
+
+def phi_infinite_q(spec, nd):
+    """The limit series Phi(t) = i sum_k c_k exp(2 i gamma t x_k) over the odd
+    nodes x_k = cos(theta_k), theta_k = pi (2k - 1) / N (k <= N/2), with
+    c_k = -(4 gamma / N) sin(d theta_k) sin(theta_k) for the ring distance d
+    between nd and n0; identically zero when nd = n0 (full localization)."""
+    d = periodic_distance(nd, spec.n0, spec.N)
+    theta = np.pi * (2 * np.arange(1, spec.N // 2 + 1) - 1) / spec.N
+    return PhiSeries(np.cos(theta), -(4.0 * spec.gamma / spec.N) * np.sin(d * theta) * np.sin(theta),
+                     spec.gamma)
 
 
 def test_phi_series_structure():
