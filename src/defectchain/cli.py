@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import json
 import os
@@ -55,6 +56,15 @@ class ResultTable:
     def add(self, observable, value, provenance="analytic", **coords):
         c = {**self.fixed, **coords}
         self.records.append((observable, *map(c.get, COLUMNS[1:8]), float(value), provenance))
+
+    def extend(self, observable, column, keys, values, provenance="analytic", **coords):
+        """One record per (key, value), in order, the key in `column`; the
+        records `add` would make one by one."""
+        c = {**self.fixed, **coords}
+        i = COLUMNS.index(column)
+        head, tail = tuple(map(c.get, COLUMNS[1:i])), tuple(map(c.get, COLUMNS[i + 1:8]))
+        self.records.extend([(observable, *head, k, *tail, v, provenance)
+                             for k, v in zip(keys, np.asarray(values, dtype=float).tolist())])
 
     def write(self, path: str | None, fmt: str):
         with (contextlib.nullcontext(sys.stdout) if path is None
@@ -191,8 +201,7 @@ def run_free(args) -> ResultTable:
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0}
     table = ResultTable({"mode": "free", **coords}, **coords)
     for p, name in ((1, "mean_displacement"), (2, "msd")):
-        for t, v in zip(times, homogeneous.moment_series(p, times, spec)):
-            table.add(name, v, t=float(t))
+        table.extend(name, "t", times.tolist(), homogeneous.moment_series(p, times, spec))
         table.add(name + "_steady", homogeneous.steady_moment(p, spec))
     table.add("ballistic_coefficient", homogeneous.fit_ballistic(spec))
     table.add("tstar", homogeneous.estimate_tstar(spec))
@@ -214,8 +223,7 @@ def run_single(args) -> ResultTable:
     table = ResultTable({"mode": "single", **coords}, **coords)
     for q, (sysq,) in zip(qs, single_defect.defect_systems(spec, [nd], qs)):
         prof = single_defect.steady_occupation(sysq).values
-        for n, v in enumerate(prof):
-            table.add("steady_occupation", v, q=q, n=n)
+        table.extend("steady_occupation", "n", range(spec.N), prof, q=q)
         table.add("steady_at_defect", prof[nd], q=q, n=nd)
         table.add("steady_at_start", prof[spec.n0], q=q, n=spec.n0)
         for p, name in ((1, "mean_displacement_steady"), (2, "msd_steady")):
@@ -235,8 +243,7 @@ def run_infq(args) -> ResultTable:
     coords = {"N": spec.N, "gamma": spec.gamma, "n0": spec.n0, "nd": nd}
     table = ResultTable({"mode": "infq", **coords}, **coords)
     prof = strong_defect.steady_profile_infinite_q(spec, nd)
-    for n, v in enumerate(prof.values):
-        table.add("steady_occupation_infq", v, n=n)
+    table.extend("steady_occupation_infq", "n", range(spec.N), prof.values)
     if prof.mirror_collision:
         print("mirror site coincides with n0 or nd (collision geometry)", file=sys.stderr)
     for p, name in ((1, "mean_displacement_steady_infq"), (2, "msd_steady_infq")):
@@ -260,8 +267,7 @@ def run_two(args) -> ResultTable:
     table = ResultTable({"mode": "two", **coords, "nd": list(args.nd), "q": qs}, **coords)
     for t, P in zip(times, single_defect.occupation_defect_series(system, times)):
         t = float(t)
-        for n, v in enumerate(P):
-            table.add("occupation", v, n=n, t=t)
+        table.extend("occupation", "n", range(spec.N), P, t=t)
         if dec is not None:
             Po = occupation_exact(dec, spec.n0, t)
             table.add("occupation_max_abs_diff", np.max(np.abs(P - Po)),
@@ -312,8 +318,7 @@ def run_classical(args) -> ResultTable:
         res = barrier_walk_steady(bspec)
         table.add("msd_steady_time_integrated", res.msd_time_integrated, q=f)
         table.add("msd_steady_laplace", res.msd_laplace, q=f)
-        for n, v in enumerate(res.profile):
-            table.add("steady_occupation", v, q=f, n=n)
+        table.extend("steady_occupation", "n", range(args.N), res.profile, q=f)
     return table
 
 
@@ -324,8 +329,8 @@ def _figure_fig1(panel: str) -> ResultTable:
     for N, n0 in ((150, 75), (200, 100)):
         spec = LatticeSpec(N, 1.0, n0)
         times = np.linspace(0.0, 2.0 * N, 1025)
-        for t, v in zip(times, homogeneous.moment_series(2, times, spec)):
-            table.add("msd", v, N=N, gamma=1.0, n0=n0, t=float(t))
+        table.extend("msd", "t", times.tolist(), homogeneous.moment_series(2, times, spec),
+                     N=N, gamma=1.0, n0=n0)
         table.add("msd_steady", homogeneous.steady_moment(2, spec), N=N, gamma=1.0, n0=n0)
     Ns = (50, 100, 150, 200, 300, 400)
     slope, intercept, r2, tstars = homogeneous.fit_tstar_scaling(Ns, 1.0)
@@ -373,8 +378,7 @@ def _figure_fig3(panel: str) -> ResultTable:
     for i, systems in enumerate(single_defect.defect_systems(spec, sites, qs)):
         values[:, i] = [single_defect.steady_moment_defect(sysq, p) for sysq in systems]
     for nd, row in zip(sites, values):
-        for q, v in zip(qs, row):
-            table.add(name, v, q=float(q), nd=nd)
+        table.extend(name, "q", qs.tolist(), row, nd=nd)
     if panel == "fig3b":
         table.add("msd_steady_infq", strong_defect.steady_moments_infinite_q(2, spec), nd=4)
     return table
@@ -386,8 +390,7 @@ def _figure_fig4(panel: str) -> ResultTable:
                         N=N, gamma=1.0, nd=nd)
     for n0 in n0s:
         prof = strong_defect.steady_profile_infinite_q(LatticeSpec(N, 1.0, n0), nd)
-        for n, v in enumerate(prof.values):
-            table.add("steady_occupation_infq", v, n0=n0, n=n)
+        table.extend("steady_occupation_infq", "n", range(N), prof.values, n0=n0)
     return table
 
 
@@ -401,6 +404,23 @@ def run_figure(args) -> ResultTable:
 
 
 # -- command line ------------------------------------------------------------
+
+def _check_writable(path: str) -> None:
+    """ConfigError, before any solve, unless `path` can be opened for
+    writing: its directory exists and is writable, and it is not itself a
+    directory.  Nothing is created or truncated here, so a run that fails
+    leaves an old output as it was."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
 
 # every flag once; a subcommand takes `_COMMON` plus the flags its run reads
 _FLAGS = {
@@ -467,6 +487,11 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if getattr(args, "N", 0) is None:
             raise ConfigError("--N is required")
+        out = args.out
+        if args.mode == "figure" and out is not None:
+            out = f"{out}_{args.panel}.{args.format}"
+        if out is not None:
+            _check_writable(out)
         table = _MODES[args.mode][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -475,9 +500,6 @@ def main(argv=None) -> int:
         print(f"solver error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
-    out = args.out
-    if args.mode == "figure" and out is not None:
-        out = f"{out}_{args.panel}.{args.format}"
     try:
         table.write(out, args.format)
         sys.stdout.flush()

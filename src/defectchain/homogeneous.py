@@ -2,21 +2,26 @@
 
 The free propagator is a mode sum over the N//2 + 1 distinct levels c_k =
 cos(2 pi k / N) (k and N - k share one).  In the frame m = n - n0 its real
-and imaginary parts are the inverse real FFTs of cos and sin of
-2 gamma t c_k, one batched transform for a block of times.  Occupation
-moments are sums over that frame, Delta_p(t) = sum_m [m]^p |G|^2, with no
-complex propagator and no rotation; each time's value has the bits it gets
-alone, so the t* search can evaluate any slice of its grid or single times
-with one level table.  The time passes (moments and G itself) run over
+and imaginary parts are inverse real FFTs of cos and sin of 2 gamma t c_k,
+one batched transform for a block of times (_FreeFrames).  For even N the
+levels pair up, c_{N/2-k} = -c_k, so Re G vanishes on odd m and Im G on
+even m: one frame h = Re G + Im G, one inverse real FFT of cos + sin over
+k <= N/4 mirrored as cos - sin, holds both, and |G|^2 = h^2.  That is half
+the cos/sin calls and one FFT per time; odd N takes the two frames.
+Occupation moments are sums over the frame, Delta_p(t) = sum_m [m]^p |G|^2,
+with no complex propagator and no rotation; each time's value has the bits
+it gets alone, so the t* search can evaluate any slice of its grid or single
+times with one kernel.  The time passes (moments and G itself) run over
 blocks of times that fit one core's L2 cache: a block holds at most
 CACHE_ELEMENTS array elements in all its temporaries together (phases,
-spectra, frame and products), allocated once per call.  Steady-state
+spectra, frame and products), allocated once per kernel.  Steady-state
 quantities are closed forms, never numeric time averages (those live in the
 tests).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -71,53 +76,109 @@ def _finite_times(times, gamma: float, x=()) -> np.ndarray:
 
 
 def _levels(N: int) -> np.ndarray:
-    """The N//2 + 1 distinct free levels c_k = cos(2 pi k / N), k <= N/2."""
-    return np.cos(2.0 * np.pi * np.arange(N // 2 + 1) / N)
+    """The N//2 + 1 distinct free levels c_k = cos(2 pi k / N), k <= N/2.
+    For even N the table is built from k <= N/4 with c_{N/2-k} = -c_k
+    exactly and c_{N/4} = 0.0 (N = 0 mod 4), the half-band symmetry the
+    one-frame kernel (_FreeFrames) rests on."""
+    K = N // 2
+    if N % 2:
+        return np.cos(2.0 * np.pi * np.arange(K + 1) / N)
+    Q = N // 4
+    c = np.empty(K + 1)
+    c[:Q + 1] = np.cos(2.0 * np.pi * np.arange(Q + 1) / N)
+    if N % 4 == 0:
+        c[Q] = 0.0
+    c[:Q:-1] = -c[:K - Q]
+    return c
 
 
-def _green_blocks(levels: np.ndarray, gamma: float, N: int, times: np.ndarray, per_time: int) -> Iterator:
-    """For each cache-sized block of times (`per_time` elements per time in
-    all the reader's temporaries, these included): its slice and Re G, Im G
-    at m = n - n0 for m = 0..N-1, each (times, N), one inverse real FFT of
-    cos and sin of 2 gamma t c_k.  Phases (N/2 per time), spectra (2 N) and
-    frame (2 N) are allocated once per call; the reader may overwrite the
-    frame."""
-    blocks = time_blocks(times.size, per_time, CACHE_ELEMENTS)
-    rows, L = (times[blocks[0]].size if blocks else 0), levels.size
-    phase = np.empty((rows, L))
-    spectra = np.zeros((rows, 2, L), dtype=complex)     # complex in: no cast inside irfft
-    frame = np.empty((rows, 2, N))
-    for block in blocks:
-        n = times[block].size
-        np.multiply(2.0 * gamma * times[block, None], levels, out=phase[:n])
-        np.cos(phase[:n], out=spectra.real[:n, 0])
-        np.sin(phase[:n], out=spectra.real[:n, 1])
-        np.fft.irfft(spectra[:n], N, out=frame[:n])
-        yield block, frame[:n, 0], frame[:n, 1]
+class _FreeFrames:
+    """The free chain's time kernel on one ring, with the buffers of one
+    block of at most `rows` times, allocated once and reused by every call.
+
+    `frames(times)` gives, block by block, the frame of G(m, t) at
+    m = n - n0, m = 0..N-1, shape (times, F, N).  For even N the levels pair
+    up (c_{N/2-k} = -c_k), so cos(2 gamma t c_k) repeats with period N/2 in k
+    and sin flips sign: Re G vanishes on odd m and Im G on even m.  The one
+    frame (F = 1) is then h = Re G + Im G, one inverse real FFT of
+    cos + sin over k <= N/4 mirrored as cos - sin, with |G|^2 = h^2, G = h at
+    even m and i h at odd m: half the cos/sin calls and one FFT.  Odd N has
+    no such pairing and takes two frames (F = 2), Re G and Im G, the inverse
+    real FFTs of cos and sin over all N//2 + 1 levels."""
+
+    def __init__(self, N: int, gamma: float, rows: int):
+        levels = _levels(N)
+        half = N % 2 == 0
+        self.N, self.gamma, self.rows = N, gamma, rows
+        # the levels that take a phase: k <= N/4 for even N, all for odd N
+        self.phased = levels[:N // 4 + 1] if half else levels
+        self.scaled = np.empty(rows)
+        self.phase = np.empty((rows, self.phased.size))
+        self.cos = np.empty_like(self.phase) if half else None
+        frames = 1 if half else 2
+        # complex in: no cast inside irfft
+        self.spectra = np.zeros((rows, frames, levels.size), dtype=complex)
+        self.frame = np.empty((rows, frames, N))
+
+    def frames(self, times: np.ndarray) -> Iterator:
+        """(slice, frame) for each block of times, the frame of shape
+        (times, F, N); the reader may overwrite it, as the next block does."""
+        P, L = self.phased.size, self.spectra.shape[2]
+        for start in range(0, times.size, self.rows):
+            block = slice(start, start + self.rows)
+            n = times[block].size
+            phase, spectra = self.phase[:n], self.spectra.real[:n]
+            np.multiply(2.0 * self.gamma, times[block], out=self.scaled[:n])
+            np.multiply(self.scaled[:n, None], self.phased, out=phase)
+            if self.cos is None:
+                np.cos(phase, out=spectra[:, 0])
+                np.sin(phase, out=spectra[:, 1])
+            else:
+                cos = self.cos[:n]
+                np.cos(phase, out=cos)
+                np.sin(phase, out=phase)
+                np.add(cos, phase, out=spectra[:, 0, :P])
+                np.subtract(cos[:, :L - P], phase[:, :L - P], out=spectra[:, 0, :P - 1:-1])
+            np.fft.irfft(self.spectra[:n], self.N, out=self.frame[:n])
+            yield block, self.frame[:n]
+
+    def moments(self, dpow: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sum_m dpow_m |G(m, t)|^2 for the ring distance powers dpow of the
+        frame m = n - n0; a row's bits do not depend on the other times."""
+        out = np.empty(times.size) if out is None else out
+        for block, frame in self.frames(times):
+            sq = frame[:, 0]
+            np.square(sq, out=sq)
+            if frame.shape[1] == 2:                 # odd N: (Re G)^2 + (Im G)^2
+                np.square(frame[:, 1], out=frame[:, 1])
+                np.add(sq, frame[:, 1], out=sq)
+            np.einsum("tm,m->t", sq, dpow, out=out[block])
+        return out
 
 
-def _moments(levels: np.ndarray, gamma: float, dpow: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_m dpow_m |G(m, t)|^2 over blocks of times, for the ring distance
-    powers dpow of the frame m = n - n0; a row's bits do not depend on the
-    other times."""
-    out = np.empty(times.size)
-    # 4.5 N per time in the block; 8 N leaves room in the cache for the FFT's
-    # plan and work rows (blocks of 5 N ran 5 % slower)
-    for block, re, im in _green_blocks(levels, gamma, dpow.size, times, 8 * dpow.size):
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        np.add(re, im, out=re)
-        np.einsum("tm,m->t", re, dpow, out=out[block])
-    return out
+def _block_rows(count: int, N: int) -> int:
+    """Times per cache-sized block of a pass over `count` times (at least
+    one, at most `count`).  The kernel's buffers take 2.5 N per time (even
+    N) or 4.5 N (odd N); 8 N leaves room in the cache for the reader's
+    temporaries and the FFT's plan and work rows (blocks of 5 N ran 5 %
+    slower for odd N, and no faster for even N)."""
+    return max(1, min(count, CACHE_ELEMENTS // (8 * N)))
 
 
 def green_profiles(spec: LatticeSpec, times: np.ndarray) -> np.ndarray:
     """Free amplitudes G(n, n0, t), shape (len(times), N), over blocks of times."""
     times = _finite_times(times, spec.gamma)
-    out = np.empty((times.size, spec.N), dtype=complex)
-    # 4.5 N per time in the block, and three complex temporaries of the rotation
-    for block, re, im in _green_blocks(_levels(spec.N), spec.gamma, spec.N, times, 11 * spec.N):
-        out[block] = np.roll(re + 1j * im, spec.n0, axis=1)
+    N = spec.N
+    out = np.zeros((times.size, N), dtype=complex)
+    site = (np.arange(N) + spec.n0) % N             # the site of frame index m
+    kernel = _FreeFrames(N, spec.gamma, _block_rows(times.size, N))
+    for block, frame in kernel.frames(times):
+        if frame.shape[1] == 1:                     # even N: G = h, i h on even, odd m
+            out.real[block, site[0::2]] = frame[:, 0, 0::2]
+            out.imag[block, site[1::2]] = frame[:, 0, 1::2]
+        else:
+            out.real[block, site] = frame[:, 0]
+            out.imag[block, site] = frame[:, 1]
     return out
 
 
@@ -139,8 +200,9 @@ def moment_series(p: int, times: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     (p = 1 or 2)."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
-    return _moments(_levels(spec.N), spec.gamma, periodic_distances(spec.N).astype(float) ** p,
-                    _finite_times(times, spec.gamma))
+    times = _finite_times(times, spec.gamma)
+    kernel = _FreeFrames(spec.N, spec.gamma, _block_rows(times.size, spec.N))
+    return kernel.moments(_distance_powers(spec.N, 0, p), times)
 
 
 def steady_moment(p: int, spec: LatticeSpec) -> float:
@@ -172,21 +234,21 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01) -> float:
 
     Scans the TSTAR_GRID grid times up to 2 N / gamma in consecutive slices
     of TSTAR_SLICE times and stops at the first slice holding a crossing,
-    then bisects.  The level table and the squared distances are built once
-    and serve every slice and bisection step, with the bits moment_series
-    gives the same times.  The fitted prefactor in t* = a N / gamma depends
+    then bisects.  One kernel (the level table and its buffers) and the
+    squared distances serve every slice and bisection step, with the bits
+    moment_series gives the same times.  The fitted prefactor in t* = a N / gamma depends
     on the threshold; the linear-in-N scaling does not.
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
     N, gamma = spec.N, spec.gamma
-    levels, d2 = _levels(N), periodic_distances(N).astype(float) ** 2
+    kernel, d2 = _FreeFrames(N, gamma, _block_rows(TSTAR_SLICE, N)), _distance_powers(N, 0, 2)
     tmax = 2.0 * N / gamma
     times = np.linspace(0.0, tmax, TSTAR_GRID + 1)[1:]
     for start in range(0, times.size, TSTAR_SLICE):
         ts = times[start:start + TSTAR_SLICE]
         ball = 2.0 * gamma ** 2 * ts ** 2
-        dev = np.abs(_moments(levels, gamma, d2, ts) - ball) / ball
+        dev = np.abs(kernel.moments(d2, ts) - ball) / ball
         above = np.nonzero(dev > threshold)[0]
         if above.size:
             break
@@ -195,10 +257,12 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01) -> float:
     i = start + int(above[0])
     lo = times[i - 1] if i > 0 else times[0] * 1e-6
     hi = times[i]
+    one, value = np.empty(1), np.empty(1)         # the bisection's time and moment
 
     def deviation(t: float) -> float:
         b = 2.0 * gamma ** 2 * t * t
-        return abs(_moments(levels, gamma, d2, np.array([t]))[0] - b) / b
+        one[0] = t
+        return abs(kernel.moments(d2, one, value)[0] - b) / b
 
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -230,6 +294,15 @@ def fit_tstar_scaling(Ns, gamma: float = 1.0, threshold: float = 0.01):
     return float(slope), float(intercept), r2, tstars
 
 
+@functools.lru_cache(maxsize=16)
+def _distance_powers(N: int, origin: int, p: int) -> np.ndarray:
+    """[n - origin]^p for every site, as floats; read-only, and kept for the
+    last few geometries."""
+    d = periodic_distances(N, origin).astype(float) ** p
+    d.flags.writeable = False
+    return d
+
+
 def distance_powers(spec: LatticeSpec, p: int) -> np.ndarray:
-    """[n - n0]^p for every site, as floats."""
-    return periodic_distances(spec.N, spec.n0).astype(float) ** p
+    """[n - n0]^p for every site, as floats (a fresh array)."""
+    return _distance_powers(spec.N, spec.n0, p).copy()

@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NormalizationDrift
-from .homogeneous import (SiteProfile, _finite_times, distance_powers,
+from .homogeneous import (SiteProfile, _distance_powers, _finite_times,
                           green_profiles, steady_moment, steady_profile,
                           time_blocks)
 from .lattice import LatticeSpec, site_index
@@ -217,16 +217,28 @@ class _EvenRows:
 
     @cached_property
     def level_sums(self) -> dict[int, np.ndarray]:
-        """S_n = sum_j W_jn^2 of every site (read-only), from one pass: each
-        block's squared rows are summed in order under the running sum, the
-        bits of einsum("jn,jn->n", W, W), and dropped."""
-        sites = tuple(dict.fromkeys(self.sites))
-        sums = np.zeros((len(sites), self.N))
-        for _, rows, scales, stack in _weight_rows(self.j, self.offset, self.N, self.n0, sites):
-            for nd, S, scale in zip(sites, sums, scales):
-                stack[0] = S
-                np.square(_scaled_rows(rows, scale, nd, stack[1:]), out=stack[1:])
-                np.einsum("jn->n", stack, out=S)
+        """S_n = sum_j W_jn^2 of every site (read-only), from one pass.  Per
+        site a block's rows are scaled unrotated, W_j,nd+m = g(m; x_j) scale_j,
+        in one contiguous multiply, and summed in the frame m = n - nd: the
+        first block by einsum("jn,jn->n", W, W), each later one as its
+        squares in order under the running sum; the bits of the eager
+        einsum("jn,jn->n", W, W).  Each sum is shifted to the sites once at
+        the end."""
+        sites, N = tuple(dict.fromkeys(self.sites)), self.N
+        frames = np.empty((len(sites), N))
+        for b, rows, scales, stack in _weight_rows(self.j, self.offset, N, self.n0, sites):
+            W = stack[1:]
+            for S, scale in zip(frames, scales):
+                np.multiply(rows, scale, out=W)
+                if b.start == 0:
+                    np.einsum("jn,jn->n", W, W, out=S)
+                else:
+                    stack[0] = S
+                    np.square(W, out=W)
+                    np.einsum("jn->n", stack, out=S)
+        sums = np.empty_like(frames)
+        for nd, S, frame in zip(sites, sums, frames):
+            S[nd:], S[:nd] = frame[:N - nd], frame[N - nd:]
         sums.flags.writeable = False
         return dict(zip(sites, sums))
 
@@ -330,7 +342,8 @@ def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:
     P = psi.real ** 2 + psi.imag ** 2
     _check_normalized(P.sum(axis=1), "probability", times)
     system._grid.clear()
-    system._grid.update({"times": times.tobytes(), **{p: P @ distance_powers(spec, p) for p in (1, 2)}})
+    system._grid.update({"times": times.tobytes(),
+                         **{p: P @ _distance_powers(spec.N, spec.n0, p) for p in (1, 2)}})
     return P
 
 
@@ -406,4 +419,4 @@ def steady_moment_defect(system: DefectSystem, p: int) -> float:
     if defect is None or p not in (1, 2):       # steady_moment rejects any other p
         return steady_moment(p, spec)
     odd = _free_level_sums(spec.N, spec.n0, defect.nd)[2]
-    return float(distance_powers(spec, p) @ (system._level_sum + odd))
+    return float(_distance_powers(spec.N, spec.n0, p) @ (system._level_sum + odd))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defectchain import cli
 from defectchain.cli import main
 from defectchain.lattice import LatticeSpec
 from defectchain.oracle import defect_decomposition, time_average_exact
@@ -412,6 +414,43 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write ") and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [["single", "--N", "6000", "--nd", "7", "--q", "0.5", "--q=-3"],
+                                  ["figure", "--panel", "fig1"]])
+def test_unwritable_out_stops_before_the_run(tmp_path, capsys, monkeypatch, argv):
+    # --out is checked before any solve (the N = 6000 sweep took 1.2 s to get
+    # to this error): the run is never started
+    def run(args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._MODES, argv[0], (run, *cli._MODES[argv[0]][1:]))
+    suffix = "_fig1.csv" if argv[0] == "figure" else ""
+    (tmp_path / ("dir" + suffix)).mkdir()
+    (tmp_path / "file").write_text("")
+    for out, reason in ((tmp_path / "missing" / "x", "No such file or directory"),
+                        (tmp_path / "dir", "Is a directory"),
+                        (tmp_path / "file" / "x", "Not a directory")):
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {out}{suffix}: [Errno {_ERRNO[reason]}] {reason}: '{out}{suffix}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["dir" + suffix, "file"])
+
+
+_ERRNO = {"No such file or directory": errno.ENOENT, "Is a directory": errno.EISDIR,
+          "Not a directory": errno.ENOTDIR}
+
+
+def test_failed_run_leaves_an_old_output(tmp_path):
+    # the --out check opens nothing: a run that fails after it neither
+    # truncates an old output nor creates a new one
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("old\n")
+    for out in (old, new):
+        assert run_cli(["single", "--N", "10", "--nd", "3", "--out", str(out)]) == 1   # no --q
+        assert run_cli(["two", "--N", "10", "--nd", "3", "--nd", "5", "--q", "1", "--q", "2",
+                        "--tmax", "1e308", "--out", str(out)]) == 1
+    assert old.read_text() == "old\n" and not new.exists()
 
 
 def test_config_file(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from defectchain import homogeneous
 from defectchain.errors import NotReached
-from defectchain.homogeneous import (distance_powers, estimate_tstar,
+from defectchain.homogeneous import (_levels, distance_powers, estimate_tstar,
                                      fit_ballistic, fit_tstar_scaling, green_profiles,
                                      moment_series, steady_moment,
                                      steady_profile)
@@ -92,6 +92,65 @@ def test_time_blocks_keep_each_rows_bits(N, T):
     assert np.array_equal(moment_series(2, times, spec), alone)
     alone = np.concatenate([green_profiles(spec, [t]) for t in times])
     assert np.array_equal(green_profiles(spec, times), alone)
+
+
+@pytest.mark.parametrize("N", [*range(4, 41, 2), 200, 800, 802])
+def test_levels_pair_up_exactly_for_even_N(N):
+    # the half-band kernel rests on c_{N/2-k} = -c_k to the bit, and on a
+    # zero level c_{N/4} = 0.0 where N = 0 mod 4; below N/4 the levels are
+    # cos(2 pi k / N) as computed
+    c, K, Q = _levels(N), N // 2, N // 4
+    assert np.array_equal(c[K - np.arange(K + 1)], -c)
+    if N % 4 == 0:
+        assert c[Q] == 0.0
+    assert np.array_equal(c[:Q], np.cos(2.0 * np.pi * np.arange(Q) / N))
+
+
+def _two_frame_kernel(spec, times):
+    """Re G and Im G in the frame m = n - n0 as two inverse real FFTs, of
+    cos and sin of 2 gamma t c_k over all N//2 + 1 levels c_k = cos(2 pi k / N)."""
+    N = spec.N
+    phase = 2.0 * spec.gamma * times[:, None] * np.cos(2.0 * np.pi * np.arange(N // 2 + 1) / N)
+    return np.fft.irfft(np.cos(phase), N), np.fft.irfft(np.sin(phase), N)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10, 50, 52, 200, 800])
+def test_half_band_kernel_matches_dense(N):
+    # even N takes one frame h = Re G + Im G.  Bounds measured on both the
+    # one-frame and the two-frame kernel at these sizes: moments within
+    # 2e-12 relative where |Delta_p| > 1e-8 (the worst, 1.7e-12, at N = 6
+    # near a return to n0), G within 2e-15 (1 + gamma t) of the dense
+    # propagator, whose own phase error grows with t (worst 1.0e-15 (1 + gamma t)
+    # on both kernels)
+    for n0 in (0, N // 3):
+        spec = LatticeSpec(N, 1.0, n0)
+        times = np.linspace(0.0, 2.0 * N, 257)
+        E, V = np.linalg.eigh(build_hamiltonian(spec))
+        dense = (V @ (np.exp(-1j * np.outer(E, times)) * V[n0, :, None])).T
+        G = green_profiles(spec, times)
+        assert np.all(np.max(np.abs(G - dense), axis=1) <= 2e-15 * (1.0 + times))
+        P = dense.real ** 2 + dense.imag ** 2
+        for p in (1, 2):
+            want = P @ distance_powers(spec, p)
+            got = moment_series(p, times, spec)
+            big = np.abs(want) > 1e-8
+            assert np.all(np.abs(got - want)[big] <= 2e-12 * np.abs(want[big]))
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 51, 201])
+def test_odd_N_keeps_the_two_frame_kernel(N):
+    # odd N has no pairing of levels: G and the moments are the two-FFT
+    # formula's, bit for bit
+    for n0 in (0, N // 3):
+        spec = LatticeSpec(N, 1.3, n0)
+        times = np.linspace(0.0, 2.0 * N, 257)
+        re, im = _two_frame_kernel(spec, times)
+        G = green_profiles(spec, times)
+        assert np.array_equal(G.real, np.roll(re, n0, axis=1))
+        assert np.array_equal(G.imag, np.roll(im, n0, axis=1))
+        for p in (1, 2):
+            want = np.einsum("tm,m->t", re * re + im * im, periodic_distances(N).astype(float) ** p)
+            assert np.array_equal(moment_series(p, times, spec), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])

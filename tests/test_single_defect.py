@@ -117,6 +117,24 @@ def test_row_pass_keeps_the_eager_bits(N):
                                       occupation_defect_series(want, times))
 
 
+@pytest.mark.parametrize("N", [511, 512, 513])
+def test_fused_level_sums_keep_the_eager_bits_at_the_one_block_edge(N):
+    # a row block holds BLOCK_ELEMENTS // (8 N) roots: all 256 at N = 511,
+    # and at N = 512 and 513 a second block starts, its sum stacked on the
+    # first block's einsum; S is the eager matrix's to the bit either way
+    blocks = time_blocks(N // 2 + 1, 8 * N)
+    assert len(blocks) == (1 if N == 511 else 2)
+    spec = LatticeSpec(N, 1.0, 200)
+    sites = [0, 201, N - 1]
+    strengths = [0.37, -2.2]
+    for q, systems in zip(strengths, defect_systems(spec, sites, strengths)):
+        for nd, got in zip(sites, systems):
+            want = _eager_system(spec, nd, q)
+            assert np.array_equal(got._level_sum, want._level_sum)
+            for p in (1, 2):
+                assert steady_moment_defect(got, p) == steady_moment_defect(want, p)
+
+
 def test_build_and_steady_reads_memory_is_small_blocks():
     # at N = 2000 the 1001 weight rows would take 15.3 MiB; the build, the
     # steady profile and both steady moments hold none of them: each block
