@@ -236,8 +236,9 @@ def estimate_tstar(spec: LatticeSpec, threshold: float = 0.01) -> float:
     of TSTAR_SLICE times and stops at the first slice holding a crossing,
     then bisects.  One kernel (the level table and its buffers) and the
     squared distances serve every slice and bisection step, with the bits
-    moment_series gives the same times.  The fitted prefactor in t* = a N / gamma depends
-    on the threshold; the linear-in-N scaling does not.
+    moment_series gives the same times.  The fitted prefactor in
+    t* = a N / gamma depends on the threshold; the linear-in-N scaling does
+    not.
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")

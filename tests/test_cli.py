@@ -419,8 +419,7 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [["single", "--N", "6000", "--nd", "7", "--q", "0.5", "--q=-3"],
                                   ["figure", "--panel", "fig1"]])
 def test_unwritable_out_stops_before_the_run(tmp_path, capsys, monkeypatch, argv):
-    # --out is checked before any solve (the N = 6000 sweep took 1.2 s to get
-    # to this error): the run is never started
+    # --out is checked before any solve: an unwritable path costs no run
     def run(args):
         raise AssertionError("the run started")
 
@@ -428,17 +427,13 @@ def test_unwritable_out_stops_before_the_run(tmp_path, capsys, monkeypatch, argv
     suffix = "_fig1.csv" if argv[0] == "figure" else ""
     (tmp_path / ("dir" + suffix)).mkdir()
     (tmp_path / "file").write_text("")
-    for out, reason in ((tmp_path / "missing" / "x", "No such file or directory"),
-                        (tmp_path / "dir", "Is a directory"),
-                        (tmp_path / "file" / "x", "Not a directory")):
+    for out, code in ((tmp_path / "missing" / "x", errno.ENOENT), (tmp_path / "dir", errno.EISDIR),
+                      (tmp_path / "file" / "x", errno.ENOTDIR)):
         assert run_cli(argv + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"config error: cannot write {out}{suffix}: [Errno {_ERRNO[reason]}] {reason}: '{out}{suffix}'\n"
+        target = f"{out}{suffix}"
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {target}: [Errno {code}] {os.strerror(code)}: '{target}'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["dir" + suffix, "file"])
-
-
-_ERRNO = {"No such file or directory": errno.ENOENT, "Is a directory": errno.EISDIR,
-          "Not a directory": errno.ENOTDIR}
 
 
 def test_failed_run_leaves_an_old_output(tmp_path):
