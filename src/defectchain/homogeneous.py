@@ -65,9 +65,11 @@ class SiteProfile:
 
 
 def _finite_times(times, gamma: float, x=()) -> np.ndarray:
-    """Times as a 1-d float array; ValueError on one whose largest phase
-    2 gamma t max(1, |x_j|) is not finite (cos and sin of it would be NaN)."""
+    """Times as a 1-d float array; ValueError on any other shape, or on a time
+    whose largest phase 2 gamma t max(1, |x_j|) is not finite (cos and sin of it would be NaN)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1:
+        raise ValueError(f"times must be a number or a 1-d array, got shape {times.shape}")
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(2.0 * gamma * np.max(np.abs(x), initial=1.0) * times)
     if bad.any():

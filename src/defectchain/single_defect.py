@@ -16,11 +16,13 @@ weight rows W_jn = v_j(n) v_j(n0),
 
     psi(n, t) = sum_j exp(2 i gamma x_j t) W_jn + (G(n, n0, t) - G(n, 2 nd - n0, t)) / 2,
 
-the second term being the odd part of the free propagator: a block of times
-costs one cos and one sin matrix product (eigen_amplitudes) and one FFT.
-DefectSystem and the time series serve any number of defects: with none
-psi is G itself, and the system of two or more (multi_defect) holds all N
-levels as rows, so psi is their sum alone.
+the second term being the odd part of the free propagator.  As W_jn =
+g(n - nd; x_j) scale_j, the first is the inverse real FFT, rotated by nd, of
+sum_j exp(2 i gamma x_j t) scale_j / (x_j - c_k): products with the row
+pass's own spectra, and no W.  DefectSystem and the time series serve any
+number of defects: with none psi is G itself, and the system of two or more
+(multi_defect) holds all N levels as rows W, so psi is their sum alone
+(eigen_amplitudes).
 
 No sector holds a degenerate pair, so the time average keeps the square of
 each level's amplitude: with S_n = sum_j W_jn^2 over the even levels and o_k
@@ -38,13 +40,10 @@ e_k being the even part; Ibar does not depend on q.  The steady functions
 take at most one live defect.
 
 A one-defect system holds its levels and O(N) more, never its (J, N)
-weight matrix for a steady read: the first steady read of a sweep's
-strength sums S for all its sites from one row pass, each block of rows
-going straight into S.  Only psi reads W (occupation_defect_series,
-moment_defect_series), and a system forms its own on the first such read,
-in one more pass; Phi's amplitudes (phi_series) are the site nd's column
-of W, taken block by block from a row pass without W.  A system of two or
-more defects stores W.
+weight matrix: the first steady read of a sweep's strength sums S for all
+its sites from one row pass, each block of rows going straight into S, and
+psi (occupation_defect_series, moment_defect_series) and Phi's amplitudes
+(phi_series, the site nd's column of W) each read one pass of their own.
 """
 
 from __future__ import annotations
@@ -118,11 +117,10 @@ class DefectSystem:
     (no rows); with one, its odd part about the defect (the rows are the
     N//2 + 1 even levels); with two or more, nothing (all N levels).
 
-    `rows` is W itself, or, for a system of defect_systems, its strength's
-    _EvenRows, which hold O(N) per site and no (J, N) array: the steady
-    functions read S_n = sum_j W_jn^2 from them, and W is formed on the
-    first read of `weights` (psi).  The last time grid a series
-    evaluated keeps its moments Delta_1(t), Delta_2(t) (moment_defect_series)."""
+    `rows` is W itself, or for one live defect its strength's _EvenRows,
+    which hold O(N) per site and no (J, N) array.  The last time grid a
+    series evaluated keeps its moments Delta_1(t), Delta_2(t)
+    (moment_defect_series)."""
 
     spec: LatticeSpec
     defects: tuple[DefectSpec, ...]
@@ -135,24 +133,11 @@ class DefectSystem:
         """The defects of nonzero strength."""
         return tuple(d for d in self.defects if d.q != 0.0)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """W_jn, shape (levels, N); a one-defect system forms it from its row
-        pass on first read."""
-        if isinstance(self.rows, _EvenRows):
-            return self.rows.weights(self.live[0].nd)
-        return self.rows
-
-    @cached_property
+    @property
     def _level_sum(self) -> np.ndarray:
-        """S_n = sum_j W_jn^2, formed once per system (a sweep's systems: once
-        per strength) and shared (read-only) by the steady profile,
-        corrections and moments."""
-        if isinstance(self.rows, _EvenRows):
-            return self.rows.level_sums[self.live[0].nd]
-        S = np.einsum("jn,jn->n", self.rows, self.rows)
-        S.flags.writeable = False
-        return S
+        """S_n = sum_j W_jn^2 (read-only), formed once per strength of a sweep
+        and shared by the steady profile, corrections and moments."""
+        return self.rows.level_sums[self.live[0].nd]
 
 
 def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
@@ -166,16 +151,16 @@ def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
 
 def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> Iterator:
     """The row pass: for each block of roots x = cos(pi j / N) + offset (one
-    entry of j and offset per root), its slice, the rows g(m; x), m = 0..N-1,
-    for each nd in `sites` the scale g(n0 - nd; x) / ||g||^2, and a spare
-    (rows + 1, N) block the reader may overwrite.  The even eigenvectors
-    v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| give the weight rows
-    W_jn = g(n - nd; x_j) scale_j (_scaled_rows).
+    entry of j and offset per root), its slice, the spectra 1 / (x - c_k)
+    (k <= N/2), their inverse real FFTs g(m; x) (m = 0..N-1), for each nd in
+    `sites` the scale g(n0 - nd; x) / ||g||^2, and a spare (rows + 1, N)
+    block the reader may overwrite.  The even eigenvectors v_j(n) =
+    g(n - nd; x_j) / ||g(.; x_j)|| give the weight rows W_jn = g(n - nd; x_j) scale_j.
 
-    The gaps x - c_k (k <= N/2) are (cos(pi j / N) - c_k) + offset, so a root
-    solved from a level keeps its offset as its own gap.  Each block takes
-    its gap rows and one inverse real FFT; the rows do not depend on the
-    site, which only rotates them."""
+    The gaps x - c_k are (cos(pi j / N) - c_k) + offset, so a root solved
+    from a level keeps its offset as its own gap.  Each block takes its gap
+    rows and one inverse real FFT; the rows do not depend on the site,
+    which only rotates them."""
     blocks = time_blocks(j.size, 8 * N)       # small blocks: no (J, N) array
     m, K = j[blocks[0]].size, N // 2
     # One buffer for the pass's spectra, rows and spare block: arrays of their
@@ -193,21 +178,14 @@ def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> I
         np.divide(1.0, gaps, out=s.real)
         np.fft.irfft(s, N, out=g)
         norms = np.einsum("jn,jn->j", g, g)
-        yield b, g, [(g[:, (n0 - nd) % N] / norms)[:, None] for nd in sites], spare[:g.shape[0] + 1]
-
-
-def _scaled_rows(rows: np.ndarray, scale: np.ndarray, nd: int, out: np.ndarray) -> np.ndarray:
-    """A block of weight rows W_jn = g(n - nd; x_j) scale_j, written into `out`."""
-    N = rows.shape[1]
-    np.multiply(rows[:, :N - nd], scale, out=out[:, nd:])
-    np.multiply(rows[:, N - nd:], scale, out=out[:, :nd])
-    return out
+        scales = [(g[:, (n0 - nd) % N] / norms)[:, None] for nd in sites]
+        yield b, s.real, g, scales, spare[:g.shape[0] + 1]
 
 
 @dataclass(frozen=True)
 class _EvenRows:
     """One strength's even levels at the sites of a sweep, as the roots
-    (j, offset) of _weight_rows: its two readers each take one row pass."""
+    (j, offset) of _weight_rows: each of its readers takes one row pass."""
 
     j: np.ndarray
     offset: np.ndarray
@@ -226,7 +204,7 @@ class _EvenRows:
         the end."""
         sites, N = tuple(dict.fromkeys(self.sites)), self.N
         frames = np.empty((len(sites), N))
-        for b, rows, scales, stack in _weight_rows(self.j, self.offset, N, self.n0, sites):
+        for b, _, rows, scales, stack in _weight_rows(self.j, self.offset, N, self.n0, sites):
             W = stack[1:]
             for S, scale in zip(frames, scales):
                 np.multiply(rows, scale, out=W)
@@ -246,17 +224,32 @@ class _EvenRows:
         """W_j,nd = g(0; x_j) scale_j, the site nd's own column of W, from
         one pass and without W."""
         out = np.empty(self.j.size)
-        for b, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
+        for b, _, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
             np.multiply(rows[:, 0], scale[:, 0], out=out[b])
         return out
 
-    def weights(self, nd: int) -> np.ndarray:
-        """W_jn of the site nd, from one pass: each block of rows goes
-        straight into it."""
-        W = np.empty((self.j.size, self.N))
-        for b, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
-            _scaled_rows(rows, scale, nd, W[b])
-        return W
+    def series(self, nd: int, x: np.ndarray, gamma: float, times: np.ndarray) -> np.ndarray:
+        """sum_j exp(2 i gamma x_j t) W_jn of the site nd for a time grid,
+        shape (len(times), N), from one pass and without W: the inverse real
+        FFT, in the frame m = n - nd, of E_k(t) = sum_j exp(2 i gamma x_j t)
+        scale_j / (x_j - c_k).  Each block of roots adds to E the product of
+        its cos and sin rows (stacked, 2T of them) with its scaled spectra,
+        which irfft leaves intact; one stacked inverse real FFT gives the
+        real and imaginary frames."""
+        N, T = self.N, times.size
+        scaled = 2.0 * gamma * times[:, None]
+        E = np.zeros((2 * T, N // 2 + 1), dtype=complex)       # complex in: no cast in irfft
+        sums, term = E.real, np.empty(E.shape)
+        for b, inverse, _, (scale,), spare in _weight_rows(self.j, self.offset, N, self.n0, [nd]):
+            cauchy = spare.reshape(-1)[:inverse.size].reshape(inverse.shape)
+            np.multiply(inverse, scale, out=cauchy)
+            phase = scaled * x[b]
+            sums += np.matmul(np.concatenate([np.cos(phase), np.sin(phase)]), cauchy, out=term)
+        frames = np.fft.irfft(E, N)
+        psi = np.empty((T, N), dtype=complex)
+        for part, frame in ((psi.real, frames[:T]), (psi.imag, frames[T:])):
+            part[:, nd:], part[:, :nd] = frame[:, :N - nd], frame[:, N - nd:]
+        return psi
 
 
 def build_defect_system(spec: LatticeSpec, defect: DefectSpec) -> DefectSystem:
@@ -278,8 +271,8 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
     strength, and a strength's systems share its roots (_EvenRows).  Their
     first steady read sums the level sums S of every site from one blocked
     pass of inverse real FFTs, so a sweep read for steady observables takes
-    one pass per strength and holds O(N) per system; a system's weight rows
-    W are formed, one more pass, only when a time-resolved call reads them.
+    one pass per strength and holds O(N) per system; no system forms its
+    weight rows W.
     """
     N = spec.N
     sites = [site_index(nd, N) for nd in sites]
@@ -296,12 +289,10 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
 
 def phi_series(system: DefectSystem) -> PhiSeries:
     """Exponential series for Phi(t) = i q psi(nd, t) of the one live
-    defect; empty without one.  A sweep's system takes its amplitudes
-    q W_j,nd from one row pass and forms no W."""
-    defect = _one_defect(system, "Phi(t) series") or DefectSpec(0, 0.0)
-    rows = system.rows
-    column = rows.column(defect.nd) if isinstance(rows, _EvenRows) else rows[:, defect.nd]
-    return PhiSeries(system.x, defect.q * column, system.spec.gamma)
+    defect; empty without one.  Its amplitudes q W_j,nd take one row pass."""
+    defect = _one_defect(system, "Phi(t) series")
+    amplitudes = defect.q * system.rows.column(defect.nd) if defect else np.empty(0)
+    return PhiSeries(system.x, amplitudes, system.spec.gamma)
 
 
 def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) -> np.ndarray:
@@ -324,12 +315,13 @@ def _wave_functions(system: DefectSystem, times) -> np.ndarray:
     (DefectSystem)."""
     spec, live = system.spec, system.live
     if len(live) > 1:
-        return eigen_amplitudes(system.x, system.weights, spec.gamma, times)
+        return eigen_amplitudes(system.x, system.rows, spec.gamma, times)
     G = green_profiles(spec, times)
     if not live:
         return G
-    mirror = G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, 2 nd - n0, t)
-    return eigen_amplitudes(system.x, system.weights, spec.gamma, times) + 0.5 * (G - mirror)
+    G -= G[:, (np.arange(spec.N) + 2 * (spec.n0 - live[0].nd)) % spec.N]     # G(n, n0, t) - G(n, 2 nd - n0, t)
+    G *= 0.5
+    return np.add(system.rows.series(live[0].nd, system.x, spec.gamma, times), G, out=G)
 
 
 def occupation_defect_series(system: DefectSystem, times) -> np.ndarray:

@@ -184,13 +184,16 @@ def test_one_defect_matches_single_defect_series():
 ])
 def test_one_live_defect_is_the_one_defect_system(defects):
     # one nonzero strength, alone or next to zero strengths: the roots come
-    # from find_poles, so x and the weight rows are build_defect_system's
+    # from find_poles, so x, the even rows and the series are build_defect_system's
     spec = LatticeSpec(57, 1.3, 4)
     system = build_two_defect_system([DefectSpec(*d) for d in defects], spec)
     single = build_defect_system(spec, DefectSpec(20, -0.8))
     assert np.array_equal(system.x, single.x)
-    assert np.array_equal(system.weights, single.weights)
+    assert np.array_equal(system.rows.j, single.rows.j)
+    assert np.array_equal(system.rows.offset, single.rows.offset)
     assert system.live == single.live == (DefectSpec(20, -0.8),)
+    times = np.linspace(0.0, 60.0, 13)
+    assert np.array_equal(occupation_defect_series(system, times), occupation_defect_series(single, times))
 
 
 @pytest.mark.parametrize("N, n0, defects", [
@@ -280,7 +283,7 @@ def test_single_defect_resolvent_matches_scalar_formula():
     spec = LatticeSpec(8, 1.1, 2)
     system = build_two_defect_system([DefectSpec(5, 1.7)], spec)
     eps = 0.8 + 0.45j
-    psi = np.sum(system.weights[:, 5] / (eps - 2j * spec.gamma * system.x))
+    psi = np.sum(system.rows.column(5) / (eps - 2j * spec.gamma * system.x))
     Gdd, Gd0 = green_laplace(spec, 5, 5, eps), green_laplace(spec, 5, 2, eps)
     assert abs(psi - Gd0 / (1.0 - 1.7j * Gdd)) < 1e-13
 
@@ -303,7 +306,7 @@ def test_closed_form_matches_resolvent_assembly():
         G0 = np.array([green_laplace(spec, n, n0, eps) for n in range(N)])
         psi_d = np.linalg.solve(np.eye(M) - 1j * np.array(qs) * G[sites], G0[sites])
         ref = G0 + G @ (1j * np.array(qs) * psi_d)
-        psi = (system.weights / (eps - 2j * gamma * system.x)[:, None]).sum(axis=0)
+        psi = (system.rows / (eps - 2j * gamma * system.x)[:, None]).sum(axis=0)
         assert np.max(np.abs(psi - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -319,7 +322,7 @@ def test_zero_strengths_reduce_to_free_propagation():
     # the free system, after the duplicate-site check
     spec = LatticeSpec(9, 1.0, 2)
     system = build_two_defect_system([DefectSpec(4, 0.0), DefectSpec(7, 0.0)], spec)
-    assert system.live == () and system.x.size == 0 and system.weights.shape == (0, 9)
+    assert system.live == () and system.x.size == 0 and system.rows.shape == (0, 9)
     for t in (0.6, 2.2):
         g = green_profiles(spec, [t])[0]
         assert np.array_equal(occupation_defect(system, t), g.real ** 2 + g.imag ** 2)

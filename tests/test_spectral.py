@@ -76,7 +76,7 @@ def test_find_poles_against_spectrum_oracle():
         # ones vanish on nd), read from the weight rows W_jn = v_j(n) v_j(n0) at n = nd
         system = build_defect_system(spec, DefectSpec(nd, q))
         assert np.array_equal(system.x, poles.x)
-        assert abs(system.weights[:, nd].sum() - (1.0 if d == 0 else 0.0)) < 1e-9
+        assert abs(system.rows.column(nd).sum() - (1.0 if d == 0 else 0.0)) < 1e-9
         assert poles.x.size == N // 2 + 1
 
 
@@ -112,7 +112,7 @@ def test_find_poles_continuity_under_strength_steps():
         assert np.allclose(_spectrum_from_poles(N, find_poles(N, s)),
                            np.linalg.eigvalsh(_ring_x(N, nd, s)), atol=1e-13)
         if prev is not None:
-            predicted = np.abs(s - prev_s) * prev.weights[:, nd]
+            predicted = np.abs(s - prev_s) * prev.rows.column(nd)
             assert np.all(np.abs(system.x - prev.x) <= 2.0 * predicted + 1e-12)
         prev, prev_s = system, s
 
