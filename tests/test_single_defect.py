@@ -512,6 +512,18 @@ def test_occupation_series_memory_is_bounded():
     assert peak < 6 * 2 ** 20
 
 
+def test_occupation_series_memory_below_kernel_bound():
+    sysq = _system(800, 1.0, 5, 300, -2.3)
+    times = np.linspace(0.0, 1600.0, 17)
+    tracemalloc.start()
+    try:
+        occupation_defect_series(sysq, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 def test_occupation_series_memory_at_n6000_forms_no_weights():
     # the (3001, 6000) weight matrix took 137 MiB: a 17-time series peaked
     # at 145 MiB with it, and at 9.9 MiB without it
