@@ -41,7 +41,8 @@ take at most one live defect.
 
 A one-defect system holds its levels and O(N) more, never its (J, N)
 weight matrix: the first steady read of a sweep's strength sums S for all
-its sites from one row pass, each block of rows going straight into S, and
+its sites from one row pass, each block's squared rows going straight into
+every site's sum over the half frame m = 0..N/2 (S is even about nd), and
 psi (occupation_defect_series, moment_defect_series) and Phi's amplitudes
 (phi_series, the site nd's column of W) each read one pass of their own.
 """
@@ -60,7 +61,7 @@ from .homogeneous import (SiteProfile, _distance_powers, _finite_times,
                           green_profiles, steady_moment, steady_profile,
                           time_blocks)
 from .lattice import LatticeSpec, site_index
-from .spectral import _gaps_theta, find_poles
+from .spectral import _level_gap_factors, find_poles
 
 NORM_TOL = 1e-8
 
@@ -149,45 +150,51 @@ def _one_defect(system: DefectSystem, what: str) -> DefectSpec | None:
     return live[0] if live else None
 
 
-def _weight_rows(j: np.ndarray, offset: np.ndarray, N: int, n0: int, sites) -> Iterator:
-    """The row pass: for each block of roots x = cos(pi j / N) + offset (one
-    entry of j and offset per root), its slice, the spectra 1 / (x - c_k)
-    (k <= N/2), their inverse real FFTs g(m; x) (m = 0..N-1), for each nd in
-    `sites` the scale g(n0 - nd; x) / ||g||^2, and a spare (rows + 1, N)
-    block the reader may overwrite.  The even eigenvectors v_j(n) =
-    g(n - nd; x_j) / ||g(.; x_j)|| give the weight rows W_jn = g(n - nd; x_j) scale_j.
+def _weight_rows(offset: np.ndarray, N: int, n0: int, sites) -> Iterator:
+    """The row pass: for each block of one defect's roots x_j = c_L + offset_j
+    (L = K - j, the level find_poles solved root j from, K = N//2), its
+    slice, the spectra 1 / (x - c_k) (k <= K), their inverse real FFTs
+    g(m; x) (m = 0..N-1), for each nd in `sites` the scales
+    g(n0 - nd; x) / ||g||^2, and a spare block the shape of the spectra
+    that the reader may overwrite.  The even eigenvectors
+    v_j(n) = g(n - nd; x_j) / ||g(.; x_j)|| give the weight rows
+    W_jn = g(n - nd; x_j) scale_j.
 
-    The gaps x - c_k are (cos(pi j / N) - c_k) + offset, so a root solved
-    from a level keeps its offset as its own gap.  Each block takes its gap
-    rows and one inverse real FFT; the rows do not depend on the site,
-    which only rotates them."""
-    blocks = time_blocks(j.size, 8 * N)       # small blocks: no (J, N) array
-    m, K = j[blocks[0]].size, N // 2
+    The gaps x - c_k are (c_L - c_k) + offset, so a root solved from a
+    level keeps its offset as its own gap.  Every one-defect system has the
+    same levels, so c_L - c_k = -2 A B over two strided windows A, B of one
+    table of sines (_level_gap_factors), and a block's spectra are
+    -0.5 / (A B - offset / 2), the bits of 1 / (-2 A B + offset) with no
+    gathered copy.  Each block takes one inverse real FFT; the rows do not
+    depend on the site, which only rotates them."""
+    blocks = time_blocks(offset.size, 8 * N)      # small blocks: no (J, N) array
+    m, K = offset[blocks[0]].size, N // 2
     # One buffer for the pass's spectra, rows and spare block: arrays of their
     # own, per block or per role, went back to the system when freed and the
     # next pass faulted them in again (3300 page faults per pass at N = 2000).
-    buffer = np.empty(2 * m * (K + 1) + (2 * m + 1) * N)
+    buffer = np.empty(3 * m * (K + 1) + m * N)
     spectra = buffer[:2 * m * (K + 1)].view(complex).reshape(m, K + 1)
     rows = buffer[2 * m * (K + 1):][:m * N].reshape(m, N)
-    spare = buffer[2 * m * (K + 1) + m * N:].reshape(m + 1, N)
+    spare = buffer[2 * m * (K + 1) + m * N:].reshape(m, K + 1)
     spectra.imag = 0.0                        # complex in: no cast in irfft
+    A, B, half = *_level_gap_factors(N), 0.5 * offset
     for b in blocks:
-        s, g = spectra[:j[b].size], rows[:j[b].size]
-        gaps = _gaps_theta(j[b], N)
-        gaps += offset[b, None]
-        np.divide(1.0, gaps, out=s.real)
+        s, g = spectra[:half[b].size], rows[:half[b].size]
+        gaps = g.reshape(-1)[:s.size].reshape(s.shape)      # g's room until its FFT
+        np.multiply(A[b], B[b], out=gaps)
+        gaps -= half[b, None]
+        np.divide(-0.5, gaps, out=s.real)
         np.fft.irfft(s, N, out=g)
         norms = np.einsum("jn,jn->j", g, g)
-        scales = [(g[:, (n0 - nd) % N] / norms)[:, None] for nd in sites]
-        yield b, s.real, g, scales, spare[:g.shape[0] + 1]
+        yield b, s.real, g, [g[:, (n0 - nd) % N] / norms for nd in sites], spare[:g.shape[0]]
 
 
 @dataclass(frozen=True)
 class _EvenRows:
-    """One strength's even levels at the sites of a sweep, as the roots
-    (j, offset) of _weight_rows: each of its readers takes one row pass."""
+    """One strength's even levels at the sites of a sweep, as the offsets of
+    its roots from their levels (_weight_rows): each of its readers takes
+    one row pass."""
 
-    j: np.ndarray
     offset: np.ndarray
     N: int
     n0: int
@@ -195,37 +202,29 @@ class _EvenRows:
 
     @cached_property
     def level_sums(self) -> dict[int, np.ndarray]:
-        """S_n = sum_j W_jn^2 of every site (read-only), from one pass.  Per
-        site a block's rows are scaled unrotated, W_j,nd+m = g(m; x_j) scale_j,
-        in one contiguous multiply, and summed in the frame m = n - nd: the
-        first block by einsum("jn,jn->n", W, W), each later one as its
-        squares in order under the running sum; the bits of the eager
-        einsum("jn,jn->n", W, W).  Each sum is shifted to the sites once at
-        the end."""
-        sites, N = tuple(dict.fromkeys(self.sites)), self.N
-        frames = np.empty((len(sites), N))
-        for b, _, rows, scales, stack in _weight_rows(self.j, self.offset, N, self.n0, sites):
-            W = stack[1:]
+        """S_n = sum_j W_jn^2 of every site (read-only), from one pass.  In
+        the frame m = n - nd, W_j,nd+m = g(m; x_j) scale_j with
+        g(m) = g(N - m), so S is summed over m = 0..N/2 alone and mirrored,
+        exactly even about nd.  A block's squared rows serve every site, and
+        each site adds one product of its squared scales with them, the same
+        in a sweep as alone.  Each sum is shifted to its site at the end."""
+        sites, N, H = tuple(dict.fromkeys(self.sites)), self.N, self.N // 2 + 1
+        frames = np.zeros((len(sites), H))
+        for _, _, rows, scales, squares in _weight_rows(self.offset, N, self.n0, sites):
+            np.square(rows[:, :H], out=squares)
             for S, scale in zip(frames, scales):
-                np.multiply(rows, scale, out=W)
-                if b.start == 0:
-                    np.einsum("jn,jn->n", W, W, out=S)
-                else:
-                    stack[0] = S
-                    np.square(W, out=W)
-                    np.einsum("jn->n", stack, out=S)
-        sums = np.empty_like(frames)
-        for nd, S, frame in zip(sites, sums, frames):
-            S[nd:], S[:nd] = frame[:N - nd], frame[N - nd:]
+                S += np.square(scale) @ squares
+        m = (np.arange(N) - np.array(sites)[:, None]) % N
+        sums = frames[np.arange(len(sites))[:, None], np.minimum(m, N - m)]
         sums.flags.writeable = False
         return dict(zip(sites, sums))
 
     def column(self, nd: int) -> np.ndarray:
         """W_j,nd = g(0; x_j) scale_j, the site nd's own column of W, from
         one pass and without W."""
-        out = np.empty(self.j.size)
-        for b, _, rows, (scale,), _ in _weight_rows(self.j, self.offset, self.N, self.n0, [nd]):
-            np.multiply(rows[:, 0], scale[:, 0], out=out[b])
+        out = np.empty(self.offset.size)
+        for b, _, rows, (scale,), _ in _weight_rows(self.offset, self.N, self.n0, [nd]):
+            np.multiply(rows[:, 0], scale, out=out[b])
         return out
 
     def series(self, nd: int, x: np.ndarray, gamma: float, times: np.ndarray) -> np.ndarray:
@@ -240,9 +239,8 @@ class _EvenRows:
         scaled = 2.0 * gamma * times[:, None]
         E = np.zeros((2 * T, N // 2 + 1), dtype=complex)       # complex in: no cast in irfft
         sums, term = E.real, np.empty(E.shape)
-        for b, inverse, _, (scale,), spare in _weight_rows(self.j, self.offset, N, self.n0, [nd]):
-            cauchy = spare.reshape(-1)[:inverse.size].reshape(inverse.shape)
-            np.multiply(inverse, scale, out=cauchy)
+        for b, inverse, _, (scale,), cauchy in _weight_rows(self.offset, N, self.n0, [nd]):
+            np.multiply(inverse, scale[:, None], out=cauchy)
             phase = scaled * x[b]
             sums += np.matmul(np.concatenate([np.cos(phase), np.sin(phase)]), cauchy, out=term)
         frames = np.fft.irfft(E, N)
@@ -283,7 +281,7 @@ def defect_systems(spec: LatticeSpec, sites, strengths) -> Iterator[tuple[Defect
         if q == 0.0:
             yield tuple(_free_system(spec, (DefectSpec(nd, 0.0),)) for nd in sites)
             continue
-        rows = _EvenRows(2 * poles.level[r], poles.offset[r], N, spec.n0, tuple(sites))
+        rows = _EvenRows(poles.offset[r], N, spec.n0, tuple(sites))
         yield tuple(DefectSystem(spec, (DefectSpec(nd, q),), poles.x[r], rows) for nd in sites)
 
 
@@ -312,8 +310,10 @@ def eigen_amplitudes(x: np.ndarray, weights: np.ndarray, gamma: float, times) ->
 def _wave_functions(system: DefectSystem, times) -> np.ndarray:
     """psi(n, t) for a time grid, shape (len(times), N): the weight rows'
     series plus the part of the free G(n, n0, t) that the rows leave out
-    (DefectSystem)."""
+    (DefectSystem); an empty grid takes no pass."""
     spec, live = system.spec, system.live
+    if not times.size:
+        return np.empty((0, spec.N), dtype=complex)
     if len(live) > 1:
         return eigen_amplitudes(system.x, system.rows, spec.gamma, times)
     G = green_profiles(spec, times)

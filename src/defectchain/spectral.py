@@ -26,9 +26,11 @@ finder _safeguarded_newton.  The Green function off the band is oracle.py's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotConverged
 
@@ -40,24 +42,43 @@ def _cos_sin(m, den):
             np.where(m % den == 0, 0.0, np.sin(a)))
 
 
+def _sines(r, N):
+    """sin(pi r / 2N) for integers -2N <= r < 6N, each angle first reduced
+    exactly (mod 4N, then sin(pi - a) = sin(a)) to |a| <= pi / 2: a sine
+    next to a zero keeps its relative accuracy."""
+    r = np.where(r > 2 * N, r - 4 * N, r)
+    r = np.where(np.abs(r) > N, np.sign(r) * 2 * N - r, r)
+    return np.sin(np.pi * r / (2 * N))
+
+
 def _gaps_theta(j, N):
     """x - c_k for every level k <= N/2 at x = cos(pi j / N), shape
     j.shape + (N//2 + 1,), as -2 sin(pi (j + 2k) / 2N) sin(pi (j - 2k) / 2N),
-    each angle first reduced exactly (mod 4N, then sin(pi - a) = sin(a)) to
-    |a| <= pi / 2: a gap next to a zero of its sine keeps its relative
-    accuracy.  Over k both factors are stride-2 windows of one table of
-    sines spanning j - 2k to j + 2k, forward from j and backward from it, so
-    each row is two strided copies."""
+    the angles reduced exactly (_sines): a gap next to a zero of its sine
+    keeps its relative accuracy.  Over k both factors are stride-2 windows
+    of one table of sines spanning j - 2k to j + 2k, forward from j and
+    backward from it, so each row is two strided copies."""
     K, jm = N // 2, np.asarray(j) % (4 * N)
     lo, hi = (int(jm.min()), int(jm.max())) if jm.size else (0, 0)
-    r = np.arange(lo - 2 * K, hi + 2 * K + 1)             # j mod 4N - 2k to j mod 4N + 2k
-    r = np.where(r > 2 * N, r - 4 * N, r)
-    r = np.where(np.abs(r) > N, np.sign(r) * 2 * N - r, r)
-    sin_r = np.sin(np.pi * r / (2 * N))
-    step = sin_r.itemsize                                 # rows[i, k] = sin_r[i + 2k]
-    rows = np.ndarray((sin_r.size - 2 * K, K + 1), buffer=sin_r, strides=(step, 2 * step))
-    at = jm - lo + 2 * K                                  # the row from angle j
+    sin_r = _sines(np.arange(lo - 2 * K, hi + 2 * K + 1), N)   # j mod 4N - 2k to j mod 4N + 2k
+    rows = sliding_window_view(sin_r, 2 * K + 1)[:, ::2]      # rows[i, k] = sin_r[i + 2k]
+    at = jm - lo + 2 * K                                      # the row from angle j
     return -2.0 * rows[at] * rows[at - 2 * K, ::-1]
+
+
+@functools.lru_cache(maxsize=16)
+def _level_gap_factors(N):
+    """Read-only windows (A, B) of one table of sines, shape (K + 1, K + 1)
+    (K = N//2), A[i, k] = sin(pi (L + k) / N) and B[i, k] = sin(pi (L - k) / N)
+    at the level L = K - i, so that -2 A[i] B[i] has the bits of
+    _gaps_theta(2 L, N): the gaps c_L - c_k of a one-defect root i, which
+    find_poles solves from level K - i (PoleSet).  Each row of either is
+    contiguous, and the table holds 6K + 2 sines, against the (K + 1)^2 gaps."""
+    K = N // 2
+    sines = _sines(2 * np.arange(-K, 2 * K + 1), N)            # sin(pi t / N), t = -K..2K
+    A = sliding_window_view(sines, K + 1)[K:][::-1]            # t = L + k
+    B = sliding_window_view(sines[::-1].copy(), K + 1)[K:]     # t = L - k
+    return A, B
 
 
 @dataclass(frozen=True)
@@ -65,7 +86,9 @@ class PoleSet:
     """The real roots x_j of one defect's secular equation, sorted ascending.
 
     level_j is the level c_k each root was solved from and offset_j = x_j - c_k,
-    exact where x_j rounds.
+    exact where x_j rounds.  Each interval between levels holds one root, the
+    outer one beyond c_0 (s > 0) or c_K (s < 0), so level is K, K - 1, ..., 0
+    for every N and s (K = N//2).
     """
 
     x: np.ndarray

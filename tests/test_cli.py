@@ -256,6 +256,19 @@ def test_classical_bad_rates_end_cleanly(rates, code):
     assert err.startswith("config error:" if code == 1 else "solver error (NotConverged):")
 
 
+@pytest.mark.parametrize("argv", [["figure", "--panel", "fig2a"], ["figure", "--panel", "fig3b"],
+                                  ["single", "--N", "2000", "--nd", "1102", "--n0", "3",
+                                   "--q", "0.68", "--q", "-40"]])
+def test_one_defect_steady_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    # each site adds one vector-matrix product per row block to its level
+    # sums, whose bits hold on any thread count; one matrix product over all
+    # sites would not
+    cmd, env = _cli_command(argv)
+    outs = [subprocess.run(cmd, env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                           timeout=60, check=True).stdout for threads in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].count(b"\n") > 200
+
+
 @pytest.mark.parametrize("f", ["1e-14", "1e-300", "1e-320"])
 def test_classical_nearly_closed_barrier_is_flat(f):
     # a time unit from f never returned (1e-320), overflowed exp (1e-300) or

@@ -189,7 +189,6 @@ def test_one_live_defect_is_the_one_defect_system(defects):
     system = build_two_defect_system([DefectSpec(*d) for d in defects], spec)
     single = build_defect_system(spec, DefectSpec(20, -0.8))
     assert np.array_equal(system.x, single.x)
-    assert np.array_equal(system.rows.j, single.rows.j)
     assert np.array_equal(system.rows.offset, single.rows.offset)
     assert system.live == single.live == (DefectSpec(20, -0.8),)
     times = np.linspace(0.0, 60.0, 13)

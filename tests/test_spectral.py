@@ -7,7 +7,8 @@ from defectchain.errors import NotConverged, PoleCountMismatch
 from defectchain.lattice import LatticeSpec, periodic_distance
 from defectchain.oracle import check_defect_roots, defect_decomposition, green_laplace
 from defectchain.single_defect import DefectSpec, build_defect_system
-from defectchain.spectral import _gaps_theta, _safeguarded_newton, find_poles
+from defectchain.spectral import (_gaps_theta, _level_gap_factors,
+                                 _safeguarded_newton, find_poles)
 
 
 def _poles(spec, q):
@@ -306,3 +307,20 @@ def test_gaps_theta_rows_equal_the_gathered_table(N):
         got = _gaps_theta(j, N)
         assert got.shape == (j.size, k.size) and np.array_equal(got, _gaps_gathered(j[:, None], N))
         assert all(np.array_equal(_gaps_theta(jj, N), got[i]) for i, jj in enumerate(j[:5].tolist()))
+
+
+def test_one_defect_levels_are_one_descending_list():
+    # root j of every one-defect system is solved from level K - j, whatever
+    # N and the strength: the row pass reads its gaps from this
+    s = np.array([1e-12, 1.0, 1e8])
+    for N in [*range(3, 65), 199, 200, 799, 2000, 2001]:
+        level = find_poles(N, np.concatenate([s, -s])).level
+        assert np.array_equal(2 * level, np.broadcast_to(2 * np.arange(N // 2, -1, -1), level.shape)), N
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 50, 199, 200, 799, 800, 2000, 2001])
+def test_level_gap_factors_give_the_gathered_gaps(N):
+    # -2 A B over the two read-only windows is _gaps_theta at every level, bit for bit
+    A, B = _level_gap_factors(N)
+    assert A.shape == B.shape == (N // 2 + 1, N // 2 + 1) and not (A.flags.writeable or B.flags.writeable)
+    assert np.array_equal(-2.0 * A * B, _gaps_theta(2 * np.arange(N // 2, -1, -1), N))
